@@ -18,13 +18,13 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import focksim, opa, serialize
-from .certify import StabilityCertificate, Verdict, hinf_condition
+from .certify import Verdict, hinf_condition
 from .certify import certify as run_certify
 from .errors import NotHurwitzError, QstabError, StructureError
 from .model import LinearQuantumSystem, doubled_matrices, validate_system
@@ -70,7 +70,6 @@ class RunConfig:
     sweep: SweepSpec | None = None
     output: str | None = None
     grid: int = 200
-    seed: int = 0
     eps: float | None = None
 
 
@@ -151,7 +150,6 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--alpha2", type=float, default=None)
         cmd.add_argument("--grid", type=int, default=None)
         cmd.add_argument("--out", type=str, default=None)
-        cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--eps", type=float, default=None)
         cmd.add_argument("--parameter", type=str, default=None, help="sweep parameter")
         cmd.add_argument("--start", type=float, default=None)
@@ -250,7 +248,6 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
         sweep=sweep,
         output=args.out or doc.get("output"),
         grid=int(_pick(args.grid, doc, "grid", 200)),
-        seed=int(_pick(args.seed, doc, "seed", 0)),
         eps=args.eps if args.eps is not None else doc.get("eps"),
     )
 
@@ -328,13 +325,10 @@ def _verdict_exit(verdict: Verdict) -> int:
 def _certificate_with_level(config: RunConfig, bounds: SectorBounds):
     system, _ = _load_system(config)
     cert = run_certify(system, bounds, eps=config.eps)
-    level = None
     if cert.certified and config.opa_params is not None:
-        curve = opa.region_curve(config.opa_params, bounds, max(config.grid, 2))
-        level = opa.invariant_ellipsoid(cert.P, curve, seed=config.seed)
-        cert = StabilityCertificate(
-            **{**cert.__dict__, "invariant_level": level}
-        )
+        # the level reads the exact boundary, not the curve's samples
+        curve = opa.region_curve(config.opa_params, bounds, 2)
+        cert = replace(cert, invariant_level=opa.invariant_ellipsoid(cert.P, curve))
     return cert
 
 
@@ -414,12 +408,10 @@ def _cmd_simulate(config: RunConfig) -> int:
 
 def _sweep_value(config: RunConfig, bounds: SectorBounds, parameter: str, value: float):
     params = config.opa_params
-    if parameter == "gamma":
-        bounds = SectorBounds(gamma=value, delta1=bounds.delta1, delta2=bounds.delta2)
+    if parameter in ("gamma", "delta1", "delta2"):
+        bounds = replace(bounds, **{parameter: value})
     elif parameter in ("kappa1", "kappa2", "chi"):
-        params = opa.OpaParams(**{**params.__dict__, parameter: value})
-    elif parameter in ("delta1", "delta2"):
-        bounds = SectorBounds(**{**bounds.__dict__, parameter: value})
+        params = replace(params, **{parameter: value})
     else:
         raise StructureError(f"unknown sweep parameter {parameter!r}")
     system, _ = opa.build_opa(params)

@@ -188,73 +188,45 @@ def region_curve(
     )
 
 
-def _doubled_point(alpha: np.ndarray) -> np.ndarray:
-    """Coherent amplitudes -> doubled coordinates (z1*, z2*, z1, z2) = (a, a#)."""
-    return np.concatenate([alpha, np.conj(alpha)])
-
-
-def _quadratic_value(P: np.ndarray, alpha: np.ndarray) -> float:
-    x = _doubled_point(alpha)
-    return float(np.real(np.conj(x) @ P @ x))
-
-
-def invariant_ellipsoid(
-    P: np.ndarray,
-    region: RegionCurve,
-    n_directions: int = 256,
-    seed: int = 0,
-    rel_tol: float = 1e-12,
-) -> float:
+def invariant_ellipsoid(P: np.ndarray, region: RegionCurve) -> float:
     """Largest level rho with {x : x' P x <= rho} inside the admissible region.
 
     The ellipsoid lives in the doubled coordinates x = (a, a#) of the
-    semiclassical amplitudes; membership of a point is decided through its
-    squared magnitudes (|z1|^2, |z2|^2) against the region curve.  The level
-    is found by bisection on rho, testing >= ``n_directions`` sampled
-    boundary directions; the region is closed downward along rays from the
-    origin, so boundary sampling suffices.
+    semiclassical amplitudes, and P must be mode-diagonal,
+    diag(p1, p2, p1, p2), as every certified OPA P is.  Then
+    x' P x = s1 u + s2 v with u = |z1|^2, v = |z2|^2, s1 = P11 + P33 and
+    s2 = P22 + P44.  The region is closed downward along rays from the
+    origin, so the level is the exact minimum of s1 u + s2 cap(u) over
+    u in [0, lambda_bar]; it is never overstated.
+
+    With a = delta1/chi^2, b = 1/(gamma^2 chi^2) and w = 4u - b, the
+    gradient branch reads s1 u + s2 cap(u) = (s1/4 - s2/16) w + s2 K / w +
+    const with K = a + 3 b^2 / 16, so the minimum lies at u = 0 (on the
+    ceiling), at the branch's stationary point, or at lambda_bar.  The
+    junction of ceiling and branch is never below the u = 0 value.  Each
+    candidate is valued at (u, cap(u)), a point on or outside the boundary,
+    so a stationary point off the branch's interval cannot undercut the
+    level either.
     """
     P = np.asarray(P, dtype=complex)
     if P.shape != (4, 4):
         raise StructureError(f"expected a 4x4 quadratic form, got {P.shape}")
-    eigs = np.linalg.eigvalsh(P)
-    if eigs[0] <= 0:
-        raise StructureError(f"P must be positive definite, min eig {eigs[0]:.3e}")
-    if region.cap2 <= 0 and region.cap(0.0) <= 0:
-        return 0.0
+    off = float(np.max(np.abs(P - np.diag(np.diag(P)))))
+    if off != 0.0:
+        raise StructureError(
+            f"P must be mode-diagonal diag(p1, p2, p1, p2); largest off-diagonal entry {off:.3e}"
+        )
+    p = np.diag(P).real
+    if p.min() <= 0:
+        raise StructureError(f"P must be positive definite, min eig {p.min():.3e}")
+    s1, s2 = float(p[0] + p[2]), float(p[1] + p[3])
 
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(n_directions, 4))
-    # Guarantee the coordinate axes are probed.
-    dirs[:4] = np.eye(4)
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    alphas = dirs[:, :2] + 1j * dirs[:, 2:]
-    norms = np.linalg.norm(alphas, axis=1)
-    keep = norms > 1e-12
-    alphas = alphas[keep] / norms[keep, None]
-
-    values = np.array([_quadratic_value(P, a) for a in alphas])
-
-    def inside(rho: float) -> bool:
-        scales = np.sqrt(rho / values)
-        for scale, a in zip(scales, alphas):
-            mags = np.abs(scale * a) ** 2
-            if not region.contains(mags[0], mags[1], slack=1e-14 * (1.0 + mags.sum())):
-                return False
-        return True
-
-    lo, hi = 0.0, float(np.min(values)) * 1e-6 + 1e-12
-    grow = 0
-    while inside(hi):
-        lo = hi
-        hi *= 2.0
-        grow += 1
-        if grow > 400:
-            raise StructureError("region appears unbounded; cannot bracket the level")
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if inside(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    chi2 = region.params.chi**2
+    a = region.bounds.delta1 / chi2
+    b = 1.0 / (region.bounds.gamma**2 * chi2)
+    candidates = [0.0, region.lambda_bar]
+    slope = s1 / 4.0 - s2 / 16.0
+    if slope > 0:
+        w = math.sqrt(s2 * (a + 3.0 * b**2 / 16.0) / slope)
+        candidates.append((w + b) / 4.0)
+    return min(s1 * u + s2 * region.cap(u) for u in candidates)

@@ -16,7 +16,8 @@ from qstab.cli import (
 )
 from qstab.errors import NotHurwitzError
 from qstab.model import LinearQuantumSystem
-from qstab.opa import OpaParams, build_opa
+from qstab.opa import OpaParams, build_opa, invariant_ellipsoid, region_curve
+from qstab.perturbation import SectorBounds
 
 
 def opa_flags(out, gamma="4.5"):
@@ -97,6 +98,18 @@ class TestCertifyCommand:
         cert = serialize.certificate_from_json(doc)
         redumped = json.dumps(serialize.certificate_to_json(cert), indent=2) + "\n"
         assert redumped == text
+
+    def test_invariant_level_is_exact_at_any_grid(self, tmp_path):
+        curve = region_curve(OpaParams(1.0, 2.0, 0.1), SectorBounds(4.5, 0.1, 0.1), 64)
+        levels = []
+        for grid in ("2", "200"):
+            out = tmp_path / f"grid{grid}"
+            assert main(["certify", *opa_flags(out), "--grid", grid]) == EXIT_OK
+            doc = json.loads((tmp_path / f"grid{grid}.certificate.json").read_text())
+            expected = invariant_ellipsoid(serialize.certificate_from_json(doc).P, curve)
+            assert doc["invariant_level"] == expected
+            levels.append(doc["invariant_level"])
+        assert levels[0] == levels[1] > 0
 
     def test_no_temp_files_left(self, tmp_path):
         out = tmp_path / "run"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qstab.certify import hinf_condition
+from qstab.certify import certify, hinf_condition
 from qstab.errors import StructureError
 from qstab.opa import (
     OpaParams,
@@ -183,6 +185,34 @@ class TestRegionCurve:
                 assert m2 >= -1e-10
 
 
+def _certified_P(params, bounds):
+    cert = certify(build_opa(params)[0], bounds)
+    assert cert.certified
+    return cert.P
+
+
+def _boundary_values(P, curve, z1sq):
+    """x'Px at the boundary points (|z1|^2, cap(|z1|^2)), straight from P."""
+    z2sq = np.array([curve.cap(float(u)) for u in z1sq])
+    z = np.stack([np.sqrt(z1sq), np.sqrt(z2sq)], axis=1).astype(complex)
+    x = np.concatenate([z, z.conj()], axis=1)
+    return np.real(np.einsum("ki,ij,kj->k", x.conj(), P, x))
+
+
+def _level_set_points_inside(P, curve, level, rng, n=400):
+    """Random phases and magnitude splits on x'Px = level, endpoints included."""
+    splits = np.concatenate([[0.0, 1.0], rng.random(n - 2)])
+    for t in splits:
+        z = np.array([np.sqrt(t), np.sqrt(1.0 - t)]) * np.exp(2j * np.pi * rng.random(2))
+        x = np.concatenate([z, z.conj()])
+        z = z * np.sqrt(level / np.real(x.conj() @ P @ x))
+        mags = np.abs(z) ** 2
+        # the slack covers the rounding of the sampled point itself
+        if not curve.contains(mags[0], mags[1], slack=1e-12 * (1.0 + mags.sum())):
+            return False
+    return True
+
+
 class TestInvariantEllipsoid:
     params = OpaParams(1.0, 1.0, 0.1)
     bounds = SectorBounds(gamma=4.0, delta1=0.0, delta2=0.04)
@@ -196,44 +226,70 @@ class TestInvariantEllipsoid:
         curve = region_curve(self.params, self.bounds, 64)
         level = invariant_ellipsoid(np.eye(4), curve)
         # nearest boundary in squared magnitudes is the curvature ceiling
-        assert level == pytest.approx(2.0 * curve.cap2, rel=1e-6)
+        assert level == pytest.approx(2.0 * curve.cap2, rel=1e-12)
 
-    def test_scaling_P_scales_level(self, rng):
+    def test_scaling_P_scales_level(self):
+        curve = region_curve(self.params, self.bounds, 64)
+        P = np.diag([0.7, 2.5, 0.7, 2.5]).astype(complex)
+        level1 = invariant_ellipsoid(P, curve)
+        level2 = invariant_ellipsoid(2.0 * P, curve)
+        assert level2 == pytest.approx(2.0 * level1, rel=1e-12)
+
+    def test_rejects_non_mode_diagonal_P(self, rng):
         from conftest import random_block_P
 
         curve = region_curve(self.params, self.bounds, 64)
-        P = random_block_P(rng, 2)
-        level1 = invariant_ellipsoid(P, curve, seed=3)
-        level2 = invariant_ellipsoid(2.0 * P, curve, seed=3)
-        assert level2 == pytest.approx(2.0 * level1, rel=1e-9)
+        with pytest.raises(StructureError, match="off-diagonal"):
+            invariant_ellipsoid(random_block_P(rng, 2), curve)
 
-    def test_bisection_matches_direct_minimization(self, rng):
-        from conftest import random_block_P
-
+    def test_rejects_indefinite_P(self):
         curve = region_curve(self.params, self.bounds, 64)
-        P = random_block_P(rng, 2)
-        seed = 11
-        level = invariant_ellipsoid(P, curve, n_directions=64, seed=seed)
+        with pytest.raises(StructureError, match="positive definite"):
+            invariant_ellipsoid(np.diag([1.0, -1.0, 1.0, -1.0]), curve)
 
-        # independent route: per-direction exit level, then the minimum
-        gen = np.random.default_rng(seed)
-        dirs = gen.normal(size=(64, 4))
-        dirs[:4] = np.eye(4)
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        alphas = dirs[:, :2] + 1j * dirs[:, 2:]
-        alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
-        best = np.inf
-        for alpha in alphas:
-            mags = np.abs(alpha) ** 2
-            lo, hi = 0.0, 1.0
-            while curve.contains(hi * mags[0], hi * mags[1]):
-                hi *= 2
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if curve.contains(mid * mags[0], mid * mags[1]):
-                    lo = mid
-                else:
-                    hi = mid
-            x = np.concatenate([alpha, alpha.conj()])
-            best = min(best, lo * float(np.real(x.conj() @ P @ x)))
-        assert level == pytest.approx(best, rel=1e-6)
+    # certified OPA configurations whose minimum sits on the ceiling at
+    # |z1|^2 = 0, at the gradient branch's stationary point, and at lambda_bar
+    @pytest.mark.parametrize(
+        "kappa1, kappa2, chi, factor, delta1, delta2",
+        [
+            (2.8, 1.8, 0.24, 1.2, 0.5, 0.1),
+            (2.7, 4.8, 0.06, 8.0, 0.3, 0.4),
+            (3.9, 0.3, 0.15, 8.0, 0.4, 0.5),
+        ],
+        ids=["ceiling", "stationary", "endpoint"],
+    )
+    def test_exact_level_matches_dense_minimization(self, rng, kappa1, kappa2, chi, factor, delta1, delta2):
+        params = OpaParams(kappa1, kappa2, chi)
+        bounds = SectorBounds(factor * 2.0 * closed_form_hinf(params), delta1, delta2)
+        P = _certified_P(params, bounds)
+        curve = region_curve(params, bounds, 2)
+        level = invariant_ellipsoid(P, curve)
+        dense = float(np.min(_boundary_values(P, curve, np.linspace(0.0, curve.lambda_bar, 1_000_001))))
+        assert dense * (1 - 1e-9) <= level <= dense * (1 + 1e-12)
+        assert _level_set_points_inside(P, curve, level, rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kappa1=st.floats(0.2, 5.0),
+        kappa2=st.floats(0.2, 5.0),
+        chi=st.floats(0.02, 0.3),
+        factor=st.floats(1.05, 8.0),
+        # zero, or normal floats: subnormal offsets leave no precision to compare
+        delta1=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+        delta2=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_certified_level_is_sound_and_tight(self, kappa1, kappa2, chi, factor, delta1, delta2, seed):
+        params = OpaParams(kappa1, kappa2, chi)
+        bounds = SectorBounds(factor * 2.0 * closed_form_hinf(params), delta1, delta2)
+        P = _certified_P(params, bounds)
+        curve = region_curve(params, bounds, 2)
+        level = invariant_ellipsoid(P, curve)
+        assert _level_set_points_inside(P, curve, level, np.random.default_rng(seed), n=100)
+        # coarse grid, then a fine grid over the two cells around its minimum
+        coarse = np.linspace(0.0, curve.lambda_bar, 2001)
+        values = _boundary_values(P, curve, coarse)
+        k = int(np.argmin(values))
+        fine = np.linspace(coarse[max(k - 1, 0)], coarse[min(k + 1, 2000)], 2001)
+        best = min(float(values[k]), float(np.min(_boundary_values(P, curve, fine))))
+        assert best * (1 - 1e-6) <= level <= best * (1 + 1e-12)
