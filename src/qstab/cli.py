@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -80,35 +79,19 @@ def gamma_search(
     tol: float = 1e-5,
     floor: float = 1e-9,
 ) -> float:
-    """Smallest gamma (within tol) passing the small-gain condition.
+    """Smallest gamma passing the small-gain condition ||transfer|| < gamma / 2.
 
-    Bisection around the threshold 2 * ||transfer||.  With a vanishing
-    perturbation channel every gamma passes and the search floor is
-    returned.  The sector offsets delta1, delta2 do not move the threshold;
-    they are accepted so callers can hand over a full bounds triple.
+    The threshold is the closed form 2 * ||transfer||; the result is the
+    next float above it, so the strict condition holds at the result and
+    fails one float below it.  With a vanishing perturbation channel every
+    gamma passes and the search floor is returned.  The sector offsets
+    delta1, delta2 do not move the threshold, and no tolerance is needed
+    because the result is exact; all three are accepted so callers can hand
+    over a full bounds triple and a tolerance.
     """
-    del delta1, delta2
+    del delta1, delta2, tol
     hinf = hinf_condition(sys, 1.0)  # raises NotHurwitzError when unstable
-
-    def passes(gamma: float) -> bool:
-        return hinf.hinf_reduced < gamma / 2.0
-
-    lo, hi = floor, max(1.0, 2.0 * floor)
-    if passes(lo):
-        return lo
-    grow = 0
-    while not passes(hi):
-        hi *= 2.0
-        grow += 1
-        if grow > 200:
-            raise QstabError("gamma search failed to bracket a passing value")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return max(floor, float(np.nextafter(2.0 * hinf.hinf_reduced, np.inf)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +410,7 @@ def _cmd_sweep(config: RunConfig) -> int:
     bounds = _require_bounds(config)
     sweep = config.sweep
     values = np.linspace(sweep.start, sweep.stop, sweep.steps)
-    with ThreadPoolExecutor(max_workers=min(8, max(1, sweep.steps))) as pool:
-        results = list(
-            pool.map(
-                lambda v: _sweep_value(config, bounds, sweep.parameter, float(v)), values
-            )
-        )
+    results = [_sweep_value(config, bounds, sweep.parameter, float(v)) for v in values]
     lines = [f"{sweep.parameter},verdict,hinf_reduced,c1,c2,c3"]
     for value, cert in results:
         c1 = "" if cert.c1 is None else repr(cert.c1)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+from pathlib import Path
+from sys import executable
 
 import numpy as np
 import pytest
 
 from qstab import serialize
+from qstab.certify import hinf_condition
 from qstab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -47,6 +52,12 @@ class TestGammaSearch:
     def test_equal_couplings(self):
         sys, _ = build_opa(OpaParams(4.0, 4.0, 0.1))
         assert gamma_search(sys, 0.0, 0.0, tol=1e-5) == pytest.approx(1.0, abs=1e-4)
+
+    def test_result_is_the_exact_threshold(self):
+        sys, _ = build_opa(OpaParams(1.0, 2.0, 0.1))
+        g = gamma_search(sys)
+        assert hinf_condition(sys, g).passed
+        assert not hinf_condition(sys, np.nextafter(g, 0)).passed
 
     def test_vanishing_channel_returns_floor(self):
         zero = np.zeros((2, 2))
@@ -309,3 +320,19 @@ class TestConfigHandling:
 
     def test_incomplete_opa_params(self):
         assert main(["certify", "--kappa1", "1.0", "--gamma", "4.0"]) == EXIT_CONFIG
+
+
+class TestScripts:
+    def test_opa_case_study_writes_certificate(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [executable, str(root / "scripts" / "opa_case_study.py"),
+             "--out", str(tmp_path / "opa")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "opa.certificate.json").exists()
