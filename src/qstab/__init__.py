@@ -13,7 +13,6 @@ resulting mean-square bound on a truncated Fock space.
 from .certify import (
     StabilityCertificate,
     Verdict,
-    build_F,
     hinf_condition,
     hinf_norm,
     is_hurwitz,
@@ -29,7 +28,7 @@ from .errors import (
     StructureError,
     TruncationError,
 )
-from .model import LinearQuantumSystem, doubled_matrices, structure_matrices, validate_system
+from .model import LinearQuantumSystem, structure_matrices, validate_system
 from .opa import OpaParams, build_opa, closed_form_hinf, gamma_condition, region_curve
 from .perturbation import (
     PerturbationSeries,
@@ -50,10 +49,8 @@ __all__ = [
     "OpaParams",
     "StabilityCertificate",
     "Verdict",
-    "build_F",
     "build_opa",
     "closed_form_hinf",
-    "doubled_matrices",
     "eval_semiclassical",
     "gamma_condition",
     "hinf_condition",

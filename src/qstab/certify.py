@@ -1,8 +1,8 @@
 """Small-gain stability certificates for the perturbed linear system.
 
-The certificate pipeline: assemble the drift matrix F, test that it is
-Hurwitz, evaluate the H-infinity small-gain condition in both its original
-and reduced forms, solve the quadratic matrix inequality for a block-form
+The certificate pipeline: test that the system's drift matrix F is Hurwitz,
+evaluate the H-infinity small-gain condition in both its original and
+reduced forms, solve the quadratic matrix inequality for a block-form
 Lyapunov matrix P via a regularized Riccati equation, and assemble the
 explicit constants of the mean-square bound
 
@@ -18,13 +18,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConsistencyError, NotHurwitzError, QmiInfeasibleError, StructureError
-from .model import LinearQuantumSystem, doubled_matrices, structure_matrices
+from .model import LinearQuantumSystem, structure_matrices
 from .perturbation import SectorBounds
 
 __all__ = [
     "Verdict",
     "StabilityCertificate",
-    "build_F",
     "is_hurwitz",
     "hinf_norm",
     "hinf_norm_grid",
@@ -48,23 +47,6 @@ class Verdict(str, Enum):
     CERTIFIED = "Certified"
     FAILED_HURWITZ = "FailedHurwitz"
     FAILED_SMALL_GAIN = "FailedSmallGain"
-
-
-def build_F(M: np.ndarray, N: np.ndarray) -> np.ndarray:
-    """Drift matrix F = -i J M - (1/2) J N' J N of the doubled-up dynamics."""
-    M = np.asarray(M, dtype=complex)
-    N = np.asarray(N, dtype=complex)
-    dim = M.shape[0]
-    if M.shape != (dim, dim) or dim % 2:
-        raise StructureError(f"M must be square with even size, got {M.shape}")
-    if N.ndim != 2 or N.shape[1] != dim or N.shape[0] % 2:
-        raise StructureError(
-            f"N must have an even row count and {dim} columns, got {N.shape}"
-        )
-    n = dim // 2
-    J = structure_matrices(n).J
-    Jm = structure_matrices(N.shape[0] // 2).J
-    return -1j * J @ M - 0.5 * J @ N.conj().T @ Jm @ N
 
 
 def is_hurwitz(F: np.ndarray, tol: float = HURWITZ_TOL) -> tuple[bool, float]:
@@ -229,8 +211,7 @@ def hinf_condition(sys: LinearQuantumSystem, gamma: float) -> HinfResult:
     """
     if gamma <= 0:
         raise StructureError(f"gamma must be positive, got {gamma}")
-    M, N, Et = doubled_matrices(sys)
-    F = build_F(M, N)
+    F, Et = sys.F, sys.Etilde
     stable, abscissa = is_hurwitz(F)
     if not stable:
         raise NotHurwitzError(f"drift matrix not Hurwitz (abscissa {abscissa:.3e})")
@@ -344,8 +325,7 @@ def solve_qmi(
     Raises QmiInfeasibleError with diagnostics when Newton fails or the
     result is not a valid strict solution.
     """
-    M, N, Et = doubled_matrices(sys)
-    F = build_F(M, N)
+    F, Et = sys.F, sys.Etilde
     stable, abscissa = is_hurwitz(F)
     if not stable:
         raise NotHurwitzError(f"drift matrix not Hurwitz (abscissa {abscissa:.3e})")
@@ -419,8 +399,7 @@ def certificate_constants(
     eigs = np.linalg.eigvalsh(P)
     if eigs[0] <= 0:
         raise StructureError(f"P must be positive definite, min eig {eigs[0]:.3e}")
-    M, N, Et = doubled_matrices(sys)
-    F = build_F(M, N)
+    N, Et = sys.N, sys.Etilde
     sm = structure_matrices(sys.n)
     proj = np.zeros((2 * sys.m, 2 * sys.m))
     proj[: sys.m, : sys.m] = np.eye(sys.m)
@@ -429,7 +408,7 @@ def certificate_constants(
     )
     mu = mu_constants(P, Et)
     lam = lambda_tilde + bounds.delta1 + float(np.sum(np.abs(mu) ** 2)) / 4.0 + bounds.delta2
-    lhs = qmi_lhs(F, Et, bounds.gamma, P)
+    lhs = qmi_lhs(sys.F, Et, bounds.gamma, P)
     c = float(np.min(sla.eigh(-lhs, P, eigvals_only=True)))
     c1 = float(eigs[-1] / eigs[0])
     if lam == 0.0:
@@ -476,8 +455,7 @@ def certify(
     FailedHurwitz and FailedSmallGain short-circuit with the data computed so
     far.  Errors raised by later stages propagate, tagged with the stage.
     """
-    M, N, Et = doubled_matrices(sys)
-    F = build_F(M, N)
+    F = sys.F
     stable, abscissa = is_hurwitz(F)
     if not stable:
         return StabilityCertificate(
@@ -494,7 +472,7 @@ def certify(
             hinf_reduced=hinf.hinf_reduced,
         )
     if eps is None:
-        eps = default_regularization(Et, bounds.gamma)
+        eps = default_regularization(sys.Etilde, bounds.gamma)
     try:
         P = solve_qmi(sys, bounds.gamma, eps)
     except QmiInfeasibleError as exc:

@@ -26,7 +26,7 @@ from . import focksim, opa, serialize
 from .certify import Verdict, hinf_condition
 from .certify import certify as run_certify
 from .errors import NotHurwitzError, QstabError, StructureError
-from .model import LinearQuantumSystem, doubled_matrices, validate_system
+from .model import LinearQuantumSystem, validate_system
 from .perturbation import PerturbationSeries, SectorBounds, scan_sector_region
 
 __all__ = ["RunConfig", "SimParams", "SweepSpec", "run", "gamma_search", "main"]
@@ -161,10 +161,17 @@ def _pick(flag, doc: dict, key: str, default=None):
     return doc.get(key, default)
 
 
+def _section(doc: dict, key: str) -> dict:
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise StructureError(f"config section {key!r} must be a JSON object")
+    return section
+
+
 def _assemble_config(args: argparse.Namespace) -> RunConfig:
     doc = _load_config_file(args.config) if args.config else {}
-    system_doc = doc.get("system", {})
-    opa_doc = system_doc.get("opa", {}) if isinstance(system_doc, dict) else {}
+    system_doc = _section(doc, "system")
+    opa_doc = _section(system_doc, "opa")
     kappa1 = _pick(args.kappa1, opa_doc, "kappa1")
     kappa2 = _pick(args.kappa2, opa_doc, "kappa2")
     chi = _pick(args.chi, opa_doc, "chi")
@@ -173,15 +180,10 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
         if None in (kappa1, kappa2, chi):
             raise StructureError("OPA parameters need kappa1, kappa2 and chi")
         opa_params = opa.OpaParams(float(kappa1), float(kappa2), float(chi))
-    system_path = args.system or (
-        system_doc.get("path") if isinstance(system_doc, dict) else None
-    )
-    series_doc = doc.get("series", {})
-    series_path = args.series or (
-        series_doc.get("path") if isinstance(series_doc, dict) else None
-    )
+    system_path = args.system or system_doc.get("path")
+    series_path = args.series or _section(doc, "series").get("path")
 
-    bounds_doc = doc.get("bounds", {})
+    bounds_doc = _section(doc, "bounds")
     gamma = _pick(args.gamma, bounds_doc, "gamma")
     bounds = None
     if gamma is not None:
@@ -191,7 +193,7 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
             delta2=float(_pick(args.delta2, bounds_doc, "delta2", 0.0)),
         )
 
-    sim_doc = doc.get("sim", {})
+    sim_doc = _section(doc, "sim")
     alphas = sim_doc.get("alpha")
     if args.alpha1 is not None or args.alpha2 is not None:
         alphas = [args.alpha1 if args.alpha1 is not None else 0.5,
@@ -210,7 +212,7 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
         alphas=parsed_alphas,
     )
 
-    sweep_doc = doc.get("sweep", {})
+    sweep_doc = _section(doc, "sweep")
     parameter = _pick(args.parameter, sweep_doc, "parameter")
     sweep = None
     if parameter is not None:
@@ -370,8 +372,7 @@ def _cmd_simulate(config: RunConfig) -> int:
     alg = focksim.build_algebra(system.n, dim)
     H = focksim.operator_of_series(alg, system, series)
     if np.any(system.M1) or np.any(system.M2):
-        M, _, _ = doubled_matrices(system)
-        H = H + 0.5 * focksim.quadratic_form(alg, M)
+        H = H + 0.5 * focksim.quadratic_form(alg, system.M)
     L_ops = focksim.coupling_operators(alg, system)
     kappas = [float(np.max(np.abs(system.N1))) ** 2, 1.0]
     if config.opa_params is not None:

@@ -23,7 +23,7 @@ from scipy import sparse
 
 from .certify import mu_constants
 from .errors import SimulationError, StructureError, TruncationError
-from .model import LinearQuantumSystem, doubled_matrices, structure_matrices
+from .model import LinearQuantumSystem, structure_matrices
 from .perturbation import PerturbationSeries, partial_z, second_partial_z
 
 __all__ = [
@@ -212,7 +212,7 @@ def check_commutator_identities(
        derivatives of f.
     """
     P = np.asarray(P, dtype=complex)
-    M, N, Et = doubled_matrices(sys)
+    M, N = sys.M, sys.N
     sm = structure_matrices(sys.n)
     scale = 1.0 + float(np.max(np.abs(P))) if P.size else 1.0
     if np.max(np.abs(P - P.conj().T)) > 1e-12 * scale:
@@ -240,7 +240,7 @@ def check_commutator_identities(
         lhs2 += 0.5 * (Ld @ _comm(V, L) + _comm(Ld, V) @ L)
     proj = np.zeros((2 * sys.m, 2 * sys.m))
     proj[: sys.m, : sys.m] = np.eye(sys.m)
-    Jm = structure_matrices(sys.m).J
+    Jm = np.diag(np.r_[np.ones(sys.m), -np.ones(sys.m)])
     trace_term = np.trace(P @ sm.J @ N.conj().T @ proj @ N @ sm.J)
     quad = N.conj().T @ Jm @ N @ sm.J @ P + P @ sm.J @ N.conj().T @ Jm @ N
     rhs2 = trace_term * np.eye(alg.total_dim) - 0.5 * quadratic_form(alg, quad)
@@ -259,7 +259,7 @@ def check_commutator_identities(
 
     # (4) [z_i, [z_i, V]] = mu_i * identity
     z = z_operators(alg, sys)
-    mu = mu_constants(P, Et)
+    mu = mu_constants(P, sys.Etilde)
     worst = 0.0
     eye = np.eye(alg.total_dim)
     for i in range(sys.p):
@@ -321,6 +321,10 @@ def msq_observable(alg: TruncatedAlgebra) -> np.ndarray:
     return total
 
 
+# RK4 steps between full-spectrum positivity checks of rho.
+POSITIVITY_CHECK_INTERVAL = 200
+
+
 def default_dt(kappas, chi: float, dim: int) -> float:
     """Conservative fixed step for the RK4 integrator."""
     return 1e-3 / max(*kappas, chi * dim)
@@ -350,15 +354,17 @@ def lindblad_evolve(
     t_final: float,
     dt: float,
     record_stride: int = 1,
-    check_interval: int = 200,
 ) -> FockTrajectory:
     """Fixed-step RK4 integration of the master equation.
 
     The state is re-Hermitized after every step to suppress drift.  The run
     aborts if the trace drifts beyond 1e-6 (reduce dt) or an eigenvalue of
-    rho falls below -1e-8 (positivity checks run every ``check_interval``
-    steps).  Accuracy requires dt * ||H|| to be small; the default step from
-    ``default_dt`` is conservative for the systems treated here.
+    rho falls below -1e-8 (positivity checks run every
+    ``POSITIVITY_CHECK_INTERVAL`` steps and at the last).  H and the L_k are
+    applied as sparse matrices: ladder-algebra operators are very sparse, and
+    sparse products cut the per-step cost by an order of magnitude.  Accuracy
+    requires dt * ||H|| to be small; the default step from ``default_dt`` is
+    conservative for the systems treated here.
     """
     rho = np.asarray(rho0, dtype=complex).copy()
     if rho.shape != (alg.total_dim, alg.total_dim):
@@ -373,15 +379,8 @@ def lindblad_evolve(
     K = sum((L.conj().T @ L for L in L_ops), np.zeros_like(rho))
     H_eff = -1j * np.asarray(H, dtype=complex) - 0.5 * K
 
-    def compress(A: np.ndarray):
-        # ladder-algebra operators are very sparse; sparse products cut the
-        # per-step cost by an order of magnitude at the default truncations
-        if np.count_nonzero(A) < 0.25 * A.size:
-            return sparse.csr_array(A)
-        return A
-
-    H_fast = compress(H_eff)
-    L_fast = [(compress(L), compress(L.conj().T)) for L in L_ops]
+    H_fast = sparse.csr_array(H_eff)
+    L_fast = [(sparse.csr_array(L), sparse.csr_array(L.conj().T)) for L in L_ops]
 
     def rhs(r: np.ndarray) -> np.ndarray:
         Z = H_fast @ r
@@ -410,7 +409,7 @@ def lindblad_evolve(
             raise SimulationError(
                 f"trace drifted by {drift:.3e} at t={step * dt:.4g}; reduce dt"
             )
-        if step % check_interval == 0 or step == n_steps:
+        if step % POSITIVITY_CHECK_INTERVAL == 0 or step == n_steps:
             min_eig = float(np.min(np.linalg.eigvalsh(rho)))
             if min_eig < -1e-8:
                 raise SimulationError(

@@ -9,6 +9,7 @@ operators.  The scattering matrix is fixed to the identity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,6 @@ __all__ = [
     "SymmetryViolation",
     "structure_matrices",
     "validate_system",
-    "doubled_matrices",
 ]
 
 # Validation tolerance relative to the largest entry; inputs are user-supplied
@@ -38,13 +38,17 @@ class StructureMatrices:
     Sigma: np.ndarray = field(repr=False)
 
 
+@functools.cache
 def structure_matrices(n: int) -> StructureMatrices:
+    """J and Sigma for n modes, built once per n and shared read-only."""
     if n < 1:
         raise StructureError(f"mode count must be positive, got {n}")
     eye = np.eye(n)
     zero = np.zeros((n, n))
     J = np.block([[eye, zero], [zero, -eye]])
     Sigma = np.block([[zero, eye], [eye, zero]])
+    J.setflags(write=False)
+    Sigma.setflags(write=False)
     return StructureMatrices(n=n, J=J, Sigma=Sigma)
 
 
@@ -57,10 +61,16 @@ def _as_complex(name: str, value) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearQuantumSystem:
-    """Known linear part of the model, stored as the six defining blocks.
+    """Known linear part of the model: the six defining blocks, with shapes
+    M1, M2: n x n, N1, N2: m x n, E1, E2: p x n, and the doubled-up matrices
+    on [a; a#] assembled from them once, at construction:
 
-    Shapes: M1, M2 are n x n; N1, N2 are m x n; E1, E2 are p x n.
-    Instances are immutable values; all operations on them are pure.
+        M = [[M1, M2], [M2#, M1#]] (Hermitian),   N = [[N1, N2], [N2#, N1#]],
+        Etilde = [E1 E2] (row i defines z_i),     F = -i J M - (1/2) J N' J_m N,
+
+    with J_m = diag(I_m, -I_m); F is the drift matrix.  Instances are
+    immutable values with read-only arrays; ``dataclasses.replace``
+    re-derives the assembled matrices.
     """
 
     M1: np.ndarray
@@ -69,6 +79,10 @@ class LinearQuantumSystem:
     N2: np.ndarray
     E1: np.ndarray
     E2: np.ndarray
+    M: np.ndarray = field(init=False, repr=False, compare=False)
+    N: np.ndarray = field(init=False, repr=False, compare=False)
+    Etilde: np.ndarray = field(init=False, repr=False, compare=False)
+    F: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("M1", "M2", "N1", "N2", "E1", "E2"):
@@ -95,6 +109,20 @@ class LinearQuantumSystem:
             raise StructureError(
                 f"perturbation blocks differ in shape: E1 {self.E1.shape} vs E2 {self.E2.shape}"
             )
+        m = self.N1.shape[0]
+        J = structure_matrices(n).J
+        Jm = np.diag(np.r_[np.ones(m), -np.ones(m)])
+        M = np.block([[self.M1, self.M2], [self.M2.conj(), self.M1.conj()]])
+        N = np.block([[self.N1, self.N2], [self.N2.conj(), self.N1.conj()]])
+        assembled = {
+            "M": M,
+            "N": N,
+            "Etilde": np.hstack([self.E1, self.E2]),
+            "F": -1j * J @ M - 0.5 * J @ N.conj().T @ Jm @ N,
+        }
+        for name, arr in assembled.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -138,16 +166,3 @@ def validate_system(sys: LinearQuantumSystem) -> list[SymmetryViolation]:
         report.append(SymmetryViolation("M2", "asymmetric", r_sym))
     return report
 
-
-def doubled_matrices(sys: LinearQuantumSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble (M, N, Etilde) acting on [a; a#].
-
-    M = [[M1, M2], [M2#, M1#]] is Hermitian by construction for a valid
-    system, N is the analogous 2m x 2n coupling matrix, and
-    Etilde = [E1 E2] is the p x 2n perturbation-channel matrix whose rows
-    Etilde_i define the operators z_i.
-    """
-    M = np.block([[sys.M1, sys.M2], [sys.M2.conj(), sys.M1.conj()]])
-    N = np.block([[sys.N1, sys.N2], [sys.N2.conj(), sys.N1.conj()]])
-    Etilde = np.hstack([sys.E1, sys.E2])
-    return M, N, Etilde

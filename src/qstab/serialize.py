@@ -72,9 +72,14 @@ def matrix_to_json(matrix: np.ndarray) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    return np.array(
-        [[pair_to_complex(entry) for entry in row] for row in data], dtype=complex
-    )
+    try:
+        return np.array(
+            [[pair_to_complex(entry) for entry in row] for row in data], dtype=complex
+        )
+    except (TypeError, ValueError) as exc:
+        raise StructureError(
+            f"matrices must be nested lists of [re, im] pairs: {exc}"
+        ) from exc
 
 
 _SYSTEM_BLOCKS = ("M1", "M2", "N1", "N2", "E1", "E2")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qstab.certify import build_F, is_hurwitz
-from qstab.model import LinearQuantumSystem, doubled_matrices, structure_matrices
+from qstab.certify import is_hurwitz
+from qstab.model import LinearQuantumSystem, structure_matrices
 
 SEED = 20240811
 
@@ -76,8 +76,7 @@ def random_system(
         )
         if not require_hurwitz:
             return sys
-        M, N, _ = doubled_matrices(sys)
-        stable, _ = is_hurwitz(build_F(M, N))
+        stable, _ = is_hurwitz(sys.F)
         if stable:
             return sys
     raise RuntimeError("failed to sample a Hurwitz system")

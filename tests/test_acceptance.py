@@ -12,7 +12,6 @@ import pytest
 from conftest import random_block_P, random_system, record_criterion
 from qstab.certify import (
     Verdict,
-    build_F,
     certify,
     hinf_condition,
     qmi_lhs,
@@ -29,7 +28,7 @@ from qstab.focksim import (
     lindblad_evolve,
     operator_of_series,
 )
-from qstab.model import doubled_matrices, structure_matrices
+from qstab.model import structure_matrices
 from qstab.opa import (
     OpaParams,
     build_opa,
@@ -106,9 +105,7 @@ def test_criterion_4_riccati_validity_and_constants():
         ok &= cert.verdict is Verdict.CERTIFIED
         if not ok:
             break
-        M, N, Et = doubled_matrices(sys)
-        F = build_F(M, N)
-        lhs = qmi_lhs(F, Et, bounds.gamma, cert.P)
+        lhs = qmi_lhs(sys.F, sys.Etilde, bounds.gamma, cert.P)
         eigs_P = np.linalg.eigvalsh(cert.P)
         ok &= float(np.max(np.linalg.eigvalsh(lhs))) < 0.0
         ok &= float(eigs_P[0]) > 0.0

@@ -5,7 +5,6 @@ from scipy.optimize import minimize_scalar
 from conftest import random_system
 from qstab.certify import (
     Verdict,
-    build_F,
     certificate_constants,
     certify,
     hinf_condition,
@@ -19,7 +18,7 @@ from qstab.certify import (
     _reduced_io,
 )
 from qstab.errors import NotHurwitzError, QmiInfeasibleError, StructureError
-from qstab.model import LinearQuantumSystem, doubled_matrices, structure_matrices
+from qstab.model import LinearQuantumSystem, structure_matrices
 from qstab.opa import OpaParams, build_opa
 from qstab.perturbation import SectorBounds
 
@@ -42,31 +41,29 @@ def dissipative_system(kappas, E1=None, E2=None):
     )
 
 
+def single_mode(M1):
+    zero = np.zeros((1, 1))
+    return LinearQuantumSystem(M1=M1, M2=zero, N1=zero, N2=zero, E1=zero, E2=zero)
+
+
 class TestBuildF:
     def test_opa_diagonal(self):
-        M, N, _ = doubled_matrices(opa_system(1.0, 1.0))
-        F = build_F(M, N)
+        F = opa_system(1.0, 1.0).F
         assert np.allclose(F, np.diag([-0.5, -0.5, -0.5, -0.5]))
 
     def test_zero_system(self):
-        F = build_F(np.zeros((2, 2)), np.zeros((2, 2)))
+        F = single_mode([[0.0]]).F
         assert np.array_equal(F, np.zeros((2, 2)))
 
     def test_single_mode_detuning(self):
         omega = 0.9
-        M = np.diag([omega, omega]).astype(complex)
-        F = build_F(M, np.zeros((2, 2)))
+        F = single_mode([[omega]]).F
         assert np.allclose(F, np.diag([-1j * omega, 1j * omega]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(StructureError):
-            build_F(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 class TestIsHurwitz:
     def test_opa_abscissa(self):
-        M, N, _ = doubled_matrices(opa_system(1.0, 1.0))
-        stable, abscissa = is_hurwitz(build_F(M, N))
+        stable, abscissa = is_hurwitz(opa_system(1.0, 1.0).F)
         assert stable
         assert abscissa == pytest.approx(-0.5)
 
@@ -107,9 +104,8 @@ def _polished_peak(F, B, C, omegas):
 class TestHinfNorm:
     def test_opa_closed_form(self):
         sys = opa_system(1.0, 2.0)
-        M, N, Et = doubled_matrices(sys)
-        F = build_F(M, N)
-        B, C = _reduced_io(Et)
+        F = sys.F
+        B, C = _reduced_io(sys.Etilde)
         assert hinf_norm(F, B, C) == pytest.approx(2.0, rel=1e-8)
 
     def test_zero_output(self):
@@ -127,9 +123,8 @@ class TestHinfNorm:
         # The norm is a certified upper bound, so no sampled gain may exceed it.
         for n in (1, 2, 4):
             sys = random_system(rng, n=n, m=n, p=1)
-            M, N, Et = doubled_matrices(sys)
-            F = build_F(M, N)
-            B, C = _reduced_io(Et)
+            F = sys.F
+            B, C = _reduced_io(sys.Etilde)
             norm = hinf_norm(F, B, C)
             oracle = hinf_norm_grid(F, B, C, n_freqs=100_000)
             peak = _polished_peak(F, B, C, _frequency_grid(F, 100_000))
@@ -186,10 +181,8 @@ class TestSolveQmi:
         sys = opa_system(1.0, 1.0, chi=0.3)
         gamma = 8.0
         P = solve_qmi(sys, gamma, eps=1e-6)
-        M, N, Et = doubled_matrices(sys)
-        F = build_F(M, N)
         assert np.min(np.linalg.eigvalsh(P)) > 0
-        assert np.max(np.linalg.eigvalsh(qmi_lhs(F, Et, gamma, P))) < 0
+        assert np.max(np.linalg.eigvalsh(qmi_lhs(sys.F, sys.Etilde, gamma, P))) < 0
 
     def test_vanishing_channel_reduces_to_lyapunov(self):
         sys = dissipative_system([1.0, 3.0])
@@ -213,8 +206,7 @@ class TestSolveQmi:
 
 class TestMuConstants:
     def test_opa_identity_P(self):
-        _, _, Et = doubled_matrices(opa_system())
-        mu = mu_constants(np.eye(4), Et)
+        mu = mu_constants(np.eye(4), opa_system().Etilde)
         assert np.allclose(mu, 0.0)
 
     def test_zero_row(self):
@@ -276,10 +268,8 @@ class TestCertificateConstants:
         cert = certify(sys, bounds)
         assert cert.verdict is Verdict.CERTIFIED
         P = cert.P
-        M, N, Et = doubled_matrices(sys)
-        F = build_F(M, N)
         eigs = np.linalg.eigvalsh(P)
-        lhs = qmi_lhs(F, Et, bounds.gamma, P)
+        lhs = qmi_lhs(sys.F, sys.Etilde, bounds.gamma, P)
         L = np.linalg.cholesky(P)
         inner = np.linalg.solve(L, lhs)
         inner = np.linalg.solve(L, inner.conj().T).conj().T
@@ -316,6 +306,16 @@ class TestCertify:
         assert cert.abscissa == pytest.approx(0.0)
         assert not np.isfinite(cert.hinf_reduced)
 
+    def test_closed_system_without_coupling_channels_fails_hurwitz(self):
+        # m = 0: the drift -i J M is purely oscillatory
+        sys = LinearQuantumSystem(
+            M1=[[1.0]], M2=[[0.0]], N1=np.zeros((0, 1)), N2=np.zeros((0, 1)),
+            E1=[[1.0]], E2=[[0.0]],
+        )
+        cert = certify(sys, SectorBounds(gamma=1.0))
+        assert cert.verdict is Verdict.FAILED_HURWITZ
+        assert cert.abscissa == 0.0
+
     def test_exact_threshold_is_small_gain_failure(self):
         # at gamma = 2*norm the strict condition holds at best within rounding
         # and the regularized inequality is infeasible; the verdict degrades
@@ -338,9 +338,7 @@ class TestCertify:
             sys = opa_system(kappa1, kappa2, chi=0.1)
             cert = certify(sys, SectorBounds(gamma=gamma, delta1=0.05, delta2=0.05))
             assert cert.verdict is Verdict.CERTIFIED
-            M, N, Et = doubled_matrices(sys)
-            F = build_F(M, N)
-            lhs = qmi_lhs(F, Et, gamma, cert.P)
+            lhs = qmi_lhs(sys.F, sys.Etilde, gamma, cert.P)
             assert np.max(np.linalg.eigvalsh(lhs)) < 0
             assert np.min(np.linalg.eigvalsh(cert.P)) > 0
             dev = np.linalg.norm(cert.P - sm.Sigma @ cert.P.conj() @ sm.Sigma)

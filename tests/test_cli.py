@@ -321,18 +321,48 @@ class TestConfigHandling:
     def test_incomplete_opa_params(self):
         assert main(["certify", "--kappa1", "1.0", "--gamma", "4.0"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "document, key, value",
+        [
+            ("system", "M1", 5),
+            ("system", "M1", [[["a", 0]]]),
+            ("config", "bounds", 5),
+            ("config", "sim", [1]),
+        ],
+        ids=["block-not-a-list", "entry-not-a-number", "bounds-not-an-object", "sim-not-an-object"],
+    )
+    def test_malformed_document_is_config_error(self, tmp_path, document, key, value):
+        sys, _ = build_opa(OpaParams(1.0, 2.0, 0.1))
+        system_doc = serialize.system_to_json(sys)
+        config = {"system": {"path": str(tmp_path / "system.json")}, "bounds": {"gamma": 4.5}}
+        (system_doc if document == "system" else config)[key] = value
+        (tmp_path / "system.json").write_text(json.dumps(system_doc))
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["certify", "--config", str(tmp_path / "config.json")]) == EXIT_CONFIG
+
 
 class TestScripts:
-    def test_opa_case_study_writes_certificate(self, tmp_path):
+    @pytest.mark.parametrize(
+        "script, args, artifact",
+        [
+            ("opa_case_study.py", ["--out", "opa"], "opa.certificate.json"),
+            (
+                "msq_bound_demo.py",
+                ["--dim", "6", "--t-final", "0.05", "--out", "msq"],
+                "msq.trajectory.csv",
+            ),
+        ],
+        ids=["opa_case_study", "msq_bound_demo"],
+    )
+    def test_script_writes_artifact(self, tmp_path, script, args, artifact):
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(root / "src"), env.get("PYTHONPATH")])
         )
         proc = subprocess.run(
-            [executable, str(root / "scripts" / "opa_case_study.py"),
-             "--out", str(tmp_path / "opa")],
-            env=env, capture_output=True, text=True, timeout=120,
+            [executable, str(root / "scripts" / script), *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "opa.certificate.json").exists()
+        assert (tmp_path / artifact).exists()

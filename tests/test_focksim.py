@@ -20,7 +20,7 @@ from qstab.focksim import (
     safe_residual,
     z_operators,
 )
-from qstab.model import doubled_matrices
+from qstab.model import LinearQuantumSystem
 from qstab.opa import OpaParams, build_opa
 from qstab.perturbation import PerturbationSeries, validate_selfadjoint
 
@@ -157,6 +157,18 @@ class TestCommutatorIdentities:
         residuals = check_commutator_identities(alg, sys, quad, P)
         assert max(residuals.values()) <= 1e-10, residuals
 
+    def test_closed_system_without_coupling_channels(self):
+        # m = 0: no coupling operators, an empty channel signature
+        sys = LinearQuantumSystem(
+            M1=[[1.0]], M2=[[0.0]], N1=np.zeros((0, 1)), N2=np.zeros((0, 1)),
+            E1=[[1.0]], E2=[[0.0]],
+        )
+        kerr = PerturbationSeries(p=1, coeffs={(1, 1, 2, 2): 0.3})
+        assert validate_selfadjoint(kerr) == []
+        residuals = check_commutator_identities(build_algebra(1, 8), sys, kerr, np.eye(2))
+        assert len(residuals) == 5
+        assert max(residuals.values()) <= 1e-10, residuals
+
     def test_hermitian_but_not_block_P_rejected(self, rng):
         sys, series = build_opa(OpaParams(1.0, 1.0, 0.1))
         alg = build_algebra(2, 6)
@@ -167,10 +179,9 @@ class TestCommutatorIdentities:
     def test_mu_matches_double_commutator(self, rng):
         # direct cross-check of the mu formula against the operator algebra
         sys = random_system(rng, n=2, p=3, require_hurwitz=False)
-        _, _, Et = doubled_matrices(sys)
         alg = build_algebra(2, 6)
         P = random_block_P(rng, 2)
-        mu = mu_constants(P, Et)
+        mu = mu_constants(P, sys.Etilde)
         V = quadratic_form(alg, P)
         mask = safe_mask(alg, 2)
         eye = np.eye(alg.total_dim)

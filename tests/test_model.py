@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from conftest import random_system
 from qstab.errors import StructureError
 from qstab.model import (
     LinearQuantumSystem,
-    doubled_matrices,
     structure_matrices,
     validate_system,
 )
@@ -80,7 +81,7 @@ class TestDoubledMatrices:
     def test_opa_blocks(self):
         params = OpaParams(kappa1=2.0, kappa2=3.0, chi=0.1)
         sys, _ = build_opa(params)
-        M, N, Et = doubled_matrices(sys)
+        M, N, Et = sys.M, sys.N, sys.Etilde
         assert np.array_equal(M, np.zeros((4, 4)))
         expected_N = np.diag(
             [np.sqrt(2.0), np.sqrt(3.0), np.sqrt(2.0), np.sqrt(3.0)]
@@ -91,12 +92,11 @@ class TestDoubledMatrices:
     def test_single_mode_diagonal(self):
         omega = 1.7
         sys = single_mode(np.array([[omega]]), np.array([[0.0]]))
-        M, _, _ = doubled_matrices(sys)
-        assert np.allclose(M, np.diag([omega, omega]))
+        assert np.allclose(sys.M, np.diag([omega, omega]))
 
     def test_random_system_assembles_hermitian(self, rng):
         sys = random_system(rng, n=2, m=2, p=2, require_hurwitz=False)
-        M, _, _ = doubled_matrices(sys)
+        M = sys.M
         assert np.max(np.abs(M - M.conj().T)) < 1e-14
 
     @settings(max_examples=25, deadline=None)
@@ -105,7 +105,7 @@ class TestDoubledMatrices:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 4))
         sys = random_system(rng, n=n, m=int(rng.integers(1, 4)), p=2, require_hurwitz=False)
-        M, N, Et = doubled_matrices(sys)
+        M, N = sys.M, sys.N
         sm = structure_matrices(n)
         smm = structure_matrices(sys.m)
         assert np.allclose(sm.Sigma @ M @ sm.Sigma, M.conj())
@@ -114,6 +114,26 @@ class TestDoubledMatrices:
 
     def test_row_partition_reconstructs(self, rng):
         sys = random_system(rng, n=3, m=1, p=3, require_hurwitz=False)
-        _, _, Et = doubled_matrices(sys)
+        Et = sys.Etilde
         rows = [Et[i] for i in range(sys.p)]
         assert np.array_equal(np.vstack(rows), Et)
+
+
+class TestAssembledMatrices:
+    def test_read_only(self):
+        sys, _ = build_opa(OpaParams(kappa1=1.0, kappa2=2.0, chi=0.1))
+        with pytest.raises(ValueError):
+            sys.F[0, 0] = 1.0
+
+    def test_replace_rederives_drift(self):
+        sys = single_mode(np.array([[0.9]]), np.array([[0.0]]))
+        damped = dataclasses.replace(sys, N1=np.array([[2.0]]))
+        assert np.allclose(sys.F, np.diag([-0.9j, 0.9j]))
+        assert np.allclose(damped.F, np.diag([-2.0 - 0.9j, -2.0 + 0.9j]))
+        assert np.array_equal(damped.N, np.diag([2.0, 2.0]))
+
+    def test_structure_matrices_built_once_per_n(self):
+        sm = structure_matrices(3)
+        assert structure_matrices(3) is sm
+        with pytest.raises(ValueError):
+            sm.J[0, 0] = 0.0

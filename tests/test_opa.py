@@ -28,12 +28,8 @@ class TestBuildOpa:
         assert validate_selfadjoint(series) == []
 
     def test_drift_matrix(self):
-        from qstab.certify import build_F
-        from qstab.model import doubled_matrices
-
         sys, _ = build_opa(OpaParams(1.0, 1.0, 0.1))
-        M, N, _ = doubled_matrices(sys)
-        assert np.allclose(build_F(M, N), -0.5 * np.eye(4))
+        assert np.allclose(sys.F, -0.5 * np.eye(4))
 
     def test_positive_parameters_enforced(self):
         with pytest.raises(StructureError):
