@@ -40,7 +40,6 @@ __all__ = [
 HURWITZ_TOL = 1e-9
 NORM_RTOL = 1e-9
 NORM_AGREEMENT_RTOL = 1e-6
-NEWTON_MAX_ITER = 100
 
 
 class Verdict(str, Enum):
@@ -245,48 +244,29 @@ def _hermitize(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.conj().T)
 
 
-def _newton_riccati(
-    F: np.ndarray, G: np.ndarray, Q: np.ndarray, eps: float, tol: float
-) -> tuple[np.ndarray, float, int]:
-    """Solve F'P + PF + PGP + Q + eps I = 0 by Newton's method.
+def _stabilizing_riccati(
+    F: np.ndarray, G: np.ndarray, Q: np.ndarray, eps: float
+) -> np.ndarray:
+    """Stabilizing solution of F'P + PF + PGP + Q + eps I = 0 (Laub's Schur method).
 
-    The initial iterate solves the Lyapunov equation obtained by dropping the
-    quadratic term; each Newton step solves a Sylvester equation in the
-    correction.  Returns (P, residual norm, iterations).
+    The stable invariant subspace of H = [[F, G], [-(Q + eps I), -F']] is
+    spanned by [I; P].  An ordered Schur form puts the left-half-plane
+    eigenvalues first, so P = Z21 Z11^-1 from its leading columns.
     """
     dim = F.shape[0]
-    eye = np.eye(dim)
-    Qr = Q + eps * eye
-    P = _hermitize(sla.solve_continuous_lyapunov(F.conj().T, -Qr))
-    residual = np.inf
-    bad_streak = 0
-    for it in range(NEWTON_MAX_ITER):
-        R = F.conj().T @ P + P @ F + P @ G @ P + Qr
-        new_residual = float(np.linalg.norm(R, "fro"))
-        if new_residual <= tol:
-            return P, new_residual, it
-        if new_residual > residual:
-            bad_streak += 1
-            if bad_streak >= 5:
-                raise QmiInfeasibleError(
-                    f"Newton iteration diverging; residual {new_residual:.3e} "
-                    f"after {it} steps"
-                )
-        else:
-            bad_streak = 0
-        residual = new_residual
-        A = F + G @ P
-        try:
-            delta = sla.solve_sylvester(A.conj().T, A, -R)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise QmiInfeasibleError(
-                f"Sylvester step failed at iteration {it}: {exc}"
-            ) from exc
-        P = _hermitize(P + delta)
-    raise QmiInfeasibleError(
-        f"Newton iteration did not converge in {NEWTON_MAX_ITER} steps; "
-        f"achieved residual {residual:.3e} (tolerance {tol:.3e})"
-    )
+    H = np.block([[F, G], [-(Q + eps * np.eye(dim)), -F.conj().T]])
+    _, Z, k = sla.schur(H, output="complex", sort="lhp")
+    if k != dim:
+        raise QmiInfeasibleError(
+            f"no stabilizing solution: the Hamiltonian has {k} of {2 * dim} "
+            "eigenvalues in the open left half-plane"
+        )
+    try:
+        return np.linalg.solve(Z[:dim, :dim].T, Z[dim:, :dim].T).T
+    except np.linalg.LinAlgError as exc:
+        raise QmiInfeasibleError(
+            f"no stabilizing solution: the stable invariant subspace is not a graph ({exc})"
+        ) from exc
 
 
 def default_regularization(Etilde: np.ndarray, gamma: float) -> float:
@@ -322,8 +302,10 @@ def solve_qmi(
     gammas below twice the small-gain threshold even though the condition
     passes (see ROADMAP item 3 for the measured failure rates).
 
-    Raises QmiInfeasibleError with diagnostics when Newton fails or the
-    result is not a valid strict solution.
+    The stabilizing solution comes from one ordered Schur decomposition of
+    the equation's Hamiltonian matrix.  Raises QmiInfeasibleError with
+    diagnostics when no stabilizing solution exists or the result is not a
+    valid strict solution.
     """
     F, Et = sys.F, sys.Etilde
     stable, abscissa = is_hurwitz(F)
@@ -339,17 +321,18 @@ def solve_qmi(
     Q = (Cp.conj().T @ Cp + Cr.conj().T @ Cr) / gamma**2
     if eps is None:
         eps = default_regularization(Et, gamma)
-    tol = 1e-10 * (1.0 + float(np.linalg.norm(Q, 2)))
-    P, residual, _ = _newton_riccati(F, G, Q, eps, tol)
+    P = _stabilizing_riccati(F, G, Q, eps)
     # Clean up roundoff; the exact solution already has the block structure.
     P = _hermitize(0.5 * (P + sm.Sigma @ P.conj() @ sm.Sigma))
     min_eig = float(np.min(np.linalg.eigvalsh(P)))
     lhs_max = float(np.max(np.linalg.eigvalsh(qmi_lhs(F, Et, gamma, P))))
     if min_eig <= 0 or lhs_max >= 0:
+        R = F.conj().T @ P + P @ F + P @ G @ P + Q + eps * np.eye(F.shape[0])
+        residual = float(np.linalg.norm(R, "fro"))
         raise QmiInfeasibleError(
             "Riccati solve did not produce a strict solution: "
             f"min eig(P) = {min_eig:.3e}, max eig(inequality) = {lhs_max:.3e}, "
-            f"Newton residual {residual:.3e}"
+            f"Riccati residual {residual:.3e}"
         )
     return P
 

@@ -307,8 +307,9 @@ def _verdict_exit(verdict: Verdict) -> int:
     }[verdict]
 
 
-def _certificate_with_level(config: RunConfig, bounds: SectorBounds):
-    system, _ = _load_system(config)
+def _certificate_with_level(
+    config: RunConfig, system: LinearQuantumSystem, bounds: SectorBounds
+):
     cert = run_certify(system, bounds, eps=config.eps)
     if cert.certified and config.opa_params is not None:
         # the level reads the exact boundary, not the curve's samples
@@ -319,7 +320,8 @@ def _certificate_with_level(config: RunConfig, bounds: SectorBounds):
 
 def _cmd_certify(config: RunConfig) -> int:
     bounds = _require_bounds(config)
-    cert = _certificate_with_level(config, bounds)
+    system, _ = _load_system(config)
+    cert = _certificate_with_level(config, system, bounds)
     _write_json(config, ".certificate.json", serialize.certificate_to_json(cert))
     print(f"verdict: {cert.verdict.value}")
     return _verdict_exit(cert.verdict)
@@ -361,7 +363,7 @@ def _cmd_simulate(config: RunConfig) -> int:
     system, series = _load_system(config)
     if series is None:
         raise StructureError("simulate needs a perturbation series (OPA or --series)")
-    cert = _certificate_with_level(config, bounds)
+    cert = _certificate_with_level(config, system, bounds)
     _write_json(config, ".certificate.json", serialize.certificate_to_json(cert))
     if not cert.certified:
         print(f"verdict: {cert.verdict.value}; not simulating")

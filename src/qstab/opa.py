@@ -189,15 +189,18 @@ def region_curve(
 
 
 def invariant_ellipsoid(P: np.ndarray, region: RegionCurve) -> float:
-    """Largest level rho with {x : x' P x <= rho} inside the admissible region.
+    """Level rho with {x : x' P x <= rho} inside the admissible region.
 
     The ellipsoid lives in the doubled coordinates x = (a, a#) of the
-    semiclassical amplitudes, and P must be mode-diagonal,
-    diag(p1, p2, p1, p2), as every certified OPA P is.  Then
-    x' P x = s1 u + s2 v with u = |z1|^2, v = |z2|^2, s1 = P11 + P33 and
-    s2 = P22 + P44.  The region is closed downward along rays from the
-    origin, so the level is the exact minimum of s1 u + s2 cap(u) over
-    u in [0, lambda_bar]; it is never overstated.
+    semiclassical amplitudes.  With u = |z1|^2, v = |z2|^2 and O the
+    off-diagonal part of P, x' P x >= s1 u + s2 v with
+    s1 = P11 + P33 - 2 ||O||_2 and s2 = P22 + P44 - 2 ||O||_2, an equality
+    for a mode-diagonal P = diag(p1, p2, p1, p2).  The region is closed
+    downward along rays from the origin, so the minimum of s1 u + s2 cap(u)
+    over u in [0, lambda_bar] is a level that is never overstated: exact for
+    a mode-diagonal P (as every certified OPA P is, up to roundoff) and a
+    sound lower bound otherwise.  A P whose weights s1, s2 are not positive
+    raises StructureError.
 
     With a = delta1/chi^2, b = 1/(gamma^2 chi^2) and w = 4u - b, the
     gradient branch reads s1 u + s2 cap(u) = (s1/4 - s2/16) w + s2 K / w +
@@ -211,15 +214,14 @@ def invariant_ellipsoid(P: np.ndarray, region: RegionCurve) -> float:
     P = np.asarray(P, dtype=complex)
     if P.shape != (4, 4):
         raise StructureError(f"expected a 4x4 quadratic form, got {P.shape}")
-    off = float(np.max(np.abs(P - np.diag(np.diag(P)))))
-    if off != 0.0:
-        raise StructureError(
-            f"P must be mode-diagonal diag(p1, p2, p1, p2); largest off-diagonal entry {off:.3e}"
-        )
     p = np.diag(P).real
-    if p.min() <= 0:
-        raise StructureError(f"P must be positive definite, min eig {p.min():.3e}")
-    s1, s2 = float(p[0] + p[2]), float(p[1] + p[3])
+    # |x' O x| <= ||O||_2 ||x||^2 = 2 ||O||_2 (u + v) for the off-diagonal part O
+    shift = 2.0 * float(np.linalg.norm(P - np.diag(np.diag(P)), 2))
+    s1, s2 = float(p[0] + p[2]) - shift, float(p[1] + p[3]) - shift
+    if min(s1, s2) <= 0:
+        raise StructureError(
+            f"P must be positive definite with a dominant diagonal; lower weights {s1:.3e}, {s2:.3e}"
+        )
 
     chi2 = region.params.chi**2
     a = region.bounds.delta1 / chi2

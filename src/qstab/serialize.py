@@ -20,7 +20,7 @@ from .errors import StructureError
 from .focksim import FockTrajectory
 from .model import LinearQuantumSystem
 from .opa import RegionCurve
-from .perturbation import PerturbationSeries, SectorBounds
+from .perturbation import PerturbationSeries
 
 __all__ = [
     "atomic_write_text",
@@ -32,7 +32,6 @@ __all__ = [
     "system_from_json",
     "series_to_json",
     "series_from_json",
-    "bounds_from_json",
     "certificate_to_json",
     "certificate_from_json",
     "region_csv",
@@ -93,6 +92,8 @@ def system_to_json(sys: LinearQuantumSystem) -> dict:
 
 
 def system_from_json(doc: dict) -> LinearQuantumSystem:
+    if not isinstance(doc, dict):
+        raise StructureError(f"system document must be an object, got {doc!r}")
     missing = [name for name in _SYSTEM_BLOCKS if name not in doc]
     if missing:
         raise StructureError(f"system document missing blocks: {', '.join(missing)}")
@@ -109,8 +110,14 @@ def series_to_json(series: PerturbationSeries) -> dict:
 
 
 def series_from_json(doc: dict) -> PerturbationSeries:
-    if "p" not in doc or "terms" not in doc:
-        raise StructureError("series document needs 'p' and 'terms'")
+    if not isinstance(doc, dict) or "p" not in doc or "terms" not in doc:
+        raise StructureError("series document must be an object with 'p' and 'terms'")
+    if not isinstance(doc["terms"], list):
+        raise StructureError(f"series 'terms' must be a list, got {doc['terms']!r}")
+    try:
+        p = int(doc["p"])
+    except (TypeError, ValueError) as exc:
+        raise StructureError(f"series 'p' must be an integer, got {doc['p']!r}") from exc
     coeffs = {}
     for term in doc["terms"]:
         try:
@@ -119,18 +126,7 @@ def series_from_json(doc: dict) -> PerturbationSeries:
         except (KeyError, TypeError, ValueError) as exc:
             raise StructureError(f"malformed series term {term!r}") from exc
         coeffs[key] = coeffs.get(key, 0j) + value
-    return PerturbationSeries(p=int(doc["p"]), coeffs=coeffs)
-
-
-def bounds_from_json(doc: dict) -> SectorBounds:
-    try:
-        return SectorBounds(
-            gamma=float(doc["gamma"]),
-            delta1=float(doc.get("delta1", 0.0)),
-            delta2=float(doc.get("delta2", 0.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureError(f"malformed bounds document: {exc}") from exc
+    return PerturbationSeries(p=p, coeffs=coeffs)
 
 
 def _scalar(value):

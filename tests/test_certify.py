@@ -46,6 +46,23 @@ def single_mode(M1):
     return LinearQuantumSystem(M1=M1, M2=zero, N1=zero, N2=zero, E1=zero, E2=zero)
 
 
+def assert_constants_recompute(sys, bounds, cert):
+    """c, c1, c2 and c3 recomputed independently from the spectrum of P."""
+    P = cert.P
+    eigs = np.linalg.eigvalsh(P)
+    lhs = qmi_lhs(sys.F, sys.Etilde, bounds.gamma, P)
+    L = np.linalg.cholesky(P)
+    inner = np.linalg.solve(L, lhs)
+    inner = np.linalg.solve(L, inner.conj().T).conj().T
+    c_indep = float(np.min(np.linalg.eigvalsh(-inner)))
+    c1_indep = float(eigs[-1] / eigs[0])
+    c3_indep = cert.lam / (c_indep * float(eigs[0]))
+    assert abs(cert.c - c_indep) <= 1e-8 * (1 + abs(c_indep))
+    assert abs(cert.c1 - c1_indep) <= 1e-8 * (1 + abs(c1_indep))
+    assert cert.c2 == cert.c
+    assert abs(cert.c3 - c3_indep) <= 1e-8 * (1 + abs(c3_indep))
+
+
 class TestBuildF:
     def test_opa_diagonal(self):
         F = opa_system(1.0, 1.0).F
@@ -267,19 +284,7 @@ class TestCertificateConstants:
         bounds = SectorBounds(gamma=8.0, delta1=0.1, delta2=0.1)
         cert = certify(sys, bounds)
         assert cert.verdict is Verdict.CERTIFIED
-        P = cert.P
-        eigs = np.linalg.eigvalsh(P)
-        lhs = qmi_lhs(sys.F, sys.Etilde, bounds.gamma, P)
-        L = np.linalg.cholesky(P)
-        inner = np.linalg.solve(L, lhs)
-        inner = np.linalg.solve(L, inner.conj().T).conj().T
-        c_indep = float(np.min(np.linalg.eigvalsh(-inner)))
-        c1_indep = float(eigs[-1] / eigs[0])
-        c3_indep = cert.lam / (c_indep * float(eigs[0]))
-        assert abs(cert.c - c_indep) <= 1e-8 * (1 + abs(c_indep))
-        assert abs(cert.c1 - c1_indep) <= 1e-8 * (1 + abs(c1_indep))
-        assert cert.c2 == cert.c
-        assert abs(cert.c3 - c3_indep) <= 1e-8 * (1 + abs(c3_indep))
+        assert_constants_recompute(sys, bounds, cert)
 
 
 class TestCertify:
@@ -343,3 +348,19 @@ class TestCertify:
             assert np.min(np.linalg.eigvalsh(cert.P)) > 0
             dev = np.linalg.norm(cert.P - sm.Sigma @ cert.P.conj() @ sm.Sigma)
             assert dev <= 1e-8 * np.linalg.norm(cert.P)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_generic_system_with_both_channel_blocks(self, seed):
+        # E1 and E2 both nonzero, where the paired Riccati data can miss a
+        # certificate; on these two seeds the stabilizing solution is one
+        sys = random_system(np.random.default_rng(seed), n=2, p=2)
+        gamma = 1.5 * 2.0 * hinf_condition(sys, 1.0).hinf_reduced
+        bounds = SectorBounds(gamma=gamma, delta1=0.1, delta2=0.1)
+        cert = certify(sys, bounds)
+        assert cert.verdict is Verdict.CERTIFIED
+        assert np.max(np.linalg.eigvalsh(qmi_lhs(sys.F, sys.Etilde, gamma, cert.P))) < 0
+        assert np.min(np.linalg.eigvalsh(cert.P)) > 0
+        sm = structure_matrices(2)
+        dev = np.linalg.norm(cert.P - sm.Sigma @ cert.P.conj() @ sm.Sigma)
+        assert dev <= 1e-8 * np.linalg.norm(cert.P)
+        assert_constants_recompute(sys, bounds, cert)

@@ -7,7 +7,7 @@ from sys import executable
 import numpy as np
 import pytest
 
-from qstab import serialize
+from qstab import cli, serialize
 from qstab.certify import hinf_condition
 from qstab.cli import (
     EXIT_CHECK_FAILED,
@@ -287,6 +287,29 @@ class TestFileDrivenInputs:
         )
         assert code_ids == EXIT_OK
 
+    def test_simulate_reads_each_file_once(self, tmp_path, monkeypatch):
+        sys, series = build_opa(OpaParams(1.0, 2.0, 0.1))
+        sys_path = tmp_path / "system.json"
+        series_path = tmp_path / "series.json"
+        sys_path.write_text(json.dumps(serialize.system_to_json(sys)))
+        series_path.write_text(json.dumps(serialize.series_to_json(series)))
+        reads = []
+        load = cli._load_json
+
+        def counting_load(path, what):
+            reads.append(what)
+            return load(path, what)
+
+        monkeypatch.setattr(cli, "_load_json", counting_load)
+        code = main(
+            ["simulate", "--system", str(sys_path), "--series", str(series_path), "--gamma", "3.0"]
+        )
+        assert code == EXIT_SMALL_GAIN
+        assert sorted(reads) == ["series", "system"]
+
+
+_OPA_FLAGS = ["--kappa1", "1", "--kappa2", "2", "--chi", "0.1"]
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):
@@ -339,6 +362,20 @@ class TestConfigHandling:
         (tmp_path / "system.json").write_text(json.dumps(system_doc))
         (tmp_path / "config.json").write_text(json.dumps(config))
         assert main(["certify", "--config", str(tmp_path / "config.json")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "command, flag, content",
+        [
+            (["certify", "--gamma", "4.5"], "--system", 5),
+            (["check-identities", *_OPA_FLAGS], "--series", {"p": 1, "terms": 5}),
+            (["check-identities", *_OPA_FLAGS], "--series", {"p": "x", "terms": []}),
+        ],
+        ids=["system-not-an-object", "terms-not-a-list", "p-not-an-integer"],
+    )
+    def test_malformed_input_file_is_config_error(self, tmp_path, command, flag, content):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        assert main([*command, flag, str(path)]) == EXIT_CONFIG
 
 
 class TestScripts:

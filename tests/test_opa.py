@@ -231,12 +231,29 @@ class TestInvariantEllipsoid:
         level2 = invariant_ellipsoid(2.0 * P, curve)
         assert level2 == pytest.approx(2.0 * level1, rel=1e-12)
 
-    def test_rejects_non_mode_diagonal_P(self, rng):
+    def test_general_P_level_is_sound(self, rng):
+        # on non-diagonal P the level is a lower bound on x'Px over the
+        # boundary at every phase pair, or the call refuses the P
         from conftest import random_block_P
 
-        curve = region_curve(self.params, self.bounds, 64)
-        with pytest.raises(StructureError, match="off-diagonal"):
-            invariant_ellipsoid(random_block_P(rng, 2), curve)
+        curve = region_curve(self.params, self.bounds, 2)
+        u = np.linspace(0.0, curve.lambda_bar, 201)
+        z = np.stack([np.sqrt(u), np.sqrt([curve.cap(float(t)) for t in u])], axis=1)
+        phases = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False))
+        zz = z[:, None, None, :] * np.stack(np.meshgrid(phases, phases, indexing="ij"), axis=-1)
+        x = np.concatenate([zz, zz.conj()], axis=-1).reshape(-1, 4)
+        levels = 0
+        for _ in range(30):
+            P = random_block_P(rng, 2)
+            try:
+                level = invariant_ellipsoid(P, curve)
+            except StructureError as exc:
+                assert "positive definite" in str(exc)
+                continue
+            levels += 1
+            grid_min = float(np.min(np.real(np.einsum("ki,ij,kj->k", x.conj(), P, x))))
+            assert 0.0 < level <= grid_min
+        assert levels >= 5
 
     def test_rejects_indefinite_P(self):
         curve = region_curve(self.params, self.bounds, 64)
