@@ -33,7 +33,7 @@ def main():
     sys, _ = build_opa(params)
 
     norm = closed_form_hinf(params)
-    threshold = gamma_search(sys, tol=1e-6)
+    threshold = gamma_search(sys)
     print(f"damping transfer norm     : {norm:.6f}")
     print(f"smallest certifiable gamma: {threshold:.6f} (= 2 * norm)")
 

@@ -1,6 +1,7 @@
 """Small-gain stability certificates for the perturbed linear system.
 
-The certificate pipeline: test that the system's drift matrix F is Hurwitz,
+The certificate pipeline: read the Hurwitz verdict on the system's drift
+matrix F (its spectral abscissa, computed once when the system is built),
 evaluate the H-infinity small-gain condition in both its original and
 reduced forms, solve the quadratic matrix inequality for a block-form
 Lyapunov matrix P via a regularized Riccati equation, and assemble the
@@ -26,7 +27,6 @@ __all__ = [
     "StabilityCertificate",
     "is_hurwitz",
     "hinf_norm",
-    "hinf_norm_grid",
     "hinf_condition",
     "HinfResult",
     "qmi_lhs",
@@ -48,8 +48,18 @@ class Verdict(str, Enum):
     FAILED_SMALL_GAIN = "FailedSmallGain"
 
 
-def is_hurwitz(F: np.ndarray, tol: float = HURWITZ_TOL) -> tuple[bool, float]:
-    """Return (stable, spectral abscissa); stable means abscissa < -tol."""
+def _stable(abscissa: float) -> bool:
+    """The Hurwitz verdict on a spectral abscissa."""
+    return abscissa < -HURWITZ_TOL
+
+
+def _require_hurwitz(abscissa: float) -> None:
+    if not _stable(abscissa):
+        raise NotHurwitzError(f"drift matrix not Hurwitz (abscissa {abscissa:.3e})")
+
+
+def is_hurwitz(F: np.ndarray) -> tuple[bool, float]:
+    """Return (stable, spectral abscissa); stable means abscissa < -HURWITZ_TOL."""
     F = np.asarray(F, dtype=complex)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
         raise StructureError(f"expected a square matrix, got shape {F.shape}")
@@ -58,54 +68,7 @@ def is_hurwitz(F: np.ndarray, tol: float = HURWITZ_TOL) -> tuple[bool, float]:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConsistencyError(f"eigensolver failed on drift matrix: {exc}") from exc
     abscissa = float(np.max(eigs.real))
-    return abscissa < -tol, abscissa
-
-
-def _frequency_grid(F: np.ndarray, n_freqs: int) -> np.ndarray:
-    """Log-spaced probe frequencies, both signs, plus 0 and the resonances.
-
-    The drift matrix is complex, so the frequency response is not symmetric
-    in omega; both half-axes must be swept.
-    """
-    eigs = np.linalg.eigvals(F)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    half = max(8, n_freqs // 2)
-    base = np.logspace(np.log10(scale) - 7, np.log10(scale) + 4, half)
-    resonances = np.abs(eigs.imag)
-    resonances = resonances[resonances > 0]
-    grid = np.concatenate([[0.0], base, -base, resonances, -resonances])
-    return np.unique(grid)
-
-
-def hinf_norm_grid(
-    F: np.ndarray, B: np.ndarray, C: np.ndarray, n_freqs: int = 2048
-) -> float:
-    """Largest singular value of C (iw - F)^-1 B over a dense frequency grid.
-
-    A lower bound on the true norm; the tests use it as a dense oracle.
-    """
-    F = np.asarray(F, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    C = np.asarray(C, dtype=complex)
-    if B.size == 0 or C.size == 0 or not (np.any(B) and np.any(C)):
-        return 0.0
-    omegas = _frequency_grid(F, n_freqs)
-    lam, V = np.linalg.eig(F)
-    cond = np.linalg.cond(V)
-    if np.isfinite(cond) and cond < 1e9:
-        CV = C @ V
-        VB = np.linalg.solve(V, B)
-        denom = 1j * omegas[:, None] - lam[None, :]
-        T = (CV[None, :, :] / denom[:, None, :]) @ VB
-        svals = np.linalg.svd(T, compute_uv=False)
-        return float(np.max(svals[:, 0]))
-    # Near-defective F: solve per frequency.
-    eye = np.eye(F.shape[0])
-    best = 0.0
-    for w in omegas:
-        T = C @ np.linalg.solve(1j * w * eye - F, B)
-        best = max(best, float(np.linalg.svd(T, compute_uv=False)[0]))
-    return best
+    return _stable(abscissa), abscissa
 
 
 def _peak_gain(F: np.ndarray, B: np.ndarray, C: np.ndarray, omegas: np.ndarray) -> float:
@@ -135,11 +98,8 @@ def hinf_norm(F: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
     F = np.asarray(F, dtype=complex)
     B = np.asarray(B, dtype=complex)
     C = np.asarray(C, dtype=complex)
-    stable, abscissa = is_hurwitz(F)
-    if not stable:
-        raise NotHurwitzError(
-            f"norm undefined: drift matrix has spectral abscissa {abscissa:.3e}"
-        )
+    eigs = np.linalg.eigvals(F)
+    _require_hurwitz(float(np.max(eigs.real)))
     if B.size == 0 or C.size == 0 or not (np.any(B) and np.any(C)):
         return 0.0
 
@@ -152,7 +112,7 @@ def hinf_norm(F: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
         tol = 1e-8 * (1.0 + float(np.max(np.abs(eigs))))
         return np.sort(eigs.imag[np.abs(eigs.real) < tol])
 
-    resonances = np.linalg.eigvals(F).imag
+    resonances = eigs.imag
     lo = _peak_gain(F, B, C, np.concatenate([[0.0], resonances, -resonances]))
     if lo == 0.0:
         # The probes found nothing; confirm the transfer function vanishes.
@@ -210,14 +170,9 @@ def hinf_condition(sys: LinearQuantumSystem, gamma: float) -> HinfResult:
     """
     if gamma <= 0:
         raise StructureError(f"gamma must be positive, got {gamma}")
-    F, Et = sys.F, sys.Etilde
-    stable, abscissa = is_hurwitz(F)
-    if not stable:
-        raise NotHurwitzError(f"drift matrix not Hurwitz (abscissa {abscissa:.3e})")
-    Bp, Cp = _primary_io(Et)
-    Br, Cr = _reduced_io(Et)
-    primary = hinf_norm(F, Bp, Cp)
-    reduced = hinf_norm(F, Br, Cr)
+    _require_hurwitz(sys.abscissa)
+    primary = hinf_norm(sys.F, *_primary_io(sys.Etilde))
+    reduced = hinf_norm(sys.F, *_reduced_io(sys.Etilde))
     if abs(primary - reduced) > NORM_AGREEMENT_RTOL * (1.0 + reduced):
         raise ConsistencyError(
             f"transfer-function norms disagree: original {primary:.12g} "
@@ -231,13 +186,13 @@ def qmi_lhs(
 ) -> np.ndarray:
     """Left-hand side of the quadratic matrix inequality at P.
 
-    F' P + P F + 4 P J S E^T E^# S J P + (1/gamma^2) S E^T E^# S, which must
-    be negative definite for the Lyapunov dissipation argument.
+    F' P + P F + 4 P B B' P + C' C / gamma^2 with (B, C) the input/output
+    matrices of the original small-gain transfer function (the bounded real
+    lemma for ||C (sI - F)^-1 B|| < gamma / 2); it must be negative definite
+    for the Lyapunov dissipation argument.
     """
-    sm = structure_matrices(Etilde.shape[1] // 2)
-    W = sm.Sigma @ Etilde.T @ Etilde.conj() @ sm.Sigma
-    JWJ = sm.J @ W @ sm.J
-    return F.conj().T @ P + P @ F + 4.0 * P @ JWJ @ P + W / gamma**2
+    B, C = _primary_io(Etilde)
+    return F.conj().T @ P + P @ F + 4.0 * P @ B @ B.conj().T @ P + C.conj().T @ C / gamma**2
 
 
 def _hermitize(P: np.ndarray) -> np.ndarray:
@@ -269,12 +224,19 @@ def _stabilizing_riccati(
         ) from exc
 
 
+def _riccati_data(Etilde: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Terms G = 4 (Bp Bp' + Br Br') and Q = (Cp' Cp + Cr' Cr) / gamma^2 of the
+    paired Riccati equation; the inequality's quadratic inputs are 2 Bp, 2 Br."""
+    Bp, Cp = _primary_io(Etilde)
+    Br, Cr = _reduced_io(Etilde)
+    G = 4.0 * (Bp @ Bp.conj().T + Br @ Br.conj().T)
+    Q = (Cp.conj().T @ Cp + Cr.conj().T @ Cr) / gamma**2
+    return G, Q
+
+
 def default_regularization(Etilde: np.ndarray, gamma: float) -> float:
     """Default eps turning the strict inequality into an equation with margin."""
-    sm = structure_matrices(Etilde.shape[1] // 2)
-    W = sm.Sigma @ Etilde.T @ Etilde.conj() @ sm.Sigma
-    Wr = Etilde.conj().T @ Etilde
-    Q = (W + Wr) / gamma**2
+    _, Q = _riccati_data(Etilde, gamma)
     return 1e-6 * (1.0 + float(np.linalg.norm(Q, 2)))
 
 
@@ -308,17 +270,11 @@ def solve_qmi(
     valid strict solution.
     """
     F, Et = sys.F, sys.Etilde
-    stable, abscissa = is_hurwitz(F)
-    if not stable:
-        raise NotHurwitzError(f"drift matrix not Hurwitz (abscissa {abscissa:.3e})")
+    _require_hurwitz(sys.abscissa)
     if gamma <= 0:
         raise StructureError(f"gamma must be positive, got {gamma}")
     sm = structure_matrices(sys.n)
-    Bp, Cp = _primary_io(Et)
-    Br, Cr = _reduced_io(Et)
-    # The inequality's quadratic inputs are 2*Bp and 2*Br.
-    G = 4.0 * (Bp @ Bp.conj().T + Br @ Br.conj().T)
-    Q = (Cp.conj().T @ Cp + Cr.conj().T @ Cr) / gamma**2
+    G, Q = _riccati_data(Et, gamma)
     if eps is None:
         eps = default_regularization(Et, gamma)
     P = _stabilizing_riccati(F, G, Q, eps)
@@ -438,9 +394,8 @@ def certify(
     FailedHurwitz and FailedSmallGain short-circuit with the data computed so
     far.  Errors raised by later stages propagate, tagged with the stage.
     """
-    F = sys.F
-    stable, abscissa = is_hurwitz(F)
-    if not stable:
+    F, abscissa = sys.F, sys.abscissa
+    if not _stable(abscissa):
         return StabilityCertificate(
             verdict=Verdict.FAILED_HURWITZ, gamma=bounds.gamma, F=F, abscissa=abscissa
         )

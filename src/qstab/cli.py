@@ -72,24 +72,15 @@ class RunConfig:
     eps: float | None = None
 
 
-def gamma_search(
-    sys: LinearQuantumSystem,
-    delta1: float = 0.0,
-    delta2: float = 0.0,
-    tol: float = 1e-5,
-    floor: float = 1e-9,
-) -> float:
+def gamma_search(sys: LinearQuantumSystem, floor: float = 1e-9) -> float:
     """Smallest gamma passing the small-gain condition ||transfer|| < gamma / 2.
 
     The threshold is the closed form 2 * ||transfer||; the result is the
     next float above it, so the strict condition holds at the result and
     fails one float below it.  With a vanishing perturbation channel every
     gamma passes and the search floor is returned.  The sector offsets
-    delta1, delta2 do not move the threshold, and no tolerance is needed
-    because the result is exact; all three are accepted so callers can hand
-    over a full bounds triple and a tolerance.
+    delta1, delta2 do not move the threshold.
     """
-    del delta1, delta2, tol
     hinf = hinf_condition(sys, 1.0)  # raises NotHurwitzError when unstable
     return max(floor, float(np.nextafter(2.0 * hinf.hinf_reduced, np.inf)))
 

@@ -127,34 +127,31 @@ def quadratic_form(alg: TruncatedAlgebra, A: np.ndarray) -> np.ndarray:
     return total
 
 
-def z_operators(alg: TruncatedAlgebra, sys: LinearQuantumSystem) -> list[np.ndarray]:
-    """Channel operators z_i = sum_j E1[i,j] a_j + E2[i,j] a_j'."""
+def _ladder_combinations(
+    alg: TruncatedAlgebra, sys: LinearQuantumSystem, A1: np.ndarray, A2: np.ndarray
+) -> list[np.ndarray]:
+    """Operators sum_j A1[i,j] a_j + A2[i,j] a_j', one per row i."""
     if sys.n != alg.modes:
         raise StructureError(
             f"system has {sys.n} modes but the algebra has {alg.modes}"
         )
     ops = []
-    for i in range(sys.p):
-        z = np.zeros((alg.total_dim, alg.total_dim), dtype=complex)
+    for i in range(A1.shape[0]):
+        op = np.zeros((alg.total_dim, alg.total_dim), dtype=complex)
         for j in range(sys.n):
-            z += sys.E1[i, j] * alg.a[j] + sys.E2[i, j] * alg.a[j].conj().T
-        ops.append(z)
+            op += A1[i, j] * alg.a[j] + A2[i, j] * alg.a[j].conj().T
+        ops.append(op)
     return ops
+
+
+def z_operators(alg: TruncatedAlgebra, sys: LinearQuantumSystem) -> list[np.ndarray]:
+    """Channel operators z_i = sum_j E1[i,j] a_j + E2[i,j] a_j'."""
+    return _ladder_combinations(alg, sys, sys.E1, sys.E2)
 
 
 def coupling_operators(alg: TruncatedAlgebra, sys: LinearQuantumSystem) -> list[np.ndarray]:
     """Coupling channel operators L_i = sum_j N1[i,j] a_j + N2[i,j] a_j'."""
-    if sys.n != alg.modes:
-        raise StructureError(
-            f"system has {sys.n} modes but the algebra has {alg.modes}"
-        )
-    ops = []
-    for i in range(sys.m):
-        L = np.zeros((alg.total_dim, alg.total_dim), dtype=complex)
-        for j in range(sys.n):
-            L += sys.N1[i, j] * alg.a[j] + sys.N2[i, j] * alg.a[j].conj().T
-        ops.append(L)
-    return ops
+    return _ladder_combinations(alg, sys, sys.N1, sys.N2)
 
 
 def operator_of_series(
@@ -314,11 +311,8 @@ def coherent_state(alg: TruncatedAlgebra, alphas) -> np.ndarray:
 
 
 def msq_observable(alg: TruncatedAlgebra) -> np.ndarray:
-    """Observable sum_i (a_i' a_i + a_i a_i') whose expectation is tracked."""
-    total = np.zeros((alg.total_dim, alg.total_dim), dtype=complex)
-    for a in alg.a:
-        total += a.conj().T @ a + a @ a.conj().T
-    return total
+    """Observable x'x = sum_i (a_i' a_i + a_i a_i') whose expectation is tracked."""
+    return quadratic_form(alg, np.eye(2 * alg.modes))
 
 
 # RK4 steps between full-spectrum positivity checks of rho.

@@ -56,6 +56,8 @@ def _as_complex(name: str, value) -> np.ndarray:
     arr = np.asarray(value, dtype=complex)
     if arr.ndim != 2:
         raise StructureError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise StructureError(f"{name} has non-finite entries")
     return arr
 
 
@@ -68,9 +70,10 @@ class LinearQuantumSystem:
         M = [[M1, M2], [M2#, M1#]] (Hermitian),   N = [[N1, N2], [N2#, N1#]],
         Etilde = [E1 E2] (row i defines z_i),     F = -i J M - (1/2) J N' J_m N,
 
-    with J_m = diag(I_m, -I_m); F is the drift matrix.  Instances are
-    immutable values with read-only arrays; ``dataclasses.replace``
-    re-derives the assembled matrices.
+    with J_m = diag(I_m, -I_m); F is the drift matrix and ``abscissa`` the
+    largest real part of its eigenvalues, the one Hurwitz verdict every
+    stage reads.  Instances are immutable values with read-only arrays;
+    ``dataclasses.replace`` re-derives the assembled matrices.
     """
 
     M1: np.ndarray
@@ -83,6 +86,7 @@ class LinearQuantumSystem:
     N: np.ndarray = field(init=False, repr=False, compare=False)
     Etilde: np.ndarray = field(init=False, repr=False, compare=False)
     F: np.ndarray = field(init=False, repr=False, compare=False)
+    abscissa: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("M1", "M2", "N1", "N2", "E1", "E2"):
@@ -123,6 +127,9 @@ class LinearQuantumSystem:
         for name, arr in assembled.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(
+            self, "abscissa", float(np.max(np.linalg.eigvals(self.F).real))
+        )
 
     @property
     def n(self) -> int:

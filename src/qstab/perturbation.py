@@ -92,10 +92,13 @@ class SectorBounds:
     delta2: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise StructureError(f"gamma must be positive, got {self.gamma}")
-        if self.delta1 < 0 or self.delta2 < 0:
-            raise StructureError("delta1 and delta2 must be nonnegative")
+        if not 0 < self.gamma < np.inf:
+            raise StructureError(f"gamma must be positive and finite, got {self.gamma}")
+        if not (0 <= self.delta1 < np.inf and 0 <= self.delta2 < np.inf):
+            raise StructureError(
+                f"delta1 and delta2 must be nonnegative and finite, "
+                f"got {self.delta1} and {self.delta2}"
+            )
 
 
 def validate_selfadjoint(f: PerturbationSeries) -> list[tuple[Key, float]]:

@@ -78,7 +78,7 @@ def test_criterion_3_certification_threshold():
     sys, _ = build_opa(OpaParams(1.0, 2.0, 0.1))
     above = certify(sys, SectorBounds(gamma=4.001, delta1=0.1, delta2=0.1))
     below = certify(sys, SectorBounds(gamma=3.999, delta1=0.1, delta2=0.1))
-    gamma_star = gamma_search(sys, 0.1, 0.1, tol=1e-5)
+    gamma_star = gamma_search(sys)
     ok = (
         above.verdict is Verdict.CERTIFIED
         and below.verdict is Verdict.FAILED_SMALL_GAIN

@@ -47,11 +47,11 @@ def opa_flags(out, gamma="4.5"):
 class TestGammaSearch:
     def test_opa_threshold(self):
         sys, _ = build_opa(OpaParams(1.0, 2.0, 0.1))
-        assert gamma_search(sys, 0.1, 0.1, tol=1e-5) == pytest.approx(4.0, abs=1e-4)
+        assert gamma_search(sys) == pytest.approx(4.0, abs=1e-4)
 
     def test_equal_couplings(self):
         sys, _ = build_opa(OpaParams(4.0, 4.0, 0.1))
-        assert gamma_search(sys, 0.0, 0.0, tol=1e-5) == pytest.approx(1.0, abs=1e-4)
+        assert gamma_search(sys) == pytest.approx(1.0, abs=1e-4)
 
     def test_result_is_the_exact_threshold(self):
         sys, _ = build_opa(OpaParams(1.0, 2.0, 0.1))
@@ -100,6 +100,15 @@ class TestCertifyCommand:
             ["certify", "--system", str(sys_path), "--gamma", "2.0", "--out", str(tmp_path / "r")]
         )
         assert code == EXIT_HURWITZ
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--gamma", "inf"), ("--delta1", "nan"), ("--delta2", "inf")]
+    )
+    def test_non_finite_bound_is_config_error(self, tmp_path, flag, value):
+        args = opa_flags(tmp_path / "run")
+        args[args.index(flag) + 1] = value
+        assert main(["certify", *args]) == EXIT_CONFIG
+        assert not (tmp_path / "run.certificate.json").exists()
 
     def test_certificate_round_trip_bit_identical(self, tmp_path):
         out = tmp_path / "run"
@@ -151,6 +160,15 @@ class TestValidateCommand:
         code = main(["validate", "--system", str(path)])
         assert code == EXIT_CHECK_FAILED
         assert "M2 asymmetric" in capsys.readouterr().err
+
+    def test_non_finite_entry_is_config_error(self, tmp_path):
+        sys, _ = build_opa(OpaParams(1.0, 2.0, 0.1))
+        doc = serialize.system_to_json(sys)
+        doc["M1"][0][0] = [float("nan"), 0.0]
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--system", str(path)]) == EXIT_CONFIG
+        assert main(["certify", "--gamma", "4.5", "--system", str(path)]) == EXIT_CONFIG
 
 
 class TestRegionCommand:

@@ -132,6 +132,25 @@ class TestAssembledMatrices:
         assert np.allclose(damped.F, np.diag([-2.0 - 0.9j, -2.0 + 0.9j]))
         assert np.array_equal(damped.N, np.diag([2.0, 2.0]))
 
+    def test_abscissa_is_recorded_and_rederived(self):
+        sys = single_mode(np.array([[0.9]]), np.array([[0.0]]))
+        damped = dataclasses.replace(sys, N1=np.array([[2.0]]))
+        assert sys.abscissa == 0.0
+        assert damped.abscissa == pytest.approx(-2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            damped.abscissa = 1.0
+
+    @pytest.mark.parametrize(
+        "block, value", [("M1", np.nan), ("N2", np.inf), ("E2", complex(0.0, -np.inf))]
+    )
+    def test_non_finite_block_rejected(self, block, value):
+        sys, _ = build_opa(OpaParams(kappa1=1.0, kappa2=2.0, chi=0.1))
+        names = ("M1", "M2", "N1", "N2", "E1", "E2")
+        blocks = {name: np.array(getattr(sys, name)) for name in names}
+        blocks[block][0, 0] = value
+        with pytest.raises(StructureError, match=block):
+            LinearQuantumSystem(**blocks)
+
     def test_structure_matrices_built_once_per_n(self):
         sm = structure_matrices(3)
         assert structure_matrices(3) is sm

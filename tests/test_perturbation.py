@@ -227,3 +227,14 @@ class TestScan:
         f = PerturbationSeries(p=3)
         with pytest.raises(StructureError):
             scan_sector_region(f, SectorBounds(gamma=1.0), [np.array([1.0])] * 3)
+
+
+class TestSectorBounds:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"gamma": np.inf}, {"gamma": 4.5, "delta1": np.nan}, {"gamma": 4.5, "delta2": np.inf}],
+        ids=["gamma-inf", "delta1-nan", "delta2-inf"],
+    )
+    def test_non_finite_constant_rejected(self, kwargs):
+        with pytest.raises(StructureError):
+            SectorBounds(**kwargs)
