@@ -15,7 +15,6 @@ from .certify import (
     Verdict,
     hinf_condition,
     hinf_norm,
-    is_hurwitz,
     mu_constants,
     solve_qmi,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "gamma_condition",
     "hinf_condition",
     "hinf_norm",
-    "is_hurwitz",
     "mu_constants",
     "partial_z",
     "region_curve",

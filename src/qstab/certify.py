@@ -25,7 +25,6 @@ from .perturbation import SectorBounds
 __all__ = [
     "Verdict",
     "StabilityCertificate",
-    "is_hurwitz",
     "hinf_norm",
     "hinf_condition",
     "HinfResult",
@@ -56,19 +55,6 @@ def _stable(abscissa: float) -> bool:
 def _require_hurwitz(abscissa: float) -> None:
     if not _stable(abscissa):
         raise NotHurwitzError(f"drift matrix not Hurwitz (abscissa {abscissa:.3e})")
-
-
-def is_hurwitz(F: np.ndarray) -> tuple[bool, float]:
-    """Return (stable, spectral abscissa); stable means abscissa < -HURWITZ_TOL."""
-    F = np.asarray(F, dtype=complex)
-    if F.ndim != 2 or F.shape[0] != F.shape[1]:
-        raise StructureError(f"expected a square matrix, got shape {F.shape}")
-    try:
-        eigs = np.linalg.eigvals(F)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConsistencyError(f"eigensolver failed on drift matrix: {exc}") from exc
-    abscissa = float(np.max(eigs.real))
-    return _stable(abscissa), abscissa
 
 
 def _peak_gain(F: np.ndarray, B: np.ndarray, C: np.ndarray, omegas: np.ndarray) -> float:
@@ -135,22 +121,15 @@ def hinf_norm(F: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
     raise ConsistencyError("H-infinity iteration did not find an uncrossed level")
 
 
-def _primary_io(Etilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Input/output matrices of the original small-gain transfer function."""
-    n2 = Etilde.shape[1]
-    sm = structure_matrices(n2 // 2)
-    C = Etilde.conj() @ sm.Sigma
-    B = sm.J @ sm.Sigma @ Etilde.T
-    return B, C
+def _realizations(Etilde: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(B, C) of the original and the reduced small-gain transfer function.
 
-
-def _reduced_io(Etilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Input/output matrices of the equivalent reduced transfer function."""
-    n2 = Etilde.shape[1]
-    sm = structure_matrices(n2 // 2)
-    C = Etilde.copy()
-    B = sm.J @ Etilde.conj().T
-    return B, C
+    The output matrix is C = Etilde^# Sigma for the original form and
+    C = Etilde for the reduced one; in both the input matrix is B = J C'.
+    Sigma and J are signed permutations, so every product is exact.
+    """
+    sm = structure_matrices(Etilde.shape[1] // 2)
+    return tuple((sm.J @ C.conj().T, C) for C in (Etilde.conj() @ sm.Sigma, Etilde))
 
 
 @dataclass(frozen=True)
@@ -158,7 +137,6 @@ class HinfResult:
     hinf_primary: float
     hinf_reduced: float
     passed: bool
-    gamma: float
 
 
 def hinf_condition(sys: LinearQuantumSystem, gamma: float) -> HinfResult:
@@ -171,14 +149,13 @@ def hinf_condition(sys: LinearQuantumSystem, gamma: float) -> HinfResult:
     if gamma <= 0:
         raise StructureError(f"gamma must be positive, got {gamma}")
     _require_hurwitz(sys.abscissa)
-    primary = hinf_norm(sys.F, *_primary_io(sys.Etilde))
-    reduced = hinf_norm(sys.F, *_reduced_io(sys.Etilde))
+    primary, reduced = (hinf_norm(sys.F, B, C) for B, C in _realizations(sys.Etilde))
     if abs(primary - reduced) > NORM_AGREEMENT_RTOL * (1.0 + reduced):
         raise ConsistencyError(
             f"transfer-function norms disagree: original {primary:.12g} "
             f"vs reduced {reduced:.12g}"
         )
-    return HinfResult(primary, reduced, reduced < gamma / 2.0, float(gamma))
+    return HinfResult(primary, reduced, reduced < gamma / 2.0)
 
 
 def qmi_lhs(
@@ -191,7 +168,7 @@ def qmi_lhs(
     lemma for ||C (sI - F)^-1 B|| < gamma / 2); it must be negative definite
     for the Lyapunov dissipation argument.
     """
-    B, C = _primary_io(Etilde)
+    (B, C), _ = _realizations(Etilde)
     return F.conj().T @ P + P @ F + 4.0 * P @ B @ B.conj().T @ P + C.conj().T @ C / gamma**2
 
 
@@ -227,8 +204,7 @@ def _stabilizing_riccati(
 def _riccati_data(Etilde: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Terms G = 4 (Bp Bp' + Br Br') and Q = (Cp' Cp + Cr' Cr) / gamma^2 of the
     paired Riccati equation; the inequality's quadratic inputs are 2 Bp, 2 Br."""
-    Bp, Cp = _primary_io(Etilde)
-    Br, Cr = _reduced_io(Etilde)
+    (Bp, Cp), (Br, Cr) = _realizations(Etilde)
     G = 4.0 * (Bp @ Bp.conj().T + Br @ Br.conj().T)
     Q = (Cp.conj().T @ Cp + Cr.conj().T @ Cr) / gamma**2
     return G, Q
@@ -267,7 +243,8 @@ def solve_qmi(
     The stabilizing solution comes from one ordered Schur decomposition of
     the equation's Hamiltonian matrix.  Raises QmiInfeasibleError with
     diagnostics when no stabilizing solution exists or the result is not a
-    valid strict solution.
+    valid strict solution, and StructureError for an eps that is not
+    positive and finite.
     """
     F, Et = sys.F, sys.Etilde
     _require_hurwitz(sys.abscissa)
@@ -277,6 +254,8 @@ def solve_qmi(
     G, Q = _riccati_data(Et, gamma)
     if eps is None:
         eps = default_regularization(Et, gamma)
+    if not 0 < eps < np.inf:
+        raise StructureError(f"eps must be positive and finite, got {eps}")
     P = _stabilizing_riccati(F, G, Q, eps)
     # Clean up roundoff; the exact solution already has the block structure.
     P = _hermitize(0.5 * (P + sm.Sigma @ P.conj() @ sm.Sigma))
@@ -394,23 +373,16 @@ def certify(
     FailedHurwitz and FailedSmallGain short-circuit with the data computed so
     far.  Errors raised by later stages propagate, tagged with the stage.
     """
-    F, abscissa = sys.F, sys.abscissa
-    if not _stable(abscissa):
-        return StabilityCertificate(
-            verdict=Verdict.FAILED_HURWITZ, gamma=bounds.gamma, F=F, abscissa=abscissa
-        )
+    found = {"gamma": bounds.gamma, "F": sys.F, "abscissa": sys.abscissa}
+    if not _stable(sys.abscissa):
+        return StabilityCertificate(Verdict.FAILED_HURWITZ, **found)
     hinf = hinf_condition(sys, bounds.gamma)
+    found.update(hinf_primary=hinf.hinf_primary, hinf_reduced=hinf.hinf_reduced)
     if not hinf.passed:
-        return StabilityCertificate(
-            verdict=Verdict.FAILED_SMALL_GAIN,
-            gamma=bounds.gamma,
-            F=F,
-            abscissa=abscissa,
-            hinf_primary=hinf.hinf_primary,
-            hinf_reduced=hinf.hinf_reduced,
-        )
+        return StabilityCertificate(Verdict.FAILED_SMALL_GAIN, **found)
     if eps is None:
         eps = default_regularization(sys.Etilde, bounds.gamma)
+    found["eps"] = eps
     try:
         P = solve_qmi(sys, bounds.gamma, eps)
     except QmiInfeasibleError as exc:
@@ -421,31 +393,7 @@ def certify(
         # unexpected and propagates.
         margin = bounds.gamma / 2.0 - hinf.hinf_reduced
         if margin <= 1e3 * eps * (1.0 + bounds.gamma):
-            return StabilityCertificate(
-                verdict=Verdict.FAILED_SMALL_GAIN,
-                gamma=bounds.gamma,
-                F=F,
-                abscissa=abscissa,
-                hinf_primary=hinf.hinf_primary,
-                hinf_reduced=hinf.hinf_reduced,
-                eps=eps,
-            )
+            return StabilityCertificate(Verdict.FAILED_SMALL_GAIN, **found)
         raise QmiInfeasibleError(f"solve_qmi: {exc}") from exc
-    consts = certificate_constants(sys, bounds, P)
-    return StabilityCertificate(
-        verdict=Verdict.CERTIFIED,
-        gamma=bounds.gamma,
-        F=F,
-        abscissa=abscissa,
-        hinf_primary=hinf.hinf_primary,
-        hinf_reduced=hinf.hinf_reduced,
-        P=P,
-        mu=consts.mu,
-        lambda_tilde=consts.lambda_tilde,
-        lam=consts.lam,
-        c=consts.c,
-        c1=consts.c1,
-        c2=consts.c2,
-        c3=consts.c3,
-        eps=eps,
-    )
+    constants = vars(certificate_constants(sys, bounds, P))
+    return StabilityCertificate(Verdict.CERTIFIED, P=P, **found, **constants)

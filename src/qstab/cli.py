@@ -39,6 +39,7 @@ EXIT_CONFIG = 64
 EXIT_IO = 66
 
 IDENTITY_TOL = 1e-10
+GAMMA_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,10 @@ class SweepSpec:
     stop: float
     steps: int
 
+    def __post_init__(self):
+        if self.steps < 1:
+            raise StructureError(f"sweep needs at least one step, got {self.steps}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -72,17 +77,17 @@ class RunConfig:
     eps: float | None = None
 
 
-def gamma_search(sys: LinearQuantumSystem, floor: float = 1e-9) -> float:
+def gamma_search(sys: LinearQuantumSystem) -> float:
     """Smallest gamma passing the small-gain condition ||transfer|| < gamma / 2.
 
     The threshold is the closed form 2 * ||transfer||; the result is the
     next float above it, so the strict condition holds at the result and
     fails one float below it.  With a vanishing perturbation channel every
-    gamma passes and the search floor is returned.  The sector offsets
+    gamma passes and GAMMA_FLOOR is returned.  The sector offsets
     delta1, delta2 do not move the threshold.
     """
     hinf = hinf_condition(sys, 1.0)  # raises NotHurwitzError when unstable
-    return max(floor, float(np.nextafter(2.0 * hinf.hinf_reduced, np.inf)))
+    return max(GAMMA_FLOOR, float(np.nextafter(2.0 * hinf.hinf_reduced, np.inf)))
 
 
 # ---------------------------------------------------------------------------

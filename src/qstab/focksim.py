@@ -360,6 +360,9 @@ def lindblad_evolve(
     requires dt * ||H|| to be small; the default step from ``default_dt`` is
     conservative for the systems treated here.
     """
+    for name, value in (("dt", dt), ("t_final", t_final)):
+        if not 0 < value < np.inf:
+            raise StructureError(f"{name} must be positive and finite, got {value}")
     rho = np.asarray(rho0, dtype=complex).copy()
     if rho.shape != (alg.total_dim, alg.total_dim):
         raise StructureError(f"rho0 shape {rho.shape} does not match the algebra")

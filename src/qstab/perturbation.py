@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 MAX_TOTAL_DEGREE = 16
+SCAN_PHASES = 8
 
 Key = tuple[int, int, int, int]
 
@@ -146,14 +147,7 @@ def partial_z(f: PerturbationSeries, i: int) -> PerturbationSeries:
 
 def second_partial_z(f: PerturbationSeries, i: int) -> PerturbationSeries:
     """Formal second derivative with respect to z_i."""
-    _check_channel(f, i)
-    out: dict[Key, complex] = {}
-    for (ii, j, k, l), c in f.coeffs.items():
-        if ii != i or k < 2:
-            continue
-        key = (i, j, k - 2, l)
-        out[key] = out.get(key, 0j) + k * (k - 1) * c
-    return PerturbationSeries(f.p, out)
+    return partial_z(partial_z(f, i), i)
 
 
 def eval_semiclassical(g: PerturbationSeries, z) -> complex | np.ndarray:
@@ -205,9 +199,8 @@ def scan_sector_region(
     f: PerturbationSeries,
     bounds: SectorBounds,
     mag_sq_grids: list[np.ndarray] | tuple[np.ndarray, ...],
-    n_phases: int = 8,
 ):
-    """Worst-case sector margins over sampled phases, on a magnitude grid.
+    """Worst-case sector margins over SCAN_PHASES phases, on a magnitude grid.
 
     ``mag_sq_grids`` holds one 1-D array of squared magnitudes |z_c|^2 per
     channel.  A cell is admissible iff both margins are >= 0 at every sampled
@@ -230,7 +223,7 @@ def scan_sector_region(
     radii = np.meshgrid(*[np.sqrt(g) for g in grids], indexing="ij")
     shape = radii[0].shape
 
-    phases = 2.0 * np.pi * np.arange(n_phases) / n_phases
+    phases = 2.0 * np.pi * np.arange(SCAN_PHASES) / SCAN_PHASES
     margin1 = np.full(shape, np.inf)
     margin2 = np.full(shape, np.inf)
     for combo in itertools.product(phases, repeat=f.p):

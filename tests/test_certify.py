@@ -9,11 +9,10 @@ from qstab.certify import (
     certify,
     hinf_condition,
     hinf_norm,
-    is_hurwitz,
     mu_constants,
     qmi_lhs,
     solve_qmi,
-    _reduced_io,
+    _realizations,
 )
 from qstab.cli import gamma_search
 from qstab.errors import NotHurwitzError, QmiInfeasibleError, StructureError
@@ -78,20 +77,21 @@ class TestBuildF:
 
 
 class TestIsHurwitz:
+    # the verdict is read from the system's abscissa, recorded once at construction
     def test_opa_abscissa(self):
-        stable, abscissa = is_hurwitz(opa_system(1.0, 1.0).F)
-        assert stable
-        assert abscissa == pytest.approx(-0.5)
+        assert opa_system(1.0, 1.0).abscissa == pytest.approx(-0.5)
 
     def test_zero_matrix(self):
-        stable, abscissa = is_hurwitz(np.zeros((3, 3)))
-        assert not stable
-        assert abscissa == 0.0
+        sys = single_mode([[0.0]])
+        assert sys.abscissa == 0.0
+        assert certify(sys, SectorBounds(gamma=1.0)).verdict is Verdict.FAILED_HURWITZ
 
     def test_marginal_positive(self):
-        stable, abscissa = is_hurwitz(np.diag([-1.0, 0.01]))
-        assert not stable
-        assert abscissa == pytest.approx(0.01)
+        # N2 alone pumps the mode: F = diag(0.005, 0.005)
+        zero = np.zeros((1, 1))
+        sys = LinearQuantumSystem(M1=zero, M2=zero, N1=zero, N2=[[0.1]], E1=zero, E2=zero)
+        assert sys.abscissa == pytest.approx(0.005)
+        assert certify(sys, SectorBounds(gamma=1.0)).verdict is Verdict.FAILED_HURWITZ
 
 
 def _gain(F, B, C, omega):
@@ -137,7 +137,7 @@ class TestHinfNorm:
     def test_opa_closed_form(self):
         sys = opa_system(1.0, 2.0)
         F = sys.F
-        B, C = _reduced_io(sys.Etilde)
+        _, (B, C) = _realizations(sys.Etilde)
         assert hinf_norm(F, B, C) == pytest.approx(2.0, rel=1e-8)
 
     def test_zero_output(self):
@@ -156,7 +156,7 @@ class TestHinfNorm:
         for n in (1, 2, 4):
             sys = random_system(rng, n=n, m=n, p=1)
             F = sys.F
-            B, C = _reduced_io(sys.Etilde)
+            _, (B, C) = _realizations(sys.Etilde)
             norm = hinf_norm(F, B, C)
             peak = _polished_peak(F, B, C, _frequency_grid(F, 100_000))
             assert peak <= norm * (1 + 1e-12)
@@ -407,6 +407,60 @@ class TestExactThreshold:
             below = SectorBounds(gamma=float(np.nextafter(gamma, 0.0)), delta1=0.1, delta2=0.1)
             assert certify(sys, below).verdict is Verdict.FAILED_SMALL_GAIN
         assert certified > 0
+
+
+CONSTANTS = ("mu", "lambda_tilde", "lam", "c", "c1", "c2", "c3")
+
+
+def certify_exit(sys, bounds):
+    """Run certify, check the fields its exit promises, and name the exit."""
+    try:
+        cert = certify(sys, bounds)
+    except QmiInfeasibleError as exc:
+        assert str(exc).startswith("solve_qmi:")
+        return "raise"
+    assert cert.gamma == bounds.gamma
+    assert cert.abscissa == sys.abscissa
+    assert np.array_equal(cert.F, sys.F)
+    if cert.certified:
+        assert cert.P is not None and cert.eps is not None
+        assert all(getattr(cert, name) is not None for name in CONSTANTS)
+        return "certified"
+    assert cert.P is None
+    assert all(getattr(cert, name) is None for name in CONSTANTS)
+    if cert.verdict is Verdict.FAILED_HURWITZ:
+        assert np.isinf(cert.hinf_primary) and np.isinf(cert.hinf_reduced)
+        assert cert.eps is None
+        return "hurwitz"
+    assert cert.verdict is Verdict.FAILED_SMALL_GAIN
+    if cert.hinf_reduced >= bounds.gamma / 2.0:
+        assert cert.eps is None
+        return "small-gain"
+    # the small-gain test passed but the Riccati solve fell in the eps band
+    assert cert.eps is not None
+    return "band"
+
+
+class TestCertificateContract:
+    def test_every_exit_carries_its_fields(self):
+        exits = []
+        opa = opa_system(1.0, 2.0, chi=0.1)
+        for k in range(4, 8):
+            # k = 6 lands in the boundary band: the norm passes, the solve does not
+            exits.append(certify_exit(opa, SectorBounds(gamma=4.0 * (1.0 + 10.0**-k))))
+        for sys in _threshold_systems():
+            gamma = gamma_search(sys)
+            for g in (gamma, float(np.nextafter(gamma, 0.0))):
+                exits.append(certify_exit(sys, SectorBounds(gamma=g, delta1=0.1, delta2=0.1)))
+        for seed in range(6):
+            sys = random_system(np.random.default_rng(seed), n=2, p=2)
+            gamma = 1.05 * 2.0 * hinf_condition(sys, 1.0).hinf_reduced
+            exits.append(certify_exit(sys, SectorBounds(gamma=gamma)))
+        zero = np.zeros((1, 1))
+        for N2 in (zero, [[0.1]]):
+            sys = LinearQuantumSystem(M1=zero, M2=zero, N1=zero, N2=N2, E1=zero, E2=zero)
+            exits.append(certify_exit(sys, SectorBounds(gamma=1.0)))
+        assert set(exits) == {"certified", "hurwitz", "small-gain", "band", "raise"}
 
 
 def test_one_opa_certify_computes_the_drift_spectrum_three_times(monkeypatch):

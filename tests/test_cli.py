@@ -395,6 +395,29 @@ class TestConfigHandling:
         path.write_text(json.dumps(content))
         assert main([*command, flag, str(path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("sweep", "--steps", "-1"),
+            ("sweep", "--steps", "0"),
+            ("simulate", "--dt", "0"),
+            ("simulate", "--dt", "nan"),
+            ("simulate", "--t-final", "-1"),
+            ("certify", "--eps", "nan"),
+            ("certify", "--eps", "-1"),
+            ("certify", "--eps", "0"),
+        ],
+        ids=["steps-negative", "steps-zero", "dt-zero", "dt-nan", "t-final-negative",
+             "eps-nan", "eps-negative", "eps-zero"],
+    )
+    def test_malformed_run_parameter_is_config_error(self, tmp_path, command, flag, value):
+        args = [command, *opa_flags(tmp_path / "run", gamma="8.0"), "--dim", "5", flag, value]
+        if command == "sweep":
+            args += ["--parameter", "gamma", "--start", "3.0", "--stop", "6.0"]
+        assert main(args) == EXIT_CONFIG
+        assert not (tmp_path / "run.trajectory.csv").exists()
+        assert not (tmp_path / "run.sweep.csv").exists()
+
 
 class TestScripts:
     @pytest.mark.parametrize(
