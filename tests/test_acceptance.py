@@ -172,11 +172,11 @@ def test_criterion_6_mean_square_bound_simulation():
     holds, worst_slack = check_ms_bound(msq_by_dim[12], cert.c1, cert.c2, cert.c3)
     agreement = float(np.max(np.abs(msq_by_dim[12].msq - msq_by_dim[10].msq)))
     elapsed = time.perf_counter() - t0
-    ok = holds and agreement <= 1e-4 and elapsed < 180.0
+    ok = holds and agreement <= 1e-4 and elapsed < 30.0
     record_criterion(6, ok)
     assert holds, f"worst slack {worst_slack}"
     assert agreement <= 1e-4
-    assert elapsed < 180.0
+    assert elapsed < 30.0
 
 
 def test_criterion_7_region_geometry():

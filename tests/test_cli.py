@@ -406,9 +406,13 @@ class TestConfigHandling:
             ("certify", "--eps", "nan"),
             ("certify", "--eps", "-1"),
             ("certify", "--eps", "0"),
+            ("simulate", "--alpha1", "nan"),
+            ("simulate", "--alpha2", "inf"),
+            ("simulate", "--alpha1", "1e200"),
         ],
         ids=["steps-negative", "steps-zero", "dt-zero", "dt-nan", "t-final-negative",
-             "eps-nan", "eps-negative", "eps-zero"],
+             "eps-nan", "eps-negative", "eps-zero", "alpha1-nan", "alpha2-inf",
+             "alpha1-overflow"],
     )
     def test_malformed_run_parameter_is_config_error(self, tmp_path, command, flag, value):
         args = [command, *opa_flags(tmp_path / "run", gamma="8.0"), "--dim", "5", flag, value]

@@ -8,6 +8,9 @@ from qstab.focksim import (
     build_algebra,
     check_commutator_identities,
     check_ms_bound,
+    _kept_entries,
+    _liouvillian,
+    _square_blocks,
     coherent_state,
     coupling_operators,
     default_dt,
@@ -27,6 +30,32 @@ from qstab.perturbation import PerturbationSeries, validate_selfadjoint
 
 def comm(A, B):
     return A @ B - B @ A
+
+
+def dense_rk4_msq(alg, H, L_ops, rho0, t_final, dt):
+    """Reference propagator: RK4 on the whole dense rho, nothing reduced."""
+    K = sum((L.conj().T @ L for L in L_ops), np.zeros_like(rho0))
+    H_eff = -1j * H - 0.5 * K
+
+    def rhs(r):
+        Z = H_eff @ r
+        out = Z + Z.conj().T
+        for L in L_ops:
+            out += L @ r @ L.conj().T
+        return out
+
+    obs = msq_observable(alg)
+    rho = rho0.copy()
+    msq = [np.trace(obs @ rho).real]
+    for _ in range(round(t_final / dt)):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * dt * k1)
+        k3 = rhs(rho + 0.5 * dt * k2)
+        k4 = rhs(rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+        msq.append(np.trace(obs @ rho).real)
+    return np.array(msq)
 
 
 class TestAlgebra:
@@ -289,6 +318,75 @@ class TestLindblad:
             traj = lindblad_evolve(alg, H, L, rho0, 2.0, 1e-3, record_stride=100)
             results[dim] = traj.msq
         assert np.max(np.abs(results[6] - results[8])) < 1e-6
+
+
+class TestReducedPropagation:
+    """``lindblad_evolve`` steps only the entries of rho that x'x depends on."""
+
+    def opa_problem(self, dim, extra_h=None):
+        sys, series = build_opa(OpaParams(1.0, 2.0, 0.3))
+        alg = build_algebra(2, dim)
+        H = operator_of_series(alg, sys, series)
+        if extra_h is not None:
+            H = H + extra_h(alg)
+        return alg, H, coupling_operators(alg, sys)
+
+    def kept_mask(self, alg, H, L_ops):
+        n = alg.total_dim
+        K = sum((L.conj().T @ L for L in L_ops), np.zeros((n, n), dtype=complex))
+        seed = np.zeros(n * n, dtype=bool)
+        seed[:: n + 1] = True
+        sup = _liouvillian(-1j * H - 0.5 * K, L_ops)
+        return _kept_entries(sup, seed).reshape(n, n)
+
+    def test_opa_keeps_the_charge_zero_block(self):
+        alg, H, L_ops = self.opa_problem(8)
+        charge = alg.excitations[:, 0] + 2 * alg.excitations[:, 1]
+        mask = self.kept_mask(alg, H, L_ops)
+        assert np.array_equal(mask, charge[:, None] == charge[None, :])
+        blocks = _square_blocks(mask.ravel(), alg.total_dim)
+        assert sorted(tuple(b) for b in blocks) == sorted(
+            tuple(np.flatnonzero(charge == c)) for c in np.unique(charge)
+        )
+
+    def test_opa_matches_dense_propagator(self):
+        alg, H, L_ops = self.opa_problem(6)
+        rho0 = coherent_state(alg, [0.6, 0.4j])
+        traj = lindblad_evolve(alg, H, L_ops, rho0, 1.0, 1e-3)
+        reference = dense_rk4_msq(alg, H, L_ops, rho0, 1.0, 1e-3)
+        assert np.max(np.abs(traj.msq - reference)) <= 1e-12
+
+    def test_generic_quadratic_term_keeps_everything(self, rng):
+        A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        M = 0.5 * (A + A.conj().T)
+        alg, H, L_ops = self.opa_problem(6, lambda alg: 0.05 * quadratic_form(alg, M))
+        assert self.kept_mask(alg, H, L_ops).all()
+        rho0 = coherent_state(alg, [0.6, 0.4j])
+        traj = lindblad_evolve(alg, H, L_ops, rho0, 1.0, 1e-3)
+        reference = dense_rk4_msq(alg, H, L_ops, rho0, 1.0, 1e-3)
+        assert np.max(np.abs(traj.msq - reference)) <= 1e-12
+
+    def test_lost_positivity_aborts(self):
+        sys, series = build_opa(OpaParams(1.0, 1.0, 2.0))
+        alg = build_algebra(2, 6)
+        H = operator_of_series(alg, sys, series)
+        L_ops = coupling_operators(alg, sys)
+        rho0 = fock_state(alg, (2, 0))
+        with pytest.raises(SimulationError, match="lost positivity"):
+            lindblad_evolve(alg, H, L_ops, rho0, 1.0, 0.05)
+
+    def test_last_sample_is_t_final(self):
+        alg = build_algebra(1, 6)
+        L = [alg.a[0]]
+        traj = lindblad_evolve(alg, np.zeros((6, 6)), L, fock_state(alg, (1,)), 0.0015, 1e-3)
+        assert traj.times[-1] == 0.0015
+        assert np.all(np.diff(traj.times) <= 1e-3)
+
+    def test_record_stride_below_one_is_rejected(self):
+        alg = build_algebra(1, 6)
+        rho0 = fock_state(alg, (1,))
+        with pytest.raises(StructureError, match="record_stride"):
+            lindblad_evolve(alg, np.zeros((6, 6)), [], rho0, 0.1, 1e-3, record_stride=0)
 
 
 class TestMsBound:
