@@ -48,16 +48,18 @@ def main():
     print(f"\ncertificate at gamma = {bounds.gamma:.4f}:")
     print(f"  c1 = {cert.c1:.6f}, c2 = {cert.c2:.6e}, c3 = {cert.c3:.6e}")
     print(f"  lambda_tilde = {cert.lambda_tilde:.6e}, lambda = {cert.lam:.6e}")
+    # the level belongs to the certificate's own bounds and reads the exact
+    # boundary, not the curve's samples
+    level = invariant_ellipsoid(cert.P, region_curve(params, bounds, 2)) if cert.certified else None
+    if level is not None:
+        print(f"  invariant-ellipsoid level: {level:.6e}")
 
     region_bounds = SectorBounds(gamma=4.0 / params.kappa1, delta1=0.0, delta2=0.04)
     curve = region_curve(params, region_bounds, 400)
     lb = lambda_bar(params, region_bounds)
-    level = invariant_ellipsoid(cert.P, curve) if cert.certified else None
     print(f"\nadmissible region at gamma = {region_bounds.gamma:.4f}:")
     print(f"  |z2|^2 ceiling        : {curve.cap2:.6f}")
     print(f"  right endpoint |z1|^2 : {lb.root:.6f} (caption reading {lb.caption:.6f})")
-    if level is not None:
-        print(f"  invariant-ellipsoid level for the certified P: {level:.6e}")
 
     out = Path(args.out)
     serialize.atomic_write_text(out.with_suffix(".region.csv"), serialize.region_csv(curve))

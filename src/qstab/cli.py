@@ -8,8 +8,8 @@ under the --out prefix.
 Exit codes: 0 success / certified / all checks pass; 1 drift matrix not
 Hurwitz; 2 small-gain condition failed; 3 a numerical check failed
 (validation report nonempty, identity residual too large, or the simulated
-mean-square bound violated); 64 config error; 66 unreadable input or
-unwritable output.
+mean-square bound violated); 64 config error, including a Fock truncation
+too small for the request; 66 unreadable input or unwritable output.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from . import focksim, opa, serialize
 from .certify import Verdict, hinf_condition
 from .certify import certify as run_certify
-from .errors import NotHurwitzError, QstabError, StructureError
+from .errors import NotHurwitzError, QstabError, StructureError, TruncationError
 from .model import LinearQuantumSystem, validate_system
 from .perturbation import PerturbationSeries, SectorBounds, scan_sector_region
 
@@ -157,6 +157,15 @@ def _pick(flag, doc: dict, key: str, default=None):
     return doc.get(key, default)
 
 
+def _number(value, kind=float):
+    """``kind(value)``, or None for None; a JSON boolean is refused, not read as 0 or 1."""
+    if value is None:
+        return None
+    if isinstance(value, bool):
+        raise StructureError(f"expected a number, got {json.dumps(value)}")
+    return kind(value)
+
+
 def _section(doc: dict, key: str) -> dict:
     section = doc.get(key, {})
     if not isinstance(section, dict):
@@ -175,7 +184,7 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
     if kappa1 is not None or kappa2 is not None or chi is not None:
         if None in (kappa1, kappa2, chi):
             raise StructureError("OPA parameters need kappa1, kappa2 and chi")
-        opa_params = opa.OpaParams(float(kappa1), float(kappa2), float(chi))
+        opa_params = opa.OpaParams(_number(kappa1), _number(kappa2), _number(chi))
     system_path = args.system or system_doc.get("path")
     series_path = args.series or _section(doc, "series").get("path")
 
@@ -184,9 +193,9 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
     bounds = None
     if gamma is not None:
         bounds = SectorBounds(
-            gamma=float(gamma),
-            delta1=float(_pick(args.delta1, bounds_doc, "delta1", 0.0)),
-            delta2=float(_pick(args.delta2, bounds_doc, "delta2", 0.0)),
+            gamma=_number(gamma),
+            delta1=_number(_pick(args.delta1, bounds_doc, "delta1", 0.0)),
+            delta2=_number(_pick(args.delta2, bounds_doc, "delta2", 0.0)),
         )
 
     sim_doc = _section(doc, "sim")
@@ -197,14 +206,13 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
     if alphas is None:
         alphas = [0.5, 0.5]
     parsed_alphas = tuple(
-        serialize.pair_to_complex(a) if isinstance(a, (list, tuple)) else complex(a)
+        serialize.pair_to_complex(a) if isinstance(a, (list, tuple)) else _number(a, complex)
         for a in alphas
     )
-    dim = _pick(args.dim, sim_doc, "dim")
     sim = SimParams(
-        dim=None if dim is None else int(dim),
-        dt=_pick(args.dt, sim_doc, "dt"),
-        t_final=_pick(getattr(args, "t_final"), sim_doc, "t_final"),
+        dim=_number(_pick(args.dim, sim_doc, "dim"), int),
+        dt=_number(_pick(args.dt, sim_doc, "dt")),
+        t_final=_number(_pick(args.t_final, sim_doc, "t_final")),
         alphas=parsed_alphas,
     )
 
@@ -217,7 +225,7 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
         steps = _pick(args.steps, sweep_doc, "steps")
         if None in (start, stop, steps):
             raise StructureError("sweep needs parameter, start, stop and steps")
-        sweep = SweepSpec(str(parameter), float(start), float(stop), int(steps))
+        sweep = SweepSpec(str(parameter), _number(start), _number(stop), _number(steps, int))
 
     return RunConfig(
         command=args.command,
@@ -228,8 +236,8 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
         sim=sim,
         sweep=sweep,
         output=args.out or doc.get("output"),
-        grid=int(_pick(args.grid, doc, "grid", 200)),
-        eps=args.eps if args.eps is not None else doc.get("eps"),
+        grid=_number(_pick(args.grid, doc, "grid", 200), int),
+        eps=_number(_pick(args.eps, doc, "eps")),
     )
 
 
@@ -369,8 +377,7 @@ def _cmd_simulate(config: RunConfig) -> int:
     dim = sim.dim if sim.dim is not None else 12
     alg = focksim.build_algebra(system.n, dim)
     H = focksim.operator_of_series(alg, system, series)
-    if np.any(system.M1) or np.any(system.M2):
-        H = H + 0.5 * focksim.quadratic_form(alg, system.M)
+    H += 0.5 * focksim.quadratic_form(alg, system.M)
     L_ops = focksim.coupling_operators(alg, system)
     kappas = [float(np.max(np.abs(system.N1))) ** 2, 1.0]
     if config.opa_params is not None:
@@ -472,7 +479,7 @@ def run(config: RunConfig) -> int:
     except NotHurwitzError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_HURWITZ
-    except StructureError as exc:
+    except (StructureError, TruncationError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
     except QstabError as exc:
@@ -490,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IO
-    except (StructureError, ValueError) as exc:
+    except (StructureError, ValueError, TypeError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
     return run(config)

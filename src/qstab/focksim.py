@@ -22,6 +22,7 @@ the full rho.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -55,16 +56,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncatedAlgebra:
-    """Per-mode annihilation matrices on the tensor-product space.
+    """Doubled operator vector x = [a_1..a_n, a_1'..a_n'] on the tensor-product space.
 
-    [a_i, a_j'] = delta_ij holds exactly on states whose mode-i excitation is
-    at most dim - 2; the defect is confined to the truncation edge.
+    ``x`` is one read-only (2n, D, D) stack with D = dim**modes, built once
+    by ``build_algebra``; ``a`` is its first n layers and x[n:] holds their
+    conjugate transposes.  [a_i, a_j'] = delta_ij holds exactly on states
+    whose mode-i excitation is at most dim - 2; the defect is confined to
+    the truncation edge.
     """
 
     modes: int
     dim: int
-    a: tuple[np.ndarray, ...] = field(repr=False)
+    x: np.ndarray = field(repr=False)
     excitations: np.ndarray = field(repr=False)  # (total_dim, modes) int
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.x[: self.modes]
 
     @property
     def total_dim(self) -> int:
@@ -77,18 +85,17 @@ def build_algebra(modes: int, dim: int) -> TruncatedAlgebra:
     if dim < 3:
         raise TruncationError(f"need at least 3 Fock levels per mode, got {dim}")
     ladder = np.diag(np.sqrt(np.arange(1, dim)), k=1)
-    ops = []
+    x = np.empty((2 * modes, dim**modes, dim**modes), dtype=complex)
     for i in range(modes):
         factors = [np.eye(dim)] * modes
         factors[i] = ladder
-        full = factors[0]
-        for f in factors[1:]:
-            full = np.kron(full, f)
-        ops.append(full.astype(complex))
+        x[i] = functools.reduce(np.kron, factors)
+    x[modes:] = x[:modes].conj().transpose(0, 2, 1)
+    x.setflags(write=False)
     levels = np.arange(dim)
     grids = np.meshgrid(*([levels] * modes), indexing="ij")
     exc = np.stack([g.ravel() for g in grids], axis=1)
-    return TruncatedAlgebra(modes=modes, dim=dim, a=tuple(ops), excitations=exc)
+    return TruncatedAlgebra(modes=modes, dim=dim, x=x, excitations=exc)
 
 
 def safe_mask(alg: TruncatedAlgebra, degree: int) -> np.ndarray:
@@ -107,58 +114,47 @@ def safe_mask(alg: TruncatedAlgebra, degree: int) -> np.ndarray:
 
 
 def safe_residual(alg: TruncatedAlgebra, X: np.ndarray, degree: int) -> float:
-    """Largest matrix-element magnitude of X restricted to the safe subspace."""
+    """Largest matrix-element magnitude of X, a matrix or a stack of them,
+    restricted to the safe subspace."""
     mask = safe_mask(alg, degree)
-    block = X[np.ix_(mask, mask)]
+    block = X[..., mask, :][..., mask]
     return float(np.max(np.abs(block))) if block.size else 0.0
 
 
-def _x_vector(alg: TruncatedAlgebra) -> list[np.ndarray]:
-    """Doubled operator vector [a_1..a_n, a_1'..a_n'] as matrices."""
-    return list(alg.a) + [a.conj().T for a in alg.a]
+def _linear_forms(alg: TruncatedAlgebra, A: np.ndarray) -> np.ndarray:
+    """Stack of the operators sum_b A[i, b] x_b, one per row i of A."""
+    if A.shape[-1] != len(alg.x):
+        raise StructureError(
+            f"coefficients for {A.shape[-1] // 2} modes but the algebra has {alg.modes}"
+        )
+    return np.tensordot(A, alg.x, 1)
 
 
 def quadratic_form(alg: TruncatedAlgebra, A: np.ndarray) -> np.ndarray:
-    """Matrix of sum_ab A[a,b] x_a' x_b over the doubled operator vector."""
+    """Matrix of sum_ab A[a,b] x_a' x_b over the doubled operator vector.
+
+    Computed as one product sum_r x_r' (sum_b A[r,b] x_b) over the nonzero
+    rows r of A only, so a zero form costs no product.  x_r' is the layer
+    of x half a stack away, so no conjugate transpose is formed.
+    """
     A = np.asarray(A, dtype=complex)
-    x = _x_vector(alg)
-    if A.shape != (len(x), len(x)):
-        raise StructureError(f"expected a {len(x)}x{len(x)} form, got {A.shape}")
-    total = np.zeros((alg.total_dim, alg.total_dim), dtype=complex)
-    for a_idx in range(len(x)):
-        xa_dag = x[a_idx].conj().T
-        for b_idx in range(len(x)):
-            coeff = A[a_idx, b_idx]
-            if coeff != 0:
-                total += coeff * (xa_dag @ x[b_idx])
-    return total
+    size = len(alg.x)
+    if A.shape != (size, size):
+        raise StructureError(f"expected a {size}x{size} form, got {A.shape}")
+    rows = np.flatnonzero(np.any(A != 0, axis=1))
+    D = alg.total_dim
+    left = alg.x[(rows + alg.modes) % size].transpose(1, 0, 2).reshape(D, rows.size * D)
+    return left @ _linear_forms(alg, A[rows]).reshape(rows.size * D, D)
 
 
-def _ladder_combinations(
-    alg: TruncatedAlgebra, sys: LinearQuantumSystem, A1: np.ndarray, A2: np.ndarray
-) -> list[np.ndarray]:
-    """Operators sum_j A1[i,j] a_j + A2[i,j] a_j', one per row i."""
-    if sys.n != alg.modes:
-        raise StructureError(
-            f"system has {sys.n} modes but the algebra has {alg.modes}"
-        )
-    ops = []
-    for i in range(A1.shape[0]):
-        op = np.zeros((alg.total_dim, alg.total_dim), dtype=complex)
-        for j in range(sys.n):
-            op += A1[i, j] * alg.a[j] + A2[i, j] * alg.a[j].conj().T
-        ops.append(op)
-    return ops
+def z_operators(alg: TruncatedAlgebra, sys: LinearQuantumSystem) -> np.ndarray:
+    """Stack of the channel operators z_i = sum_j E1[i,j] a_j + E2[i,j] a_j'."""
+    return _linear_forms(alg, sys.Etilde)
 
 
-def z_operators(alg: TruncatedAlgebra, sys: LinearQuantumSystem) -> list[np.ndarray]:
-    """Channel operators z_i = sum_j E1[i,j] a_j + E2[i,j] a_j'."""
-    return _ladder_combinations(alg, sys, sys.E1, sys.E2)
-
-
-def coupling_operators(alg: TruncatedAlgebra, sys: LinearQuantumSystem) -> list[np.ndarray]:
-    """Coupling channel operators L_i = sum_j N1[i,j] a_j + N2[i,j] a_j'."""
-    return _ladder_combinations(alg, sys, sys.N1, sys.N2)
+def coupling_operators(alg: TruncatedAlgebra, sys: LinearQuantumSystem) -> np.ndarray:
+    """Stack of the coupling operators L_i = sum_j N1[i,j] a_j + N2[i,j] a_j'."""
+    return _linear_forms(alg, sys.N[: sys.m])
 
 
 def operator_of_series(
@@ -225,7 +221,6 @@ def check_commutator_identities(
         raise StructureError("P must have the block structure Sigma P^# Sigma = P")
 
     degree = max(2, f.total_degree)
-    x = _x_vector(alg)
     V = quadratic_form(alg, P)
     residuals: dict[str, float] = {}
 
@@ -237,11 +232,9 @@ def check_commutator_identities(
     )
 
     # (2) (1/2) L'[V,L] + (1/2)[L',V]L = tr(P J N' proj N J) - (1/2) x'(N'JNJP + PJN'JN)x
-    L_ops = coupling_operators(alg, sys)
-    lhs2 = np.zeros_like(V)
-    for L in L_ops:
-        Ld = L.conj().T
-        lhs2 += 0.5 * (Ld @ _comm(V, L) + _comm(Ld, V) @ L)
+    L = coupling_operators(alg, sys)
+    Ld = L.conj().transpose(0, 2, 1)
+    lhs2 = 0.5 * (Ld @ _comm(V, L) + _comm(Ld, V) @ L).sum(axis=0)
     proj = np.zeros((2 * sys.m, 2 * sys.m))
     proj[: sys.m, : sys.m] = np.eye(sys.m)
     Jm = np.diag(np.r_[np.ones(sys.m), -np.ones(sys.m)])
@@ -251,25 +244,16 @@ def check_commutator_identities(
     residuals["coupling_dissipation"] = safe_residual(alg, lhs2 - rhs2, degree)
 
     # (3) [x_a, x'Px] = (2JPx)_a componentwise
-    R = 2.0 * sm.J @ P
-    worst = 0.0
-    for a_idx in range(len(x)):
-        rhs = np.zeros_like(V)
-        for b_idx in range(len(x)):
-            if R[a_idx, b_idx] != 0:
-                rhs += R[a_idx, b_idx] * x[b_idx]
-        worst = max(worst, safe_residual(alg, _comm(x[a_idx], V) - rhs, degree))
-    residuals["state_vector_commutator"] = worst
+    residuals["state_vector_commutator"] = safe_residual(
+        alg, _comm(alg.x, V) - _linear_forms(alg, 2.0 * sm.J @ P), degree
+    )
 
     # (4) [z_i, [z_i, V]] = mu_i * identity
     z = z_operators(alg, sys)
     mu = mu_constants(P, sys.Etilde)
-    worst = 0.0
-    eye = np.eye(alg.total_dim)
-    for i in range(sys.p):
-        dc = _comm(z[i], _comm(z[i], V))
-        worst = max(worst, safe_residual(alg, dc - mu[i] * eye, degree))
-    residuals["double_commutator_constants"] = worst
+    residuals["double_commutator_constants"] = safe_residual(
+        alg, _comm(z, _comm(z, V)) - mu[:, None, None] * np.eye(alg.total_dim), degree
+    )
 
     # (5) [V, f] = sum_i [V,z_i] df/dz_i - sum_i (df/dz_i)' [z_i',V]
     #              - (1/2) sum_i mu_i d2f/dz_i^2 + (1/2) sum_i mu_i* (d2f/dz_i^2)'

@@ -422,6 +422,52 @@ class TestConfigHandling:
         assert not (tmp_path / "run.trajectory.csv").exists()
         assert not (tmp_path / "run.sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, section, value",
+        [
+            ("simulate", "sim", {"dt": "abc"}),
+            ("simulate", "sim", {"t_final": "x"}),
+            ("simulate", "sim", {"dt": True}),
+            ("certify", "eps", "x"),
+            ("certify", "sim", {"alpha": 5}),
+            ("certify", "sim", {"dim": [1]}),
+            ("certify", "grid", {}),
+            ("certify", "system", {"opa": {"kappa1": [1], "kappa2": 1, "chi": 0.1}}),
+            ("certify", "sweep", {"parameter": "gamma", "start": [1], "stop": 6, "steps": 3}),
+        ],
+        ids=["dt-string", "t-final-string", "dt-boolean", "eps-string", "alpha-not-a-list",
+             "dim-list", "grid-object", "kappa1-list", "sweep-start-list"],
+    )
+    def test_wrong_json_type_is_config_error(self, tmp_path, command, section, value):
+        config = {
+            "system": {"opa": {"kappa1": 1.0, "kappa2": 1.0, "chi": 0.05}},
+            "bounds": {"gamma": 8.0, "delta1": 0.1, "delta2": 0.1},
+            "sim": {"dim": 5, "t_final": 0.01},
+            "output": str(tmp_path / "run"),
+        }
+        if section == "sim":
+            config["sim"].update(value)
+        else:
+            config[section] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert not (tmp_path / "run.trajectory.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("check-identities", ["--dim", "2"], "need at least 3 Fock levels"),
+            ("simulate", ["--dim", "3", "--t-final", "0.01"], "exceeds truncation"),
+        ],
+        ids=["below-three-levels", "series-degree-beyond-truncation"],
+    )
+    def test_truncation_too_small_is_config_error(self, tmp_path, capsys, command, flags, message):
+        args = [command, "--kappa1", "1", "--kappa2", "1", "--chi", "0.05", "--gamma", "8"]
+        assert main([*args, *flags, "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run.trajectory.csv").exists()
+
 
 class TestScripts:
     @pytest.mark.parametrize(
@@ -437,14 +483,28 @@ class TestScripts:
         ids=["opa_case_study", "msq_bound_demo"],
     )
     def test_script_writes_artifact(self, tmp_path, script, args, artifact):
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
-        )
-        proc = subprocess.run(
-            [executable, str(root / "scripts" / script), *args],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
+        run_script(tmp_path, script, args)
         assert (tmp_path / artifact).exists()
+
+    def test_case_study_level_belongs_to_its_certificate(self, tmp_path):
+        run_script(tmp_path, "opa_case_study.py", ["--out", "opa"])
+        doc = json.loads((tmp_path / "opa.certificate.json").read_text())
+        # the script certifies at its default OPA parameters and delta1 = delta2 = 0.1
+        params = OpaParams(1.0, 2.0, 0.1)
+        bounds = SectorBounds(gamma=doc["gamma"], delta1=0.1, delta2=0.1)
+        P = serialize.matrix_from_json(doc["P"])
+        level = invariant_ellipsoid(P, region_curve(params, bounds, 2))
+        assert doc["invariant_level"] == pytest.approx(level, rel=1e-12)
+
+
+def run_script(cwd, script, args):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [executable, str(root / "scripts" / script), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

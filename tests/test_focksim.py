@@ -82,6 +82,41 @@ class TestAlgebra:
         assert np.max(np.abs(comm(a1, a2.conj().T))) == 0.0
         assert np.max(np.abs(comm(a1, a2))) == 0.0
 
+    def test_doubled_vector_is_one_read_only_stack(self):
+        alg = build_algebra(2, 4)
+        assert alg.x.shape == (4, 16, 16)
+        assert not alg.x.flags.writeable
+        with pytest.raises(ValueError):
+            alg.x[0, 0, 1] = 0.0
+        assert np.array_equal(alg.a, alg.x[:2])
+        for i in range(2):
+            assert np.array_equal(alg.x[2 + i], alg.a[i].conj().T)
+
+    def test_quadratic_form_matches_double_sum(self, rng):
+        alg = build_algebra(2, 4)
+        A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        A[[0, 2]] = 0.0  # zero rows next to dense ones; A is not Hermitian
+        x = [alg.a[0], alg.a[1], alg.a[0].conj().T, alg.a[1].conj().T]
+        expected = sum(
+            A[i, j] * (x[i].conj().T @ x[j]) for i in range(4) for j in range(4)
+        )
+        assert np.max(np.abs(quadratic_form(alg, A) - expected)) <= 1e-12
+        assert not np.any(quadratic_form(alg, np.zeros((4, 4))))
+
+    def test_linear_forms_match_ladder_sums(self, rng):
+        sys = random_system(rng, n=2, m=2, p=3, require_hurwitz=False)
+        alg = build_algebra(2, 4)
+        a = alg.a
+        for ops, B1, B2 in (
+            (z_operators(alg, sys), sys.E1, sys.E2),
+            (coupling_operators(alg, sys), sys.N1, sys.N2),
+        ):
+            expected = [
+                sum(B1[i, j] * a[j] + B2[i, j] * a[j].conj().T for j in range(2))
+                for i in range(B1.shape[0])
+            ]
+            assert np.max(np.abs(ops - np.array(expected))) <= 1e-13
+
     def test_minimum_dimension(self):
         with pytest.raises(TruncationError):
             build_algebra(1, 2)
@@ -194,8 +229,11 @@ class TestCommutatorIdentities:
         )
         kerr = PerturbationSeries(p=1, coeffs={(1, 1, 2, 2): 0.3})
         assert validate_selfadjoint(kerr) == []
-        residuals = check_commutator_identities(build_algebra(1, 8), sys, kerr, np.eye(2))
+        alg = build_algebra(1, 8)
+        assert coupling_operators(alg, sys).shape == (0, 8, 8)
+        residuals = check_commutator_identities(alg, sys, kerr, np.eye(2))
         assert len(residuals) == 5
+        assert residuals["coupling_dissipation"] <= 1e-10
         assert max(residuals.values()) <= 1e-10, residuals
 
     def test_hermitian_but_not_block_P_rejected(self, rng):
