@@ -158,12 +158,20 @@ def _pick(flag, doc: dict, key: str, default=None):
 
 
 def _number(value, kind=float):
-    """``kind(value)``, or None for None; a JSON boolean is refused, not read as 0 or 1."""
+    """``kind(value)``, or None for None; a JSON boolean or a truncating int() is refused."""
     if value is None:
         return None
     if isinstance(value, bool):
         raise StructureError(f"expected a number, got {json.dumps(value)}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise StructureError(f"expected an integer, got {value!r}")
     return kind(value)
+
+
+def _path(value, what: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise StructureError(f"{what} must be a path string, got {json.dumps(value)}")
+    return value
 
 
 def _section(doc: dict, key: str) -> dict:
@@ -185,8 +193,8 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
         if None in (kappa1, kappa2, chi):
             raise StructureError("OPA parameters need kappa1, kappa2 and chi")
         opa_params = opa.OpaParams(_number(kappa1), _number(kappa2), _number(chi))
-    system_path = args.system or system_doc.get("path")
-    series_path = args.series or _section(doc, "series").get("path")
+    system_path = _path(args.system or system_doc.get("path"), "system path")
+    series_path = _path(args.series or _section(doc, "series").get("path"), "series path")
 
     bounds_doc = _section(doc, "bounds")
     gamma = _pick(args.gamma, bounds_doc, "gamma")
@@ -235,7 +243,7 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
         bounds=bounds,
         sim=sim,
         sweep=sweep,
-        output=args.out or doc.get("output"),
+        output=_path(args.out or doc.get("output"), "output"),
         grid=_number(_pick(args.grid, doc, "grid", 200), int),
         eps=_number(_pick(args.eps, doc, "eps")),
     )

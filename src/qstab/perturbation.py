@@ -195,6 +195,14 @@ def sector_margins(f: PerturbationSeries, bounds: SectorBounds, z) -> tuple:
     return margin1, margin2
 
 
+def _magnitude_terms(g: PerturbationSeries, radii: np.ndarray):
+    """Per term c z_i^k (z_j*)^l: n = k e_i - l e_j, G = c r_i^k r_j^l; g = sum e^{i n.theta} G."""
+    unit = np.eye(g.p, dtype=int)
+    n = [k * unit[i - 1] - l * unit[j - 1] for i, j, k, l in g.coeffs]
+    G = [c * radii[i - 1] ** k * radii[j - 1] ** l for (i, j, k, l), c in g.coeffs.items()]
+    return np.array(n, dtype=int).reshape(-1, g.p), np.array(G)
+
+
 def scan_sector_region(
     f: PerturbationSeries,
     bounds: SectorBounds,
@@ -206,6 +214,10 @@ def scan_sector_region(
     channel.  A cell is admissible iff both margins are >= 0 at every sampled
     phase combination for its magnitude tuple.  Exhaustive phase sampling
     limits this to p <= 2.
+
+    Each df/dz_i and d2f/dz_i^2 is formed once and split into magnitude grids
+    times phase weights (roots of unity), so a phase combination costs a few
+    scalar-times-grid products, folded into a running minimum.
 
     Returns (mask, margin1, margin2), arrays with one axis per channel
     holding the admissibility flag and the phase-minimized margins.
@@ -220,18 +232,21 @@ def scan_sector_region(
             raise StructureError("magnitude grid with zero cells")
         if np.any(g < 0):
             raise StructureError("squared magnitudes must be nonnegative")
-    radii = np.meshgrid(*[np.sqrt(g) for g in grids], indexing="ij")
-    shape = radii[0].shape
+    mag_sq = np.meshgrid(*grids, indexing="ij")
+    radii = np.sqrt(mag_sq)
+    grad = [_magnitude_terms(partial_z(f, i), radii) for i in range(1, f.p + 1)]
+    curv = [_magnitude_terms(second_partial_z(f, i), radii) for i in range(1, f.p + 1)]
+    roots = np.exp(2j * np.pi * np.arange(SCAN_PHASES) / SCAN_PHASES)
+    base1 = sum(mag_sq) / bounds.gamma**2 + bounds.delta1
 
-    phases = 2.0 * np.pi * np.arange(SCAN_PHASES) / SCAN_PHASES
-    margin1 = np.full(shape, np.inf)
-    margin2 = np.full(shape, np.inf)
-    for combo in itertools.product(phases, repeat=f.p):
-        z = np.stack(
-            [radii[c] * np.exp(1j * combo[c]) for c in range(f.p)], axis=-1
+    margin1 = np.full(radii[0].shape, np.inf)
+    margin2 = np.full(radii[0].shape, np.inf)
+    for m in itertools.product(range(SCAN_PHASES), repeat=f.p):
+        grad_sq, curv_sq = (
+            sum(np.abs(np.tensordot(roots[(n @ m) % SCAN_PHASES], G, 1)) ** 2 for n, G in terms)
+            for terms in (grad, curv)
         )
-        m1, m2 = sector_margins(f, bounds, z)
-        margin1 = np.minimum(margin1, m1)
-        margin2 = np.minimum(margin2, m2)
+        margin1 = np.minimum(margin1, base1 - grad_sq)
+        margin2 = np.minimum(margin2, bounds.delta2 - curv_sq)
     mask = (margin1 >= 0) & (margin2 >= 0)
     return mask, margin1, margin2

@@ -60,7 +60,7 @@ def complex_to_pair(z: complex) -> list[float]:
 
 
 def pair_to_complex(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2 or bool in map(type, pair):
         raise StructureError(f"complex entries must be [re, im] pairs, got {pair!r}")
     return complex(float(pair[0]), float(pair[1]))
 
@@ -197,14 +197,15 @@ def scan_csv(grids, mask, margin1, margin2) -> str:
     """Admissibility mask over a two-channel magnitude grid."""
     if len(grids) != 2:
         raise StructureError("scan CSV is defined for two channels")
-    g1, g2 = (np.asarray(g, dtype=float) for g in grids)
+    g1, g2 = (list(map(repr, np.asarray(g, dtype=float).tolist())) for g in grids)
+    flags = np.asarray(mask, dtype=int)
+    margins = (np.asarray(margin1, dtype=float), np.asarray(margin2, dtype=float))
     lines = ["|z1|^2,|z2|^2,admissible,margin1,margin2"]
-    for i, a in enumerate(g1):
-        for j, b in enumerate(g2):
-            lines.append(
-                f"{float(a)!r},{float(b)!r},{int(mask[i, j])},"
-                f"{float(margin1[i, j])!r},{float(margin2[i, j])!r}"
-            )
+    # one grid row at a time: each grid value is formatted once, and only one
+    # row of margins is held as Python floats
+    for a, row, row1, row2 in zip(g1, flags, *margins, strict=True):
+        cells = zip(g2, row.tolist(), row1.tolist(), row2.tolist(), strict=True)
+        lines += [f"{a},{b},{flag},{x!r},{y!r}" for b, flag, x, y in cells]
     return "\n".join(lines) + "\n"
 
 

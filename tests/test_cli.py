@@ -434,9 +434,18 @@ class TestConfigHandling:
             ("certify", "grid", {}),
             ("certify", "system", {"opa": {"kappa1": [1], "kappa2": 1, "chi": 0.1}}),
             ("certify", "sweep", {"parameter": "gamma", "start": [1], "stop": 6, "steps": 3}),
+            ("certify", "system", {"path": 5}),
+            ("certify", "series", {"path": [1]}),
+            ("certify", "output", 5),
+            ("simulate", "sim", {"dim": 5.9}),
+            ("certify", "grid", 5.9),
+            ("certify", "sweep", {"parameter": "gamma", "start": 3, "stop": 6, "steps": 2.5}),
+            ("simulate", "sim", {"alpha": [[True, 0], 0.5]}),
         ],
         ids=["dt-string", "t-final-string", "dt-boolean", "eps-string", "alpha-not-a-list",
-             "dim-list", "grid-object", "kappa1-list", "sweep-start-list"],
+             "dim-list", "grid-object", "kappa1-list", "sweep-start-list", "system-path-number",
+             "series-path-list", "output-number", "dim-fractional", "grid-fractional",
+             "steps-fractional", "alpha-pair-boolean"],
     )
     def test_wrong_json_type_is_config_error(self, tmp_path, command, section, value):
         config = {

@@ -1,11 +1,15 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qstab.errors import StructureError
-from qstab.opa import OpaParams, build_opa
+from qstab.opa import OpaParams, build_opa, region_curve
 from qstab.perturbation import (
+    SCAN_PHASES,
     PerturbationSeries,
     SectorBounds,
     eval_semiclassical,
@@ -232,6 +236,98 @@ class TestScan:
         f = PerturbationSeries(p=3)
         with pytest.raises(StructureError):
             scan_sector_region(f, SectorBounds(gamma=1.0), [np.array([1.0])] * 3)
+
+
+def phase_loop_scan(f, bounds, mag_sq_grids):
+    """Reference scan: one sector_margins call per sampled phase combination."""
+    radii = np.meshgrid(*[np.sqrt(g) for g in mag_sq_grids], indexing="ij")
+    phases = 2.0 * np.pi * np.arange(SCAN_PHASES) / SCAN_PHASES
+    margin1 = np.full(radii[0].shape, np.inf)
+    margin2 = np.full(radii[0].shape, np.inf)
+    for combo in itertools.product(phases, repeat=f.p):
+        z = np.stack([radii[c] * np.exp(1j * combo[c]) for c in range(f.p)], axis=-1)
+        m1, m2 = sector_margins(f, bounds, z)
+        margin1 = np.minimum(margin1, m1)
+        margin2 = np.minimum(margin2, m2)
+    return (margin1 >= 0) & (margin2 >= 0), margin1, margin2
+
+
+def opa_region_extent(params, bounds):
+    """The 100 x 100 magnitude grids ``qstab opa-region`` scans."""
+    curve = region_curve(params, bounds, 200)
+    return [
+        np.linspace(0.0, curve.lambda_bar * 1.05, 100),
+        np.linspace(0.0, max(curve.cap2, 1e-12) * 1.2, 100),
+    ]
+
+
+def assert_scan_matches_phase_loop(f, bounds, grids):
+    mask, m1, m2 = scan_sector_region(f, bounds, grids)
+    ref_mask, ref1, ref2 = phase_loop_scan(f, bounds, grids)
+    assert np.array_equal(mask, ref_mask)
+    scale = 1.0 + max(np.max(np.abs(ref1)), np.max(np.abs(ref2)))
+    assert np.max(np.abs(m1 - ref1)) <= 1e-12 * scale
+    assert np.max(np.abs(m2 - ref2)) <= 1e-12 * scale
+    return mask, m1, m2
+
+
+class TestScanMatchesPhaseLoop:
+    @pytest.mark.parametrize(
+        "kappa1, kappa2, chi, gamma, delta1, delta2",
+        [
+            (1.0, 1.0, 0.1, 4.0, 0.0, 0.04),
+            (1.0, 2.0, 0.1, 4.5, 0.1, 0.1),
+            (0.5, 3.0, 0.25, 6.0, 0.3, 0.02),
+            (2.0, 1.0, 0.05, 8.0, 0.1, 0.1),
+        ],
+    )
+    def test_opa_on_region_extent(self, kappa1, kappa2, chi, gamma, delta1, delta2):
+        params = OpaParams(kappa1, kappa2, chi)
+        bounds = SectorBounds(gamma=gamma, delta1=delta1, delta2=delta2)
+        _, series = build_opa(params)
+        mask, _, _ = assert_scan_matches_phase_loop(
+            series, bounds, opa_region_extent(params, bounds)
+        )
+        assert 0 < np.count_nonzero(mask) < mask.size
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_random_two_channel_series(self, seed):
+        rng = np.random.default_rng(seed)
+        f = random_series(rng, p=2, n_terms=8, max_exp=3)
+        # a mixed-channel term of degree 5 on top of the random ones
+        f = selfadjointify(f + PerturbationSeries(2, {(1, 2, 3, 2): complex(*rng.normal(size=2))}))
+        assert any(i != j for (i, j, _, _) in f.coeffs) and f.total_degree >= 4
+        bounds = SectorBounds(gamma=0.5, delta1=0.5, delta2=20.0)
+        grids = [np.linspace(0.0, 1.5, 40), np.linspace(0.0, 1.2, 30)]
+        mask, _, _ = assert_scan_matches_phase_loop(f, bounds, grids)
+        assert 0 < np.count_nonzero(mask) < mask.size
+
+    def test_one_channel_series(self, rng):
+        f = selfadjointify(random_series(rng, p=1, n_terms=5, max_exp=4))
+        bounds = SectorBounds(gamma=0.5, delta1=0.5, delta2=20.0)
+        mask, _, _ = assert_scan_matches_phase_loop(f, bounds, [np.linspace(0.0, 2.0, 60)])
+        assert 0 < np.count_nonzero(mask) < mask.size
+
+    def test_zero_series(self):
+        bounds = SectorBounds(gamma=1.5, delta1=0.2, delta2=0.0)
+        grids = [np.linspace(0, 5, 7), np.linspace(0, 3, 4)]
+        _, m1, m2 = assert_scan_matches_phase_loop(PerturbationSeries(p=2), bounds, grids)
+        assert np.all(m2 == 0)
+        assert m1.shape == (7, 4)
+
+    def test_memory_stays_flat_on_the_region_grid(self):
+        params = OpaParams(1.0, 1.0, CHI)
+        bounds = SectorBounds(gamma=4.0, delta1=0.0, delta2=0.04)
+        _, series = build_opa(params)
+        grids = opa_region_extent(params, bounds)
+        tracemalloc.start()
+        try:
+            scan_sector_region(series, bounds, grids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one combination at a time; all 64 at once would take ~80 MB
+        assert peak < 5e6
 
 
 class TestSectorBounds:

@@ -71,3 +71,32 @@ class TestAtomicWrite:
         serialize.atomic_write_text(target, "two\n")
         assert target.read_text() == "two\n"
         assert [p.name for p in target.parent.iterdir()] == ["file.txt"]
+
+
+def row_loop_scan_csv(grids, mask, margin1, margin2):
+    """Reference scan CSV formatter: one f-string per cell."""
+    g1, g2 = (np.asarray(g, dtype=float) for g in grids)
+    lines = ["|z1|^2,|z2|^2,admissible,margin1,margin2"]
+    for i, a in enumerate(g1):
+        for j, b in enumerate(g2):
+            lines.append(
+                f"{float(a)!r},{float(b)!r},{int(mask[i, j])},"
+                f"{float(margin1[i, j])!r},{float(margin2[i, j])!r}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+class TestScanCsv:
+    def test_bytes_match_row_loop(self, rng):
+        # 0.1 + 0.2 needs 17 significant digits to round-trip
+        g1 = np.array([0.0, 0.1 + 0.2, 2.5, 1e-300])
+        g2 = np.array([0.0, 1.0 / 3.0, 7.0])
+        margin1 = rng.normal(size=(4, 3))
+        margin2 = rng.normal(size=(4, 3))
+        margin1[0, 0], margin1[1, 2], margin2[2, 1] = 0.0, -0.0, 0.1 + 0.2
+        mask = (margin1 >= 0) & (margin2 >= 0)
+        assert np.any(margin1 < 0) and np.any(mask) and not np.all(mask)
+        text = serialize.scan_csv([g1, g2], mask, margin1, margin2)
+        assert text == row_loop_scan_csv([g1, g2], mask, margin1, margin2)
+        assert "0.30000000000000004" in text
+
