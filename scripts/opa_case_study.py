@@ -16,7 +16,6 @@ import numpy as np
 
 from qstab import serialize
 from qstab.certify import certify
-from qstab.cli import gamma_search
 from qstab.opa import OpaParams, build_opa, closed_form_hinf, invariant_ellipsoid, lambda_bar, region_curve
 from qstab.perturbation import SectorBounds
 
@@ -33,7 +32,7 @@ def main():
     sys, _ = build_opa(params)
 
     norm = closed_form_hinf(params)
-    threshold = gamma_search(sys)
+    threshold = sys.hinf.threshold
     print(f"damping transfer norm     : {norm:.6f}")
     print(f"smallest certifiable gamma: {threshold:.6f} (= 2 * norm)")
 

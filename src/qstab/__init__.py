@@ -10,14 +10,7 @@ resulting mean-square bound on a truncated Fock space.
 
 # The pipeline entry point is qstab.certify.certify; it is not re-exported
 # here so the submodule name stays reachable as qstab.certify.
-from .certify import (
-    StabilityCertificate,
-    Verdict,
-    hinf_condition,
-    hinf_norm,
-    mu_constants,
-    solve_qmi,
-)
+from .certify import StabilityCertificate, Verdict, mu_constants, solve_qmi
 from .errors import (
     ConsistencyError,
     NotHurwitzError,
@@ -27,8 +20,8 @@ from .errors import (
     StructureError,
     TruncationError,
 )
-from .model import LinearQuantumSystem, structure_matrices, validate_system
-from .opa import OpaParams, build_opa, closed_form_hinf, gamma_condition, region_curve
+from .model import LinearQuantumSystem, hinf_norm, structure_matrices, validate_system
+from .opa import OpaParams, build_opa, closed_form_hinf, region_curve
 from .perturbation import (
     PerturbationSeries,
     SectorBounds,
@@ -51,8 +44,6 @@ __all__ = [
     "build_opa",
     "closed_form_hinf",
     "eval_semiclassical",
-    "gamma_condition",
-    "hinf_condition",
     "hinf_norm",
     "mu_constants",
     "partial_z",

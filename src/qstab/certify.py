@@ -2,10 +2,11 @@
 
 The certificate pipeline: read the Hurwitz verdict on the system's drift
 matrix F (its spectral abscissa, computed once when the system is built),
-evaluate the H-infinity small-gain condition in both its original and
-reduced forms, solve the quadratic matrix inequality for a block-form
-Lyapunov matrix P via a regularized Riccati equation, and assemble the
-explicit constants of the mean-square bound
+test the small-gain condition ||transfer|| < gamma / 2 against the norm the
+system owns (``LinearQuantumSystem.hinf``, computed once per system), solve
+the quadratic matrix inequality for a block-form Lyapunov matrix P via a
+regularized Riccati equation, and assemble the explicit constants of the
+mean-square bound
 
     <x(t)' x(t)>  <=  c1 * exp(-c2 t) * <x(0)' x(0)> + c3.
 """
@@ -18,16 +19,15 @@ from enum import Enum
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ConsistencyError, NotHurwitzError, QmiInfeasibleError, StructureError
-from .model import LinearQuantumSystem, structure_matrices
+from .errors import QmiInfeasibleError, StructureError
+from .model import (
+    LinearQuantumSystem, _realizations, _require_hurwitz, _stable, structure_matrices
+)
 from .perturbation import SectorBounds
 
 __all__ = [
     "Verdict",
     "StabilityCertificate",
-    "hinf_norm",
-    "hinf_condition",
-    "HinfResult",
     "qmi_lhs",
     "solve_qmi",
     "mu_constants",
@@ -36,126 +36,11 @@ __all__ = [
     "certify",
 ]
 
-HURWITZ_TOL = 1e-9
-NORM_RTOL = 1e-9
-NORM_AGREEMENT_RTOL = 1e-6
-
 
 class Verdict(str, Enum):
     CERTIFIED = "Certified"
     FAILED_HURWITZ = "FailedHurwitz"
     FAILED_SMALL_GAIN = "FailedSmallGain"
-
-
-def _stable(abscissa: float) -> bool:
-    """The Hurwitz verdict on a spectral abscissa."""
-    return abscissa < -HURWITZ_TOL
-
-
-def _require_hurwitz(abscissa: float) -> None:
-    if not _stable(abscissa):
-        raise NotHurwitzError(f"drift matrix not Hurwitz (abscissa {abscissa:.3e})")
-
-
-def _peak_gain(F: np.ndarray, B: np.ndarray, C: np.ndarray, omegas: np.ndarray) -> float:
-    """Largest sigma_max(C (iw - F)^-1 B) over the given frequencies, by direct solves."""
-    shifted = 1j * np.asarray(omegas)[:, None, None] * np.eye(F.shape[0]) - F
-    T = C @ np.linalg.solve(shifted, B)
-    return float(np.max(np.linalg.svd(T, compute_uv=False)[:, 0]))
-
-
-def hinf_norm(F: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
-    """H-infinity norm of C (sI - F)^-1 B for Hurwitz F (Bruinsma-Steinbuch).
-
-    A level d is crossed at the frequency w iff iw is an eigenvalue of
-
-        [[F, B B' / d], [-C' C / d, -F']],
-
-    so the level is an upper bound on the norm iff no eigenvalue lies on the
-    imaginary axis.  Starting from the attained gain ``lo`` at w = 0 and at
-    the resonances, each step tests the level (1 + 2 NORM_RTOL) lo and
-    raises ``lo`` to the largest gain at the midpoints between consecutive
-    crossings.  The first level that crosses nowhere is returned: a certified
-    upper bound within 2 NORM_RTOL of an attained gain.  A sharp peak can
-    leave eigenvalues just above it inside the axis tolerance; when a step
-    makes no progress the margin doubles instead, and the widened level is
-    still returned only once it crosses nowhere.
-    """
-    F = np.asarray(F, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    C = np.asarray(C, dtype=complex)
-    eigs = np.linalg.eigvals(F)
-    _require_hurwitz(float(np.max(eigs.real)))
-    if B.size == 0 or C.size == 0 or not (np.any(B) and np.any(C)):
-        return 0.0
-
-    BBt = B @ B.conj().T
-    CtC = C.conj().T @ C
-
-    def crossings(level: float) -> np.ndarray:
-        H = np.block([[F, BBt / level], [-CtC / level, -F.conj().T]])
-        eigs = np.linalg.eigvals(H)
-        tol = 1e-8 * (1.0 + float(np.max(np.abs(eigs))))
-        return np.sort(eigs.imag[np.abs(eigs.real) < tol])
-
-    resonances = eigs.imag
-    lo = _peak_gain(F, B, C, np.concatenate([[0.0], resonances, -resonances]))
-    if lo == 0.0:
-        # The probes found nothing; confirm the transfer function vanishes.
-        if crossings(1e-12).size == 0:
-            return 0.0
-        lo = 1e-12
-    step = NORM_RTOL
-    for _ in range(100):
-        level = (1.0 + 2.0 * step) * lo
-        omegas = crossings(level)
-        if omegas.size == 0:
-            return level
-        if omegas.size > 1:
-            omegas = 0.5 * (omegas[:-1] + omegas[1:])
-        peak = _peak_gain(F, B, C, omegas)
-        if peak > (1.0 + NORM_RTOL) * lo:
-            lo, step = peak, NORM_RTOL
-        else:
-            step *= 2.0
-    raise ConsistencyError("H-infinity iteration did not find an uncrossed level")
-
-
-def _realizations(Etilde: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(B, C) of the original and the reduced small-gain transfer function.
-
-    The output matrix is C = Etilde^# Sigma for the original form and
-    C = Etilde for the reduced one; in both the input matrix is B = J C'.
-    Sigma and J are signed permutations, so every product is exact.
-    """
-    sm = structure_matrices(Etilde.shape[1] // 2)
-    return tuple((sm.J @ C.conj().T, C) for C in (Etilde.conj() @ sm.Sigma, Etilde))
-
-
-@dataclass(frozen=True)
-class HinfResult:
-    hinf_primary: float
-    hinf_reduced: float
-    passed: bool
-
-
-def hinf_condition(sys: LinearQuantumSystem, gamma: float) -> HinfResult:
-    """Evaluate the small-gain condition ||transfer|| < gamma / 2.
-
-    Both the original and the reduced transfer-function norms are computed;
-    they are equal in exact arithmetic, and a disagreement beyond 1e-6
-    relative raises ConsistencyError (an implementation bug, not bad input).
-    """
-    if gamma <= 0:
-        raise StructureError(f"gamma must be positive, got {gamma}")
-    _require_hurwitz(sys.abscissa)
-    primary, reduced = (hinf_norm(sys.F, B, C) for B, C in _realizations(sys.Etilde))
-    if abs(primary - reduced) > NORM_AGREEMENT_RTOL * (1.0 + reduced):
-        raise ConsistencyError(
-            f"transfer-function norms disagree: original {primary:.12g} "
-            f"vs reduced {reduced:.12g}"
-        )
-    return HinfResult(primary, reduced, reduced < gamma / 2.0)
 
 
 def qmi_lhs(
@@ -376,9 +261,9 @@ def certify(
     found = {"gamma": bounds.gamma, "F": sys.F, "abscissa": sys.abscissa}
     if not _stable(sys.abscissa):
         return StabilityCertificate(Verdict.FAILED_HURWITZ, **found)
-    hinf = hinf_condition(sys, bounds.gamma)
+    hinf = sys.hinf
     found.update(hinf_primary=hinf.hinf_primary, hinf_reduced=hinf.hinf_reduced)
-    if not hinf.passed:
+    if not hinf.hinf_reduced < bounds.gamma / 2.0:
         return StabilityCertificate(Verdict.FAILED_SMALL_GAIN, **found)
     if eps is None:
         eps = default_regularization(sys.Etilde, bounds.gamma)

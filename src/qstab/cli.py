@@ -23,13 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import focksim, opa, serialize
-from .certify import Verdict, hinf_condition
+from .certify import Verdict
 from .certify import certify as run_certify
 from .errors import NotHurwitzError, QstabError, StructureError, TruncationError
 from .model import LinearQuantumSystem, validate_system
 from .perturbation import PerturbationSeries, SectorBounds, scan_sector_region
+from .serialize import json_number
 
-__all__ = ["RunConfig", "SimParams", "SweepSpec", "run", "gamma_search", "main"]
+__all__ = ["RunConfig", "SimParams", "SweepSpec", "run", "main"]
 
 EXIT_OK = 0
 EXIT_HURWITZ = 1
@@ -39,7 +40,6 @@ EXIT_CONFIG = 64
 EXIT_IO = 66
 
 IDENTITY_TOL = 1e-10
-GAMMA_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,19 +75,6 @@ class RunConfig:
     output: str | None = None
     grid: int = 200
     eps: float | None = None
-
-
-def gamma_search(sys: LinearQuantumSystem) -> float:
-    """Smallest gamma passing the small-gain condition ||transfer|| < gamma / 2.
-
-    The threshold is the closed form 2 * ||transfer||; the result is the
-    next float above it, so the strict condition holds at the result and
-    fails one float below it.  With a vanishing perturbation channel every
-    gamma passes and GAMMA_FLOOR is returned.  The sector offsets
-    delta1, delta2 do not move the threshold.
-    """
-    hinf = hinf_condition(sys, 1.0)  # raises NotHurwitzError when unstable
-    return max(GAMMA_FLOOR, float(np.nextafter(2.0 * hinf.hinf_reduced, np.inf)))
 
 
 # ---------------------------------------------------------------------------
@@ -157,15 +144,9 @@ def _pick(flag, doc: dict, key: str, default=None):
     return doc.get(key, default)
 
 
-def _number(value, kind=float):
-    """``kind(value)``, or None for None; a JSON boolean or a truncating int() is refused."""
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        raise StructureError(f"expected a number, got {json.dumps(value)}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise StructureError(f"expected an integer, got {value!r}")
-    return kind(value)
+def _optional(value, kind=float):
+    """None for an absent field, else its JSON number."""
+    return None if value is None else json_number(value, kind)
 
 
 def _path(value, what: str) -> str | None:
@@ -192,7 +173,7 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
     if kappa1 is not None or kappa2 is not None or chi is not None:
         if None in (kappa1, kappa2, chi):
             raise StructureError("OPA parameters need kappa1, kappa2 and chi")
-        opa_params = opa.OpaParams(_number(kappa1), _number(kappa2), _number(chi))
+        opa_params = opa.OpaParams(*map(json_number, (kappa1, kappa2, chi)))
     system_path = _path(args.system or system_doc.get("path"), "system path")
     series_path = _path(args.series or _section(doc, "series").get("path"), "series path")
 
@@ -201,9 +182,9 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
     bounds = None
     if gamma is not None:
         bounds = SectorBounds(
-            gamma=_number(gamma),
-            delta1=_number(_pick(args.delta1, bounds_doc, "delta1", 0.0)),
-            delta2=_number(_pick(args.delta2, bounds_doc, "delta2", 0.0)),
+            gamma=json_number(gamma),
+            delta1=json_number(_pick(args.delta1, bounds_doc, "delta1", 0.0)),
+            delta2=json_number(_pick(args.delta2, bounds_doc, "delta2", 0.0)),
         )
 
     sim_doc = _section(doc, "sim")
@@ -214,13 +195,13 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
     if alphas is None:
         alphas = [0.5, 0.5]
     parsed_alphas = tuple(
-        serialize.pair_to_complex(a) if isinstance(a, (list, tuple)) else _number(a, complex)
+        serialize.pair_to_complex(a) if isinstance(a, (list, tuple)) else json_number(a, complex)
         for a in alphas
     )
     sim = SimParams(
-        dim=_number(_pick(args.dim, sim_doc, "dim"), int),
-        dt=_number(_pick(args.dt, sim_doc, "dt")),
-        t_final=_number(_pick(args.t_final, sim_doc, "t_final")),
+        dim=_optional(_pick(args.dim, sim_doc, "dim"), int),
+        dt=_optional(_pick(args.dt, sim_doc, "dt")),
+        t_final=_optional(_pick(args.t_final, sim_doc, "t_final")),
         alphas=parsed_alphas,
     )
 
@@ -233,7 +214,9 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
         steps = _pick(args.steps, sweep_doc, "steps")
         if None in (start, stop, steps):
             raise StructureError("sweep needs parameter, start, stop and steps")
-        sweep = SweepSpec(str(parameter), _number(start), _number(stop), _number(steps, int))
+        sweep = SweepSpec(
+            str(parameter), json_number(start), json_number(stop), json_number(steps, int)
+        )
 
     return RunConfig(
         command=args.command,
@@ -244,8 +227,8 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
         sim=sim,
         sweep=sweep,
         output=_path(args.out or doc.get("output"), "output"),
-        grid=_number(_pick(args.grid, doc, "grid", 200), int),
-        eps=_number(_pick(args.eps, doc, "eps")),
+        grid=json_number(_pick(args.grid, doc, "grid", 200), int),
+        eps=_optional(_pick(args.eps, doc, "eps")),
     )
 
 
@@ -343,13 +326,13 @@ def _cmd_opa_region(config: RunConfig) -> int:
     if config.opa_params is None:
         raise StructureError("opa-region needs OPA parameters")
     bounds = _require_bounds(config)
-    curve = opa.region_curve(config.opa_params, bounds, max(config.grid, 2))
+    curve = opa.region_curve(config.opa_params, bounds, config.grid)
     lb = opa.lambda_bar(config.opa_params, bounds)
     _write_text(config, ".region.csv", serialize.region_csv(curve))
     if _out_path(config, "") is not None:
         # phase-sampled admissibility mask on the same extent as the curve
         _, series = opa.build_opa(config.opa_params)
-        n_cells = min(max(config.grid, 2), 100)
+        n_cells = min(config.grid, 100)
         grids = [
             np.linspace(0.0, curve.lambda_bar * 1.05, n_cells),
             np.linspace(0.0, max(curve.cap2, 1e-12) * 1.2, n_cells),
@@ -403,38 +386,30 @@ def _cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _sweep_value(config: RunConfig, bounds: SectorBounds, parameter: str, value: float):
-    params = config.opa_params
-    if parameter in ("gamma", "delta1", "delta2"):
-        bounds = replace(bounds, **{parameter: value})
-    elif parameter in ("kappa1", "kappa2", "chi"):
-        params = replace(params, **{parameter: value})
-    else:
-        raise StructureError(f"unknown sweep parameter {parameter!r}")
-    system, _ = opa.build_opa(params)
-    cert = run_certify(system, bounds, eps=config.eps)
-    return value, cert
-
-
 def _cmd_sweep(config: RunConfig) -> int:
     if config.sweep is None:
         raise StructureError("sweep needs --parameter/--start/--stop/--steps")
     if config.opa_params is None:
         raise StructureError("sweep operates on the OPA model; give its parameters")
     bounds = _require_bounds(config)
-    sweep = config.sweep
-    values = np.linspace(sweep.start, sweep.stop, sweep.steps)
-    results = [_sweep_value(config, bounds, sweep.parameter, float(v)) for v in values]
-    lines = [f"{sweep.parameter},verdict,hinf_reduced,c1,c2,c3"]
-    for value, cert in results:
-        c1 = "" if cert.c1 is None else repr(cert.c1)
-        c2 = "" if cert.c2 is None else repr(cert.c2)
-        c3 = "" if cert.c3 is None else repr(cert.c3)
+    sweep, params, name = config.sweep, config.opa_params, config.sweep.parameter
+    values = [float(v) for v in np.linspace(sweep.start, sweep.stop, sweep.steps)]
+    # points are made as the sweep reaches them, so a bad value raises there
+    if name in ("gamma", "delta1", "delta2"):
+        system, _ = opa.build_opa(params)  # shared, so its norms are computed once
+        points = ((system, replace(bounds, **{name: v})) for v in values)
+    elif name in ("kappa1", "kappa2", "chi"):
+        points = ((opa.build_opa(replace(params, **{name: v}))[0], bounds) for v in values)
+    else:
+        raise StructureError(f"unknown sweep parameter {name!r}")
+    certs = [run_certify(s, b, eps=config.eps) for s, b in points]
+    lines = [f"{name},verdict,hinf_reduced,c1,c2,c3"]
+    for value, cert in zip(values, certs):
+        consts = ",".join("" if c is None else repr(c) for c in (cert.c1, cert.c2, cert.c3))
         hinf = "" if not np.isfinite(cert.hinf_reduced) else repr(cert.hinf_reduced)
-        lines.append(f"{value!r},{cert.verdict.value},{hinf},{c1},{c2},{c3}")
+        lines.append(f"{value!r},{cert.verdict.value},{hinf},{consts}")
     _write_text(config, ".sweep.csv", "\n".join(lines) + "\n")
-    certified = sum(1 for _, cert in results if cert.certified)
-    print(f"certified {certified}/{len(results)} points")
+    print(f"certified {sum(cert.certified for cert in certs)}/{len(certs)} points")
     return EXIT_OK
 
 

@@ -5,6 +5,10 @@ channels is specified by the blocks (M1, M2) of the quadratic Hamiltonian,
 (N1, N2) of the coupling operator and (E1, E2) of the perturbation channel.
 All matrices act on the stacked vector [a; a#] of annihilation and creation
 operators.  The scattering matrix is fixed to the identity.
+
+The system also owns its Hurwitz verdict and the H-infinity norm of its
+small-gain transfer function, with the smallest gamma that passes the
+small-gain condition; none of these depends on the sector bounds.
 """
 
 from __future__ import annotations
@@ -14,11 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import ConsistencyError, NotHurwitzError, StructureError
 
 __all__ = [
     "StructureMatrices",
     "LinearQuantumSystem",
+    "HinfResult",
+    "hinf_norm",
     "SymmetryViolation",
     "structure_matrices",
     "validate_system",
@@ -27,6 +33,10 @@ __all__ = [
 # Validation tolerance relative to the largest entry; inputs are user-supplied
 # exact or near-exact constants, so this is generous.
 SYMMETRY_RTOL = 1e-10
+
+HURWITZ_TOL = 1e-9
+NORM_RTOL = 1e-9
+NORM_AGREEMENT_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,6 +71,108 @@ def _as_complex(name: str, value) -> np.ndarray:
     return arr
 
 
+def _stable(abscissa: float) -> bool:
+    """The Hurwitz verdict on a spectral abscissa."""
+    return abscissa < -HURWITZ_TOL
+
+
+def _require_hurwitz(abscissa: float) -> None:
+    if not _stable(abscissa):
+        raise NotHurwitzError(f"drift matrix not Hurwitz (abscissa {abscissa:.3e})")
+
+
+def _peak_gain(F: np.ndarray, B: np.ndarray, C: np.ndarray, omegas: np.ndarray) -> float:
+    """Largest sigma_max(C (iw - F)^-1 B) over the given frequencies, by direct solves."""
+    shifted = 1j * np.asarray(omegas)[:, None, None] * np.eye(F.shape[0]) - F
+    T = C @ np.linalg.solve(shifted, B)
+    return float(np.max(np.linalg.svd(T, compute_uv=False)[:, 0]))
+
+
+def hinf_norm(F: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
+    """H-infinity norm of C (sI - F)^-1 B for Hurwitz F (Bruinsma-Steinbuch).
+
+    A level d is crossed at the frequency w iff iw is an eigenvalue of
+
+        [[F, B B' / d], [-C' C / d, -F']],
+
+    so the level is an upper bound on the norm iff no eigenvalue lies on the
+    imaginary axis.  Starting from the attained gain ``lo`` at w = 0 and at
+    the resonances, each step tests the level (1 + 2 NORM_RTOL) lo and
+    raises ``lo`` to the largest gain at the midpoints between consecutive
+    crossings.  The first level that crosses nowhere is returned: a certified
+    upper bound within 2 NORM_RTOL of an attained gain.  A sharp peak can
+    leave eigenvalues just above it inside the axis tolerance; when a step
+    makes no progress the margin doubles instead, and the widened level is
+    still returned only once it crosses nowhere.
+    """
+    F = np.asarray(F, dtype=complex)
+    B = np.asarray(B, dtype=complex)
+    C = np.asarray(C, dtype=complex)
+    eigs = np.linalg.eigvals(F)
+    _require_hurwitz(float(np.max(eigs.real)))
+    if B.size == 0 or C.size == 0 or not (np.any(B) and np.any(C)):
+        return 0.0
+
+    BBt = B @ B.conj().T
+    CtC = C.conj().T @ C
+
+    def crossings(level: float) -> np.ndarray:
+        H = np.block([[F, BBt / level], [-CtC / level, -F.conj().T]])
+        eigs = np.linalg.eigvals(H)
+        tol = 1e-8 * (1.0 + float(np.max(np.abs(eigs))))
+        return np.sort(eigs.imag[np.abs(eigs.real) < tol])
+
+    resonances = eigs.imag
+    lo = _peak_gain(F, B, C, np.concatenate([[0.0], resonances, -resonances]))
+    if lo == 0.0:
+        # The probes found nothing; confirm the transfer function vanishes.
+        if crossings(1e-12).size == 0:
+            return 0.0
+        lo = 1e-12
+    step = NORM_RTOL
+    for _ in range(100):
+        level = (1.0 + 2.0 * step) * lo
+        omegas = crossings(level)
+        if omegas.size == 0:
+            return level
+        if omegas.size > 1:
+            omegas = 0.5 * (omegas[:-1] + omegas[1:])
+        peak = _peak_gain(F, B, C, omegas)
+        if peak > (1.0 + NORM_RTOL) * lo:
+            lo, step = peak, NORM_RTOL
+        else:
+            step *= 2.0
+    raise ConsistencyError("H-infinity iteration did not find an uncrossed level")
+
+
+def _realizations(Etilde: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(B, C) of the original and the reduced small-gain transfer function.
+
+    The output matrix is C = Etilde^# Sigma for the original form and
+    C = Etilde for the reduced one; in both the input matrix is B = J C'.
+    Sigma and J are signed permutations, so every product is exact.
+    """
+    sm = structure_matrices(Etilde.shape[1] // 2)
+    return tuple((sm.J @ C.conj().T, C) for C in (Etilde.conj() @ sm.Sigma, Etilde))
+
+
+@dataclass(frozen=True)
+class HinfResult:
+    """Original and reduced norms of the small-gain transfer function."""
+
+    hinf_primary: float
+    hinf_reduced: float
+
+    @property
+    def threshold(self) -> float:
+        """Smallest gamma passing the small-gain condition ||transfer|| < gamma / 2.
+
+        The next float above 2 * ||transfer||, so the condition fails one float
+        below it; the floor 1e-9 for a vanishing perturbation channel.
+        """
+        return max(1e-9, float(np.nextafter(2.0 * self.hinf_reduced, np.inf)))
+
+
 @dataclass(frozen=True)
 class LinearQuantumSystem:
     """Known linear part of the model: the six defining blocks, with shapes
@@ -72,8 +184,9 @@ class LinearQuantumSystem:
 
     with J_m = diag(I_m, -I_m); F is the drift matrix and ``abscissa`` the
     largest real part of its eigenvalues, the one Hurwitz verdict every
-    stage reads.  Instances are immutable values with read-only arrays;
-    ``dataclasses.replace`` re-derives the assembled matrices.
+    stage reads.  ``hinf`` holds both small-gain norms, computed on first
+    use.  Instances are immutable values with read-only arrays;
+    ``dataclasses.replace`` re-derives the assembled matrices and the norms.
     """
 
     M1: np.ndarray
@@ -130,6 +243,24 @@ class LinearQuantumSystem:
         object.__setattr__(
             self, "abscissa", float(np.max(np.linalg.eigvals(self.F).real))
         )
+
+    @functools.cached_property
+    def hinf(self) -> HinfResult:
+        """Both small-gain transfer norms, computed on first use and kept.
+
+        They depend on the system alone, not on gamma, delta1 or delta2.  A
+        drift matrix that is not Hurwitz raises NotHurwitzError.  The norms are
+        equal in exact arithmetic; a disagreement beyond 1e-6 relative raises
+        ConsistencyError (an implementation bug, not bad input).
+        """
+        _require_hurwitz(self.abscissa)
+        primary, reduced = (hinf_norm(self.F, B, C) for B, C in _realizations(self.Etilde))
+        if abs(primary - reduced) > NORM_AGREEMENT_RTOL * (1.0 + reduced):
+            raise ConsistencyError(
+                f"transfer-function norms disagree: original {primary:.12g} "
+                f"vs reduced {reduced:.12g}"
+            )
+        return HinfResult(primary, reduced)
 
     @property
     def n(self) -> int:

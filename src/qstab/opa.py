@@ -4,7 +4,7 @@ An OPA couples a fundamental cavity mode a1 and a second-harmonic mode a2
 through a chi(2) medium.  The interaction Hamiltonian
 i*chi*(a2' a1^2 - a1'^2 a2) is cubic, so the stability analysis goes through
 the sector-bounded perturbation machinery with z1 = a1', z2 = a2'.  This
-module provides the closed-form small-gain threshold and the admissible
+module provides the closed-form small-gain norm and the admissible
 region of mode amplitudes on which the sector bounds hold.
 """
 
@@ -24,7 +24,6 @@ __all__ = [
     "RegionCurve",
     "build_opa",
     "closed_form_hinf",
-    "gamma_condition",
     "region_z2_cap",
     "lambda_bar",
     "LambdaBar",
@@ -73,13 +72,6 @@ def build_opa(params: OpaParams) -> tuple[LinearQuantumSystem, PerturbationSerie
 def closed_form_hinf(params: OpaParams) -> float:
     """H-infinity norm of the damping transfer function: max(2/k1, 2/k2)."""
     return max(2.0 / params.kappa1, 2.0 / params.kappa2)
-
-
-def gamma_condition(params: OpaParams, gamma: float) -> bool:
-    """Small-gain test in closed form: max(2/k1, 2/k2) < gamma / 2 (strict)."""
-    if gamma <= 0:
-        raise StructureError(f"gamma must be positive, got {gamma}")
-    return closed_form_hinf(params) < gamma / 2.0
 
 
 def _knee(params: OpaParams, bounds: SectorBounds) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 from pathlib import Path
@@ -24,6 +25,7 @@ from .perturbation import PerturbationSeries
 
 __all__ = [
     "atomic_write_text",
+    "json_number",
     "complex_to_pair",
     "pair_to_complex",
     "matrix_to_json",
@@ -54,15 +56,29 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def json_number(value, kind=float):
+    """``kind(value)`` for a JSON number; a string, boolean or null is refused,
+    and so are a value that is not integral where ``kind`` is int and an
+    integer literal beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise StructureError(f"expected a number, got {json.dumps(value, default=repr)}")
+    if kind is int and not (isinstance(value, numbers.Integral) or value.is_integer()):
+        raise StructureError(f"expected an integer, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError as exc:
+        raise StructureError(f"number out of range: {value!r}") from exc
+
+
 def complex_to_pair(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
 
 
 def pair_to_complex(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2 or bool in map(type, pair):
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise StructureError(f"complex entries must be [re, im] pairs, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(json_number(pair[0]), json_number(pair[1]))
 
 
 def matrix_to_json(matrix: np.ndarray) -> list:
@@ -115,15 +131,15 @@ def series_from_json(doc: dict) -> PerturbationSeries:
     if not isinstance(doc["terms"], list):
         raise StructureError(f"series 'terms' must be a list, got {doc['terms']!r}")
     try:
-        p = int(doc["p"])
-    except (TypeError, ValueError) as exc:
+        p = json_number(doc["p"], int)
+    except StructureError as exc:
         raise StructureError(f"series 'p' must be an integer, got {doc['p']!r}") from exc
     coeffs = {}
     for term in doc["terms"]:
         try:
-            key = (int(term["i"]), int(term["j"]), int(term["k"]), int(term["l"]))
-            value = complex(float(term["re"]), float(term.get("im", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
+            key = tuple(json_number(term[name], int) for name in "ijkl")
+            value = complex(json_number(term["re"]), json_number(term.get("im", 0.0)))
+        except (KeyError, TypeError, StructureError) as exc:
             raise StructureError(f"malformed series term {term!r}") from exc
         coeffs[key] = coeffs.get(key, 0j) + value
     return PerturbationSeries(p=p, coeffs=coeffs)

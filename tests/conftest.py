@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from qstab.certify import HURWITZ_TOL
-from qstab.model import LinearQuantumSystem, structure_matrices
+from qstab.model import HURWITZ_TOL, LinearQuantumSystem, structure_matrices
 
 SEED = 20240811
 
@@ -12,7 +11,7 @@ SEED = 20240811
 ACCEPTANCE_CRITERIA = {
     1: "closed-form H-infinity reproduction over random mirror couplings",
     2: "original and reduced H-infinity norms agree on random systems",
-    3: "certification threshold and gamma search at the small-gain boundary",
+    3: "certification threshold and sys.hinf.threshold at the small-gain boundary",
     4: "Riccati solution validity and independently recomputed constants",
     5: "operator identities on the safe truncated subspace",
     6: "simulated mean-square bound and truncation consistency",

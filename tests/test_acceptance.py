@@ -10,13 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_block_P, random_system, record_criterion
-from qstab.certify import (
-    Verdict,
-    certify,
-    hinf_condition,
-    qmi_lhs,
-)
-from qstab.cli import gamma_search
+from qstab.certify import Verdict, certify, qmi_lhs
 from qstab.focksim import (
     build_algebra,
     check_commutator_identities,
@@ -50,7 +44,7 @@ def test_criterion_1_closed_form_hinf_reproduction():
         kappa1, kappa2 = rng.uniform(0.2, 5.0, size=2)
         params = OpaParams(float(kappa1), float(kappa2), 0.1)
         sys, _ = build_opa(params)
-        res = hinf_condition(sys, gamma=1.0)
+        res = sys.hinf
         expected = closed_form_hinf(params)
         ok &= abs(res.hinf_reduced - expected) <= 1e-6 * expected
     elapsed = time.perf_counter() - t0
@@ -66,7 +60,7 @@ def test_criterion_2_norm_equivalence_on_random_systems():
     for _ in range(100):
         n = int(rng.integers(1, 4))
         sys = random_system(rng, n=n, p=int(rng.integers(1, 4)))
-        res = hinf_condition(sys, gamma=1.0)
+        res = sys.hinf
         ok &= abs(res.hinf_primary - res.hinf_reduced) <= 1e-6 * (1.0 + res.hinf_reduced)
     elapsed = time.perf_counter() - t0
     record_criterion(2, ok and elapsed < 30.0)
@@ -78,7 +72,7 @@ def test_criterion_3_certification_threshold():
     sys, _ = build_opa(OpaParams(1.0, 2.0, 0.1))
     above = certify(sys, SectorBounds(gamma=4.001, delta1=0.1, delta2=0.1))
     below = certify(sys, SectorBounds(gamma=3.999, delta1=0.1, delta2=0.1))
-    gamma_star = gamma_search(sys)
+    gamma_star = sys.hinf.threshold
     ok = (
         above.verdict is Verdict.CERTIFIED
         and below.verdict is Verdict.FAILED_SMALL_GAIN

@@ -7,16 +7,12 @@ from qstab.certify import (
     Verdict,
     certificate_constants,
     certify,
-    hinf_condition,
-    hinf_norm,
     mu_constants,
     qmi_lhs,
     solve_qmi,
-    _realizations,
 )
-from qstab.cli import gamma_search
 from qstab.errors import NotHurwitzError, QmiInfeasibleError, StructureError
-from qstab.model import LinearQuantumSystem, structure_matrices
+from qstab.model import LinearQuantumSystem, _realizations, hinf_norm, structure_matrices
 from qstab.opa import OpaParams, build_opa
 from qstab.perturbation import SectorBounds
 
@@ -179,29 +175,32 @@ class TestHinfNorm:
 
 
 class TestHinfCondition:
+    # the norms are the system's own; certify's verdict is the condition
     def test_opa_pass(self):
-        res = hinf_condition(opa_system(1.0, 2.0), gamma=4.5)
+        sys = opa_system(1.0, 2.0)
+        res = sys.hinf
         assert res.hinf_primary == pytest.approx(2.0, rel=1e-8)
         assert res.hinf_reduced == pytest.approx(2.0, rel=1e-8)
-        assert res.passed
+        assert certify(sys, SectorBounds(gamma=4.5)).verdict is Verdict.CERTIFIED
 
     def test_opa_fail(self):
-        res = hinf_condition(opa_system(1.0, 2.0), gamma=3.9)
+        sys = opa_system(1.0, 2.0)
+        res = sys.hinf
         assert res.hinf_reduced == pytest.approx(2.0, rel=1e-8)
-        assert not res.passed
+        assert certify(sys, SectorBounds(gamma=3.9)).verdict is Verdict.FAILED_SMALL_GAIN
 
     def test_vanishing_channel_passes_any_gamma(self):
         sys = dissipative_system([1.0, 2.0])
-        res = hinf_condition(sys, gamma=1e-6)
+        res = sys.hinf
         assert res.hinf_primary == 0.0
         assert res.hinf_reduced == 0.0
-        assert res.passed
+        assert certify(sys, SectorBounds(gamma=1e-6)).verdict is Verdict.CERTIFIED
 
     def test_equivalence_on_random_systems(self, rng):
         for _ in range(25):
             n = int(rng.integers(1, 4))
             sys = random_system(rng, n=n, p=int(rng.integers(1, 4)))
-            res = hinf_condition(sys, gamma=1.0)
+            res = sys.hinf
             assert abs(res.hinf_primary - res.hinf_reduced) <= 1e-6 * (
                 1 + res.hinf_reduced
             )
@@ -368,7 +367,7 @@ class TestCertify:
         # E1 and E2 both nonzero, where the paired Riccati data can miss a
         # certificate; on these two seeds the stabilizing solution is one
         sys = random_system(np.random.default_rng(seed), n=2, p=2)
-        gamma = 1.5 * 2.0 * hinf_condition(sys, 1.0).hinf_reduced
+        gamma = 1.5 * 2.0 * sys.hinf.hinf_reduced
         bounds = SectorBounds(gamma=gamma, delta1=0.1, delta2=0.1)
         cert = certify(sys, bounds)
         assert cert.verdict is Verdict.CERTIFIED
@@ -392,12 +391,12 @@ def _threshold_systems():
 
 class TestExactThreshold:
     def test_verdict_at_and_just_below_the_threshold(self):
-        # gamma_search returns the first float passing the strict small-gain
+        # the threshold is the first float passing the strict small-gain
         # test; certify must answer there without raising, and one float
         # below it the test fails
         certified = 0
         for sys in _threshold_systems():
-            gamma = gamma_search(sys)
+            gamma = sys.hinf.threshold
             bounds = SectorBounds(gamma=gamma, delta1=0.1, delta2=0.1)
             cert = certify(sys, bounds)
             assert cert.verdict in (Verdict.CERTIFIED, Verdict.FAILED_SMALL_GAIN)
@@ -449,12 +448,12 @@ class TestCertificateContract:
             # k = 6 lands in the boundary band: the norm passes, the solve does not
             exits.append(certify_exit(opa, SectorBounds(gamma=4.0 * (1.0 + 10.0**-k))))
         for sys in _threshold_systems():
-            gamma = gamma_search(sys)
+            gamma = sys.hinf.threshold
             for g in (gamma, float(np.nextafter(gamma, 0.0))):
                 exits.append(certify_exit(sys, SectorBounds(gamma=g, delta1=0.1, delta2=0.1)))
         for seed in range(6):
             sys = random_system(np.random.default_rng(seed), n=2, p=2)
-            gamma = 1.05 * 2.0 * hinf_condition(sys, 1.0).hinf_reduced
+            gamma = 1.05 * 2.0 * sys.hinf.hinf_reduced
             exits.append(certify_exit(sys, SectorBounds(gamma=gamma)))
         zero = np.zeros((1, 1))
         for N2 in (zero, [[0.1]]):

@@ -7,8 +7,8 @@ from sys import executable
 import numpy as np
 import pytest
 
+import qstab.model
 from qstab import cli, serialize
-from qstab.certify import hinf_condition
 from qstab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -16,7 +16,6 @@ from qstab.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_SMALL_GAIN,
-    gamma_search,
     main,
 )
 from qstab.errors import NotHurwitzError
@@ -47,30 +46,30 @@ def opa_flags(out, gamma="4.5"):
 class TestGammaSearch:
     def test_opa_threshold(self):
         sys, _ = build_opa(OpaParams(1.0, 2.0, 0.1))
-        assert gamma_search(sys) == pytest.approx(4.0, abs=1e-4)
+        assert sys.hinf.threshold == pytest.approx(4.0, abs=1e-4)
 
     def test_equal_couplings(self):
         sys, _ = build_opa(OpaParams(4.0, 4.0, 0.1))
-        assert gamma_search(sys) == pytest.approx(1.0, abs=1e-4)
+        assert sys.hinf.threshold == pytest.approx(1.0, abs=1e-4)
 
     def test_result_is_the_exact_threshold(self):
         sys, _ = build_opa(OpaParams(1.0, 2.0, 0.1))
-        g = gamma_search(sys)
-        assert hinf_condition(sys, g).passed
-        assert not hinf_condition(sys, np.nextafter(g, 0)).passed
+        g = sys.hinf.threshold
+        assert sys.hinf.hinf_reduced < g / 2.0
+        assert not sys.hinf.hinf_reduced < np.nextafter(g, 0) / 2.0
 
     def test_vanishing_channel_returns_floor(self):
         zero = np.zeros((2, 2))
         sys = LinearQuantumSystem(
             M1=zero, M2=zero, N1=np.eye(2), N2=zero, E1=zero, E2=zero
         )
-        assert gamma_search(sys) == pytest.approx(1e-9)
+        assert sys.hinf.threshold == pytest.approx(1e-9)
 
     def test_undamped_system_raises(self):
         zero = np.zeros((1, 1))
         sys = LinearQuantumSystem(M1=zero, M2=zero, N1=zero, N2=zero, E1=zero, E2=zero)
         with pytest.raises(NotHurwitzError):
-            gamma_search(sys)
+            sys.hinf.threshold
 
 
 class TestCertifyCommand:
@@ -257,6 +256,48 @@ class TestSweepCommand:
         assert flips == 1
 
 
+class TestSweepSharesTheNorm:
+    """A gamma or delta sweep builds one system and computes its two norms
+    once; a kappa or chi sweep builds a system, and two norms, per point.
+    Every point runs one certify call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"hinf_norm": 0, "run_certify": 0}
+        for module, name in ((qstab.model, "hinf_norm"), (cli, "run_certify")):
+            def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "parameter, start, stop, steps, norms",
+        [
+            ("gamma", "3.0", "6.0", 16, 2),
+            ("delta1", "0.0", "0.5", 4, 2),
+            ("delta2", "0.0", "0.5", 4, 2),
+            ("kappa1", "0.5", "2.0", 4, 8),
+            ("chi", "0.05", "0.2", 4, 8),
+        ],
+    )
+    def test_norm_and_certify_calls(self, tmp_path, calls, parameter, start, stop, steps, norms):
+        args = ["sweep", *opa_flags(tmp_path / "s"), "--parameter", parameter,
+                "--start", start, "--stop", stop, "--steps", str(steps)]
+        assert main(args) == EXIT_OK
+        assert len((tmp_path / "s.sweep.csv").read_text().splitlines()) == steps + 1
+        assert calls == {"hinf_norm": norms, "run_certify": steps}
+
+    def test_region_and_validate_compute_no_norm(self, tmp_path, calls):
+        sys, _ = build_opa(OpaParams(1.0, 2.0, 0.1))
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(serialize.system_to_json(sys)))
+        assert main(["validate", "--system", str(path)]) == EXIT_OK
+        assert main(["opa-region", *opa_flags(tmp_path / "r"), "--grid", "20"]) == EXIT_OK
+        assert calls == {"hinf_norm": 0, "run_certify": 0}
+
+
 class TestCheckIdentitiesCommand:
     def test_opa_identities_pass(self, tmp_path):
         out = tmp_path / "ids"
@@ -327,6 +368,17 @@ class TestFileDrivenInputs:
 
 
 _OPA_FLAGS = ["--kappa1", "1", "--kappa2", "2", "--chi", "0.1"]
+# a self-adjoint term, z1 z1* with a real coefficient
+_TERM = {"i": 1, "j": 1, "k": 1, "l": 1, "re": 0.5}
+# a damped mode, N1 = 1, whose N1 entry is given as a pair of strings
+_STRING_ENTRY_SYSTEM = {
+    "M1": [[[0, 0]]], "M2": [[[0, 0]]], "N1": [[["1", "0"]]],
+    "N2": [[[0, 0]]], "E1": [[[0, 0]]], "E2": [[[1, 0]]],
+}
+
+
+def _series_with(**fields):
+    return {"p": 2, "terms": [{**_TERM, **fields}]}
 
 
 class TestConfigHandling:
@@ -387,8 +439,16 @@ class TestConfigHandling:
             (["certify", "--gamma", "4.5"], "--system", 5),
             (["check-identities", *_OPA_FLAGS], "--series", {"p": 1, "terms": 5}),
             (["check-identities", *_OPA_FLAGS], "--series", {"p": "x", "terms": []}),
+            (["check-identities", *_OPA_FLAGS], "--series", {"p": 2.7, "terms": [_TERM]}),
+            (["check-identities", *_OPA_FLAGS], "--series", _series_with(i=1.9)),
+            (["check-identities", *_OPA_FLAGS], "--series", _series_with(j="1")),
+            (["check-identities", *_OPA_FLAGS], "--series", _series_with(k=True)),
+            (["check-identities", *_OPA_FLAGS], "--series", _series_with(re="0.5")),
+            (["certify", "--gamma", "4.5"], "--system", _STRING_ENTRY_SYSTEM),
         ],
-        ids=["system-not-an-object", "terms-not-a-list", "p-not-an-integer"],
+        ids=["system-not-an-object", "terms-not-a-list", "p-not-an-integer",
+             "p-fractional", "term-index-fractional", "term-index-string",
+             "term-power-boolean", "term-coefficient-string", "system-entry-string"],
     )
     def test_malformed_input_file_is_config_error(self, tmp_path, command, flag, content):
         path = tmp_path / "input.json"
@@ -409,10 +469,13 @@ class TestConfigHandling:
             ("simulate", "--alpha1", "nan"),
             ("simulate", "--alpha2", "inf"),
             ("simulate", "--alpha1", "1e200"),
+            ("opa-region", "--grid", "1"),
+            ("opa-region", "--grid", "0"),
+            ("opa-region", "--grid", "-5"),
         ],
         ids=["steps-negative", "steps-zero", "dt-zero", "dt-nan", "t-final-negative",
              "eps-nan", "eps-negative", "eps-zero", "alpha1-nan", "alpha2-inf",
-             "alpha1-overflow"],
+             "alpha1-overflow", "grid-one", "grid-zero", "grid-negative"],
     )
     def test_malformed_run_parameter_is_config_error(self, tmp_path, command, flag, value):
         args = [command, *opa_flags(tmp_path / "run", gamma="8.0"), "--dim", "5", flag, value]
@@ -421,6 +484,7 @@ class TestConfigHandling:
         assert main(args) == EXIT_CONFIG
         assert not (tmp_path / "run.trajectory.csv").exists()
         assert not (tmp_path / "run.sweep.csv").exists()
+        assert not (tmp_path / "run.region.csv").exists()
 
     @pytest.mark.parametrize(
         "command, section, value",
@@ -441,11 +505,17 @@ class TestConfigHandling:
             ("certify", "grid", 5.9),
             ("certify", "sweep", {"parameter": "gamma", "start": 3, "stop": 6, "steps": 2.5}),
             ("simulate", "sim", {"alpha": [[True, 0], 0.5]}),
+            ("certify", "bounds", {"gamma": "8"}),
+            ("certify", "system", {"opa": {"kappa1": "1", "kappa2": 1, "chi": 0.05}}),
+            ("certify", "grid", "50"),
+            ("simulate", "sim", {"alpha": [["0.5", "0"], 0.5]}),
+            ("certify", "bounds", {"gamma": 10**400}),
         ],
         ids=["dt-string", "t-final-string", "dt-boolean", "eps-string", "alpha-not-a-list",
              "dim-list", "grid-object", "kappa1-list", "sweep-start-list", "system-path-number",
              "series-path-list", "output-number", "dim-fractional", "grid-fractional",
-             "steps-fractional", "alpha-pair-boolean"],
+             "steps-fractional", "alpha-pair-boolean", "gamma-string", "kappa1-string",
+             "grid-string", "alpha-pair-string", "gamma-integer-overflow"],
     )
     def test_wrong_json_type_is_config_error(self, tmp_path, command, section, value):
         config = {

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qstab.model
 from conftest import random_system
-from qstab.errors import StructureError
+from qstab.certify import Verdict, certify
+from qstab.errors import NotHurwitzError, StructureError
 from qstab.model import (
     LinearQuantumSystem,
     structure_matrices,
     validate_system,
 )
 from qstab.opa import OpaParams, build_opa
+from qstab.perturbation import SectorBounds
 
 
 def single_mode(M1, M2):
@@ -156,3 +159,43 @@ class TestAssembledMatrices:
         assert structure_matrices(3) is sm
         with pytest.raises(ValueError):
             sm.J[0, 0] = 0.0
+
+
+class TestSmallGainNorm:
+    @pytest.fixture
+    def norm_calls(self, monkeypatch):
+        calls = []
+        original = qstab.model.hinf_norm
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(qstab.model, "hinf_norm", counting)
+        return calls
+
+    def test_computed_on_first_use_and_kept(self, norm_calls):
+        sys, _ = build_opa(OpaParams(kappa1=1.0, kappa2=2.0, chi=0.1))
+        assert norm_calls == []
+        first = sys.hinf
+        assert sys.hinf is first
+        certify(sys, SectorBounds(gamma=4.5))
+        certify(sys, SectorBounds(gamma=3.0))
+        assert len(norm_calls) == 2
+        assert first.hinf_reduced == pytest.approx(2.0, rel=1e-8)
+
+    def test_replace_rederives_the_norms(self, norm_calls):
+        sys, _ = build_opa(OpaParams(kappa1=1.0, kappa2=2.0, chi=0.1))
+        assert sys.hinf.hinf_reduced == pytest.approx(2.0, rel=1e-8)
+        # N1 = diag(sqrt(kappa)), so this is kappa = (4, 4) and a norm of 2/4
+        faster = dataclasses.replace(sys, N1=np.diag([2.0, 2.0]))
+        assert faster.hinf.hinf_reduced == pytest.approx(0.5, rel=1e-8)
+        assert len(norm_calls) == 4
+
+    def test_unstable_system_builds_and_fails_without_a_norm(self, norm_calls):
+        sys = single_mode(np.array([[0.9]]), np.array([[0.0]]))
+        validate_system(sys)
+        assert certify(sys, SectorBounds(gamma=1.0)).verdict is Verdict.FAILED_HURWITZ
+        assert norm_calls == []
+        with pytest.raises(NotHurwitzError):
+            sys.hinf

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qstab.certify import certify, hinf_condition
+from qstab.certify import certify
 from qstab.errors import StructureError
 from qstab.opa import (
     OpaParams,
     build_opa,
     closed_form_hinf,
-    gamma_condition,
     invariant_ellipsoid,
     lambda_bar,
     region_curve,
@@ -48,18 +47,10 @@ class TestClosedFormHinf:
             kappa1, kappa2 = rng.uniform(0.2, 5.0, size=2)
             params = OpaParams(kappa1, kappa2, 0.1)
             sys, _ = build_opa(params)
-            res = hinf_condition(sys, gamma=1.0)
+            res = sys.hinf
             assert abs(res.hinf_reduced - closed_form_hinf(params)) <= 1e-8 * (
                 1 + closed_form_hinf(params)
             )
-
-
-class TestGammaCondition:
-    def test_threshold(self):
-        params = OpaParams(1.0, 2.0, 0.1)
-        assert gamma_condition(params, 4.01)
-        assert not gamma_condition(params, 4.0)  # strict inequality
-        assert gamma_condition(OpaParams(4.0, 4.0, 0.1), 1.01)
 
 
 class TestRegionCap:
