@@ -6,18 +6,26 @@ only matrix elements near the truncation edge, so an identity built from
 operators of ladder degree d is asserted on the safe subspace of states
 whose per-mode excitation stays at or below dim - 1 - d.
 
+Every operator is stored by its flat diagonals: entry M[r, r + o] of the
+D x D matrix for each of a few offsets o.  A truncated ladder operator is a
+single diagonal, and a short polynomial in ladder operators has only a
+handful, so a product costs O(D) per pair of diagonals instead of the
+O(D^3) of a dense product.  The same storage serves stacks of operators,
+which share their offsets.  No function here returns a dense operator;
+``toarray`` and ``tocsr`` convert one.
+
 The same algebra drives a density-matrix integrator for the master equation
 
     drho/dt = -i [H, rho] + sum_k ( L_k rho L_k' - (1/2) {L_k' L_k, rho} )
 
-used to check the certified mean-square bound empirically.  The integrator
-steps only the entries of rho that the trace and x'x depend on: the closure
-of the diagonal under the sparsity of the Liouvillian superoperator.  For
-the OPA this is the block that conserves q = N_left - N_right with
-N = n1 + 2 n2 (Buca & Prosen, New J. Phys. 14 (2012)), found from the
-sparsity alone; a system with nothing to decouple keeps every entry.
-Positivity is then checked on the dephased state that is evolved, not on
-the full rho.
+used to check the certified mean-square bound empirically.  Its operators
+are converted to CSR once.  The integrator steps only the entries of rho
+that the trace and x'x depend on: the closure of the diagonal under the
+sparsity of the Liouvillian superoperator.  For the OPA this is the block
+that conserves q = N_left - N_right with N = n1 + 2 n2 (Buca & Prosen,
+New J. Phys. 14 (2012)), found from the sparsity alone; a system with
+nothing to decouple keeps every entry.  Positivity is then checked on the
+dephased state that is evolved, not on the full rho.
 """
 
 from __future__ import annotations
@@ -54,24 +62,208 @@ __all__ = [
 ]
 
 
+class _Diagonals:
+    """A D x D operator, or a stack of them, stored by its flat diagonals.
+
+    ``data[..., j, r] = M[r, r + offsets[j]]``, zero where the column falls
+    outside the space; ``offsets`` is sorted and free of repeats.  Leading
+    axes of ``data`` index a stack of operators that share the offsets, and
+    every operation broadcasts over them.
+    """
+
+    __slots__ = ("offsets", "data")
+    __array_ufunc__ = None  # so that ndarray * op defers to __rmul__
+
+    def __init__(self, offsets: np.ndarray, data: np.ndarray):
+        self.offsets = offsets
+        self.data = data
+
+    @property
+    def dim(self) -> int:
+        return self.data.shape[-1]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape[:-2] + (self.dim, self.dim)
+
+    def __len__(self) -> int:
+        if self.data.ndim < 3:
+            raise TypeError("a single operator is not a stack")
+        return self.data.shape[0]
+
+    def __getitem__(self, index) -> _Diagonals:
+        """Operators of the stack at ``index``."""
+        if self.data.ndim < 3:
+            raise TypeError("a single operator is not a stack")
+        return _Diagonals(self.offsets, self.data[index])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __neg__(self) -> _Diagonals:
+        return _Diagonals(self.offsets, -self.data)
+
+    def __mul__(self, c) -> _Diagonals:
+        """Scalar multiple; an array of scalars multiplies the stack layer by layer."""
+        return _Diagonals(self.offsets, self.data * np.asarray(c)[..., None, None])
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: _Diagonals) -> _Diagonals:
+        if not isinstance(other, _Diagonals):
+            return NotImplemented
+        if np.array_equal(self.offsets, other.offsets):
+            return _Diagonals(self.offsets, self.data + other.data)
+        return _stack([self, other]).sum()
+
+    def __sub__(self, other: _Diagonals) -> _Diagonals:
+        return self + (-other)
+
+    def __matmul__(self, other: _Diagonals) -> _Diagonals:
+        # (AB)[r, r + oa + ob] = sum A[r, r + oa] B[r + oa, r + oa + ob] over
+        # the pairs of diagonals; one real matrix product does the sum.
+        offsets, ia, starts, fold = _product_plan(
+            self.offsets.tobytes(), other.offsets.tobytes(), self.dim
+        )
+        reads = starts[:, None] + np.arange(self.dim)
+        left = np.take(self.data, ia, axis=-2)
+        right = np.take(_flat(other.data), reads, axis=-1, mode="clip")
+        terms = np.multiply(left, right, order="C")
+        return _Diagonals(offsets, np.matmul(fold, terms.view(float)).view(complex))
+
+    def adjoint(self) -> _Diagonals:
+        offsets, reads, inside = _adjoint_plan(self.offsets.tobytes(), self.dim)
+        return _Diagonals(offsets, np.take(_flat(self.data), reads, axis=-1).conj() * inside)
+
+    def sum(self) -> _Diagonals:
+        """Sum of the stack along its first axis."""
+        return _Diagonals(self.offsets, self.data.sum(axis=0))
+
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows and columns of the stored entries inside the space, and their mask."""
+        d = self.dim
+        rows = np.broadcast_to(np.arange(d), (self.offsets.size, d))
+        cols = rows + self.offsets[:, None]
+        inside = (cols >= 0) & (cols < d)
+        return rows[inside], cols[inside], inside
+
+    def toarray(self) -> np.ndarray:
+        rows, cols, inside = self._entries()
+        out = np.zeros(self.shape, dtype=complex)
+        out[..., rows, cols] = self.data[..., inside]
+        return out
+
+    def tocsr(self) -> sparse.csr_array:
+        """CSR matrix of a single operator, without the stored zeros."""
+        rows, cols, inside = self._entries()
+        values = self.data[inside]
+        nonzero = values != 0
+        return sparse.csr_array(
+            (values[nonzero], (rows[nonzero], cols[nonzero])), shape=self.shape
+        )
+
+
+def _flat(data: np.ndarray) -> np.ndarray:
+    """Diagonals of each operator laid end to end."""
+    return data.reshape(data.shape[:-2] + (data.shape[-2] * data.shape[-1],))
+
+
+@functools.lru_cache(maxsize=256)
+def _product_plan(oa_key: bytes, ob_key: bytes, d: int):
+    """How to multiply operators with offsets oa and ob in a space of
+    dimension d, for the pairs of diagonals whose offsets add up to one
+    inside the space: the product's offsets; the left diagonal of each
+    pair; the position in the right operator's flat data that row 0 of the
+    pair reads, B[oa, oa + ob]; and the 0/1 matrix that sums each pair into
+    its offset.  Row r reads r positions further on.  Where r + oa leaves
+    the space that read lands on a neighbouring diagonal, or is clipped to
+    the ends, but A[r, r + oa] is zero there.
+
+    A few offset patterns cover every product, so plans are kept, read-only,
+    by the bytes of the offsets."""
+    oa, ob = np.frombuffer(oa_key, dtype=int), np.frombuffer(ob_key, dtype=int)
+    sums = (oa[:, None] + ob[None, :]).ravel()
+    pairs = np.flatnonzero(np.abs(sums) < d)
+    offsets, which = np.unique(sums[pairs], return_inverse=True)
+    fold = np.zeros((offsets.size, pairs.size))
+    fold[which, np.arange(pairs.size)] = 1.0
+    ia, ib = np.divmod(pairs, ob.size)
+    starts = ib * d + oa[ia]
+    for array in (offsets, ia, starts, fold):
+        array.setflags(write=False)
+    return offsets, ia, starts, fold
+
+
+@functools.lru_cache(maxsize=256)
+def _adjoint_plan(key: bytes, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets of the adjoint of an operator with the given offsets, where
+    in its flat data each entry of the adjoint is read, and which entries
+    fall inside the space: A'[r, r - o] = conj(A[r - o, r]) is diagonal o of
+    A read at row r - o."""
+    source = np.frombuffer(key, dtype=int)[::-1]
+    rows = np.arange(d) - source[:, None]
+    inside = (rows >= 0) & (rows < d)
+    reads = np.arange(source.size - 1, -1, -1)[:, None] * d + np.clip(rows, 0, d - 1)
+    offsets = -source
+    for array in (offsets, reads, inside):
+        array.setflags(write=False)
+    return offsets, reads, inside
+
+
+@functools.lru_cache(maxsize=256)
+def _union_plan(keys: tuple[bytes, ...]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The union of several offset arrays, given by their bytes, and where
+    each array's offsets sit in it."""
+    parts = [np.frombuffer(key, dtype=int) for key in keys]
+    offsets = np.unique(np.concatenate(parts))
+    places = tuple(np.searchsorted(offsets, part) for part in parts)
+    for array in [offsets, *places]:
+        array.setflags(write=False)
+    return offsets, places
+
+
+def _stack(ops: list[_Diagonals]) -> _Diagonals:
+    """Operators, or stacks that broadcast together, stacked along a new
+    first axis on the union of their offsets."""
+    offsets, places = _union_plan(tuple(op.offsets.tobytes() for op in ops))
+    shape = np.broadcast_shapes(*(op.data.shape[:-2] for op in ops))
+    data = np.zeros((len(ops),) + shape + (offsets.size, ops[0].dim), dtype=complex)
+    for layer, place, op in zip(data, places, ops):
+        layer[..., place, :] = op.data
+    return _Diagonals(offsets, data)
+
+
+def _identity(d: int) -> _Diagonals:
+    return _Diagonals(np.zeros(1, dtype=int), np.ones((1, d), dtype=complex))
+
+
+def _comm(A: _Diagonals, B: _Diagonals) -> _Diagonals:
+    AB, BA = A @ B, B @ A  # the same offset pairs, so the same offsets
+    return _Diagonals(AB.offsets, AB.data - BA.data)
+
+
 @dataclass(frozen=True)
 class TruncatedAlgebra:
     """Doubled operator vector x = [a_1..a_n, a_1'..a_n'] on the tensor-product space.
 
-    ``x`` is one read-only (2n, D, D) stack with D = dim**modes, built once
-    by ``build_algebra``; ``a`` is its first n layers and x[n:] holds their
-    conjugate transposes.  [a_i, a_j'] = delta_ij holds exactly on states
-    whose mode-i excitation is at most dim - 2; the defect is confined to
-    the truncation edge.
+    ``x`` is one read-only stack of 2n operators with D = dim**modes,
+    built once by ``build_algebra``; ``a`` is its first n layers and x[n:]
+    holds their adjoints.  Mode i shifts the flat index by dim**(n-1-i), so
+    a_i is the single diagonal at that offset and a_i' the one at minus it.
+    ``xx`` is the (2n, 2n) stack of the products x_a' x_b, from which every
+    quadratic form is one contraction.  [a_i, a_j'] = delta_ij holds exactly
+    on states whose mode-i excitation is at most dim - 2; the defect is
+    confined to the truncation edge.
     """
 
     modes: int
     dim: int
-    x: np.ndarray = field(repr=False)
+    x: _Diagonals = field(repr=False)
+    xx: _Diagonals = field(repr=False)
     excitations: np.ndarray = field(repr=False)  # (total_dim, modes) int
 
     @property
-    def a(self) -> np.ndarray:
+    def a(self) -> _Diagonals:
         return self.x[: self.modes]
 
     @property
@@ -84,18 +276,22 @@ def build_algebra(modes: int, dim: int) -> TruncatedAlgebra:
         raise StructureError(f"mode count must be positive, got {modes}")
     if dim < 3:
         raise TruncationError(f"need at least 3 Fock levels per mode, got {dim}")
-    ladder = np.diag(np.sqrt(np.arange(1, dim)), k=1)
-    x = np.empty((2 * modes, dim**modes, dim**modes), dtype=complex)
-    for i in range(modes):
-        factors = [np.eye(dim)] * modes
-        factors[i] = ladder
-        x[i] = functools.reduce(np.kron, factors)
-    x[modes:] = x[:modes].conj().transpose(0, 2, 1)
-    x.setflags(write=False)
     levels = np.arange(dim)
     grids = np.meshgrid(*([levels] * modes), indexing="ij")
     exc = np.stack([g.ravel() for g in grids], axis=1)
-    return TruncatedAlgebra(modes=modes, dim=dim, x=x, excitations=exc)
+    strides = dim ** np.arange(modes - 1, -1, -1)
+    offsets = np.r_[-strides, strides[::-1]]
+    # a_i[r, r + s_i] = sqrt(e_i + 1) below the edge; a_i'[r, r - s_i] = sqrt(e_i)
+    data = np.zeros((2 * modes, 2 * modes, dim**modes), dtype=complex)
+    for i in range(modes):
+        e = exc[:, i]
+        data[i, 2 * modes - 1 - i] = np.sqrt(e + 1.0) * (e < dim - 1)
+        data[modes + i, i] = np.sqrt(e)
+    data.setflags(write=False)
+    x = _Diagonals(offsets, data)
+    xx = x.adjoint()[:, None] @ x[None, :]
+    xx.data.setflags(write=False)
+    return TruncatedAlgebra(modes=modes, dim=dim, x=x, xx=xx, excitations=exc)
 
 
 def safe_mask(alg: TruncatedAlgebra, degree: int) -> np.ndarray:
@@ -113,54 +309,53 @@ def safe_mask(alg: TruncatedAlgebra, degree: int) -> np.ndarray:
     return mask
 
 
-def safe_residual(alg: TruncatedAlgebra, X: np.ndarray, degree: int) -> float:
-    """Largest matrix-element magnitude of X, a matrix or a stack of them,
+def safe_residual(alg: TruncatedAlgebra, X: _Diagonals, degree: int) -> float:
+    """Largest matrix-element magnitude of X, an operator or a stack of them,
     restricted to the safe subspace."""
     mask = safe_mask(alg, degree)
-    block = X[..., mask, :][..., mask]
+    d = alg.total_dim
+    cols = np.arange(d) + X.offsets[:, None]
+    inside = (cols >= 0) & (cols < d)
+    block = X.data[..., inside & mask & mask[np.clip(cols, 0, d - 1)]]
     return float(np.max(np.abs(block))) if block.size else 0.0
 
 
-def _linear_forms(alg: TruncatedAlgebra, A: np.ndarray) -> np.ndarray:
+def _linear_forms(alg: TruncatedAlgebra, A: np.ndarray) -> _Diagonals:
     """Stack of the operators sum_b A[i, b] x_b, one per row i of A."""
     if A.shape[-1] != len(alg.x):
         raise StructureError(
             f"coefficients for {A.shape[-1] // 2} modes but the algebra has {alg.modes}"
         )
-    return np.tensordot(A, alg.x, 1)
+    x = alg.x.data
+    return _Diagonals(alg.x.offsets, (A @ _flat(x)).reshape(A.shape[:-1] + x.shape[-2:]))
 
 
-def quadratic_form(alg: TruncatedAlgebra, A: np.ndarray) -> np.ndarray:
-    """Matrix of sum_ab A[a,b] x_a' x_b over the doubled operator vector.
-
-    Computed as one product sum_r x_r' (sum_b A[r,b] x_b) over the nonzero
-    rows r of A only, so a zero form costs no product.  x_r' is the layer
-    of x half a stack away, so no conjugate transpose is formed.
-    """
+def quadratic_form(alg: TruncatedAlgebra, A: np.ndarray) -> _Diagonals:
+    """Operator sum_ab A[a,b] x_a' x_b over the doubled operator vector,
+    contracted from the stored products x_a' x_b."""
     A = np.asarray(A, dtype=complex)
     size = len(alg.x)
     if A.shape != (size, size):
         raise StructureError(f"expected a {size}x{size} form, got {A.shape}")
-    rows = np.flatnonzero(np.any(A != 0, axis=1))
-    D = alg.total_dim
-    left = alg.x[(rows + alg.modes) % size].transpose(1, 0, 2).reshape(D, rows.size * D)
-    return left @ _linear_forms(alg, A[rows]).reshape(rows.size * D, D)
+    xx = alg.xx.data
+    flat = A.ravel() @ xx.reshape(size**2, -1)
+    return _Diagonals(alg.xx.offsets, flat.reshape(xx.shape[-2:]))
 
 
-def z_operators(alg: TruncatedAlgebra, sys: LinearQuantumSystem) -> np.ndarray:
+def z_operators(alg: TruncatedAlgebra, sys: LinearQuantumSystem) -> _Diagonals:
     """Stack of the channel operators z_i = sum_j E1[i,j] a_j + E2[i,j] a_j'."""
     return _linear_forms(alg, sys.Etilde)
 
 
-def coupling_operators(alg: TruncatedAlgebra, sys: LinearQuantumSystem) -> np.ndarray:
+def coupling_operators(alg: TruncatedAlgebra, sys: LinearQuantumSystem) -> _Diagonals:
     """Stack of the coupling operators L_i = sum_j N1[i,j] a_j + N2[i,j] a_j'."""
     return _linear_forms(alg, sys.N[: sys.m])
 
 
 def operator_of_series(
     alg: TruncatedAlgebra, sys: LinearQuantumSystem, f: PerturbationSeries
-) -> np.ndarray:
-    """Matrix of sum S[i,j,k,l] z_i^k (z_j')^l with literal left-to-right order.
+) -> _Diagonals:
+    """Operator sum S[i,j,k,l] z_i^k (z_j')^l with literal left-to-right order.
 
     For a self-adjoint series the result is exactly Hermitian as a matrix;
     truncation artifacts live outside the safe subspace.
@@ -169,25 +364,29 @@ def operator_of_series(
         raise TruncationError(
             f"series degree {f.total_degree} exceeds truncation dim-1 = {alg.dim - 1}"
         )
-    z = z_operators(alg, sys)
-    eye = np.eye(alg.total_dim, dtype=complex)
-    pow_cache: dict[tuple[str, int, int], np.ndarray] = {}
+    # z_j' is the linear form Etilde^# Sigma in x
+    zdag = _linear_forms(alg, sys.Etilde.conj() @ structure_matrices(sys.n).Sigma)
+    bases = {"z": z_operators(alg, sys), "zdag": zdag}
+    powers: dict[tuple[str, int, int], _Diagonals] = {}
 
-    def power(kind: str, channel: int, exponent: int) -> np.ndarray:
+    def power(kind: str, channel: int, exponent: int) -> _Diagonals:
         key = (kind, channel, exponent)
-        if key not in pow_cache:
-            base = z[channel - 1] if kind == "z" else z[channel - 1].conj().T
-            pow_cache[key] = np.linalg.matrix_power(base, exponent) if exponent else eye
-        return pow_cache[key]
+        if key not in powers:
+            base = bases[kind][channel - 1]
+            powers[key] = base if exponent == 1 else power(kind, channel, exponent - 1) @ base
+        return powers[key]
 
-    total = np.zeros((alg.total_dim, alg.total_dim), dtype=complex)
+    zero = _Diagonals(np.zeros(0, dtype=int), np.zeros((0, alg.total_dim), dtype=complex))
+    terms = [zero]
     for (i, j, k, l), c in f.coeffs.items():
-        total += c * (power("z", i, k) @ power("zdag", j, l))
-    return total
-
-
-def _comm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return A @ B - B @ A
+        if k and l:
+            term = power("z", i, k) @ power("zdag", j, l)
+        elif k or l:
+            term = power("z", i, k) if k else power("zdag", j, l)
+        else:
+            term = _identity(alg.total_dim)
+        terms.append(c * term)
+    return _stack(terms).sum()
 
 
 def check_commutator_identities(
@@ -198,9 +397,9 @@ def check_commutator_identities(
 ) -> dict[str, float]:
     """Verify the commutator identities behind the certificate, as matrices.
 
-    P must be Hermitian with the block structure P = Sigma P^# Sigma; the
-    identities are specific to that class.  Returns the maximum safe-subspace
-    residual for each identity:
+    P must be a finite Hermitian 2n x 2n matrix with the block structure
+    P = Sigma P^# Sigma; the identities are specific to that class.  Returns
+    the maximum safe-subspace residual for each identity:
 
     1. commutator of V = x'Px with the quadratic Hamiltonian (1/2) x'Mx,
     2. coupling dissipation (1/2) L'[V,L] + (1/2)[L',V]L including its trace
@@ -213,8 +412,13 @@ def check_commutator_identities(
     """
     P = np.asarray(P, dtype=complex)
     M, N = sys.M, sys.N
+    size = 2 * sys.n
+    if P.shape != (size, size):
+        raise StructureError(f"P must be {size}x{size}, got shape {P.shape}")
+    if not np.all(np.isfinite(P)):
+        raise StructureError("P must be finite")
     sm = structure_matrices(sys.n)
-    scale = 1.0 + float(np.max(np.abs(P))) if P.size else 1.0
+    scale = 1.0 + float(np.max(np.abs(P)))
     if np.max(np.abs(P - P.conj().T)) > 1e-12 * scale:
         raise StructureError("P must be Hermitian")
     if np.max(np.abs(P - sm.Sigma @ P.conj() @ sm.Sigma)) > 1e-10 * scale:
@@ -222,7 +426,19 @@ def check_commutator_identities(
 
     degree = max(2, f.total_degree)
     V = quadratic_form(alg, P)
+    eye = _identity(alg.total_dim)
     residuals: dict[str, float] = {}
+
+    # x, z, z', L and L' are linear forms in x, with (A x)' = A^# Sigma x, so
+    # one stacked commutator gives all their commutators with V.
+    Nm = N[: sys.m]
+    forms = [np.eye(size), sys.Etilde, sys.Etilde.conj() @ sm.Sigma, Nm, Nm.conj() @ sm.Sigma]
+    linear = _linear_forms(alg, np.vstack(forms))
+    with_V = _comm(linear, V)
+    bounds = np.cumsum([0, size, sys.p, sys.p, sys.m, sys.m])
+    parts = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    _, z, _, L, Ld = (linear[part] for part in parts)
+    xV, zV, zdV, LV, LdV = (with_V[part] for part in parts)
 
     # (1) [V, (1/2) x'Mx] = x'(PJM - MJP)x
     Hq = 0.5 * quadratic_form(alg, M)
@@ -232,41 +448,38 @@ def check_commutator_identities(
     )
 
     # (2) (1/2) L'[V,L] + (1/2)[L',V]L = tr(P J N' proj N J) - (1/2) x'(N'JNJP + PJN'JN)x
-    L = coupling_operators(alg, sys)
-    Ld = L.conj().transpose(0, 2, 1)
-    lhs2 = 0.5 * (Ld @ _comm(V, L) + _comm(Ld, V) @ L).sum(axis=0)
+    #     with [V, L] = -[L, V] exactly
+    lhs2 = 0.5 * (LdV @ L - Ld @ LV).sum()
     proj = np.zeros((2 * sys.m, 2 * sys.m))
     proj[: sys.m, : sys.m] = np.eye(sys.m)
     Jm = np.diag(np.r_[np.ones(sys.m), -np.ones(sys.m)])
     trace_term = np.trace(P @ sm.J @ N.conj().T @ proj @ N @ sm.J)
     quad = N.conj().T @ Jm @ N @ sm.J @ P + P @ sm.J @ N.conj().T @ Jm @ N
-    rhs2 = trace_term * np.eye(alg.total_dim) - 0.5 * quadratic_form(alg, quad)
+    rhs2 = trace_term * eye - 0.5 * quadratic_form(alg, quad)
     residuals["coupling_dissipation"] = safe_residual(alg, lhs2 - rhs2, degree)
 
     # (3) [x_a, x'Px] = (2JPx)_a componentwise
     residuals["state_vector_commutator"] = safe_residual(
-        alg, _comm(alg.x, V) - _linear_forms(alg, 2.0 * sm.J @ P), degree
+        alg, xV - _linear_forms(alg, 2.0 * sm.J @ P), degree
     )
 
     # (4) [z_i, [z_i, V]] = mu_i * identity
-    z = z_operators(alg, sys)
     mu = mu_constants(P, sys.Etilde)
     residuals["double_commutator_constants"] = safe_residual(
-        alg, _comm(z, _comm(z, V)) - mu[:, None, None] * np.eye(alg.total_dim), degree
+        alg, _comm(z, zV) - mu * eye, degree
     )
 
     # (5) [V, f] = sum_i [V,z_i] df/dz_i - sum_i (df/dz_i)' [z_i',V]
     #              - (1/2) sum_i mu_i d2f/dz_i^2 + (1/2) sum_i mu_i* (d2f/dz_i^2)'
-    F_op = operator_of_series(alg, sys, f)
-    rhs5 = np.zeros_like(V)
-    for i in range(1, sys.p + 1):
-        Wi = operator_of_series(alg, sys, partial_z(f, i))
-        W2i = operator_of_series(alg, sys, second_partial_z(f, i))
-        zi = z[i - 1]
-        rhs5 += _comm(V, zi) @ Wi - Wi.conj().T @ _comm(zi.conj().T, V)
-        rhs5 += -0.5 * mu[i - 1] * W2i + 0.5 * np.conj(mu[i - 1]) * W2i.conj().T
+    #     with the channels i as one stack
+    channels = range(1, sys.p + 1)
+    W = _stack([operator_of_series(alg, sys, partial_z(f, i)) for i in channels])
+    W2 = _stack([operator_of_series(alg, sys, second_partial_z(f, i)) for i in channels])
+    rhs5 = (
+        -zV @ W - W.adjoint() @ zdV - 0.5 * mu * W2 + 0.5 * np.conj(mu) * W2.adjoint()
+    ).sum()
     residuals["perturbation_commutator"] = safe_residual(
-        alg, _comm(V, F_op) - rhs5, degree
+        alg, _comm(V, operator_of_series(alg, sys, f)) - rhs5, degree
     )
     return residuals
 
@@ -306,7 +519,7 @@ def coherent_state(alg: TruncatedAlgebra, alphas) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def msq_observable(alg: TruncatedAlgebra) -> np.ndarray:
+def msq_observable(alg: TruncatedAlgebra) -> _Diagonals:
     """Observable x'x = sum_i (a_i' a_i + a_i a_i') whose expectation is tracked."""
     return quadratic_form(alg, np.eye(2 * alg.modes))
 
@@ -336,7 +549,9 @@ class FockTrajectory:
             raise StructureError("times and msq must have equal lengths")
 
 
-def _liouvillian(H_eff: np.ndarray, L_ops: list[np.ndarray]) -> sparse.csr_array:
+def _liouvillian(
+    H_eff: sparse.csr_array, L_ops: list[sparse.csr_array]
+) -> sparse.csr_array:
     """Sparse superoperator of the master equation on row-major vec(rho).
 
     Row-major vec gives vec(A rho B) = (A kron B^T) vec(rho), so
@@ -344,13 +559,20 @@ def _liouvillian(H_eff: np.ndarray, L_ops: list[np.ndarray]) -> sparse.csr_array
     H_eff kron I + I kron conj(H_eff) + sum_k L_k kron conj(L_k).
     """
     eye = sparse.identity(H_eff.shape[0], dtype=complex, format="csr")
-    h = sparse.csr_array(H_eff)
-    sup = sparse.kron(h, eye, format="csr")
-    sup += sparse.kron(eye, h.conj(), format="csr")
+    sup = sparse.kron(H_eff, eye, format="csr")
+    sup += sparse.kron(eye, H_eff.conj(), format="csr")
     for L in L_ops:
-        ls = sparse.csr_array(L)
-        sup += sparse.kron(ls, ls.conj(), format="csr")
+        sup += sparse.kron(L, L.conj(), format="csr")
     return sup
+
+
+def _as_csr(op, n: int, name: str) -> sparse.csr_array:
+    """CSR matrix of an operator of this module, or of any n x n matrix."""
+    if not isinstance(op, _Diagonals):
+        op = np.asarray(op, dtype=complex)
+    if op.shape != (n, n):
+        raise StructureError(f"{name} has shape {op.shape}, but the algebra is {n}x{n}")
+    return op.tocsr() if isinstance(op, _Diagonals) else sparse.csr_array(op)
 
 
 def _kept_entries(sup: sparse.csr_array, seed: np.ndarray) -> np.ndarray:
@@ -388,8 +610,8 @@ def _square_blocks(keep: np.ndarray, n: int) -> list[np.ndarray] | None:
 
 def lindblad_evolve(
     alg: TruncatedAlgebra,
-    H: np.ndarray,
-    L_ops: list[np.ndarray],
+    H,
+    L_ops,
     rho0: np.ndarray,
     t_final: float,
     dt: float,
@@ -397,6 +619,8 @@ def lindblad_evolve(
 ) -> FockTrajectory:
     """Fixed-step RK4 integration of the master equation.
 
+    H and each of L_ops (a list or a stack) are operators of this module or
+    D x D matrices; each is converted to CSR once.
     Only the entries of rho that the trace and x'x depend on are evolved:
     the closure of the diagonal and the support of x'x under the sparsity of
     the Liouvillian superoperator.  The closure reads no entry outside
@@ -433,12 +657,15 @@ def lindblad_evolve(
         raise StructureError("rho0 must be positive semidefinite")
     rho /= np.trace(rho)
 
-    K = sum((L.conj().T @ L for L in L_ops), np.zeros_like(rho))
-    H_eff = -1j * np.asarray(H, dtype=complex) - 0.5 * K
+    L_ops = [_as_csr(L, n, f"L_ops[{k}]") for k, L in enumerate(L_ops)]
+    K = sum((L.conj().T @ L for L in L_ops), sparse.csr_array((n, n), dtype=complex))
+    H_eff = -1j * _as_csr(H, n, "H") - 0.5 * K
     sup = _liouvillian(H_eff, L_ops)
-    observable = msq_observable(alg)
     # msq = sum_ij O[i, j] rho[j, i] reads rho on the support of O^T.
-    seed = (observable.T != 0).ravel()
+    observable = msq_observable(alg).tocsr().tocoo()
+    support = observable.col * n + observable.row
+    seed = np.zeros(n * n, dtype=bool)
+    seed[support] = True
     seed[:: n + 1] = True
     keep = _kept_entries(sup, seed)
     blocks = _square_blocks(keep, n)
@@ -458,7 +685,8 @@ def lindblad_evolve(
     transpose = where[cols * n + rows]
     diagonal = where[:: n + 1]
     block_views = [where[b[:, None] * n + b[None, :]] for b in blocks]
-    weights = observable.T.ravel()[kept]
+    weights = np.zeros(kept.size, dtype=complex)
+    weights[where[support]] = observable.data
     v = rho.ravel()[kept]
 
     ratio = t_final / dt

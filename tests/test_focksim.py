@@ -1,16 +1,24 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
-from conftest import random_block_P, random_system
-from qstab.certify import mu_constants
+import qstab.focksim
+from conftest import SEED, random_block_P, random_system
+from qstab.certify import certify, mu_constants
 from qstab.errors import SimulationError, StructureError, TruncationError
 from qstab.focksim import (
     build_algebra,
     check_commutator_identities,
     check_ms_bound,
+    _identity,
     _kept_entries,
     _liouvillian,
     _square_blocks,
+    _stack,
     coherent_state,
     coupling_operators,
     default_dt,
@@ -25,7 +33,7 @@ from qstab.focksim import (
 )
 from qstab.model import LinearQuantumSystem
 from qstab.opa import OpaParams, build_opa
-from qstab.perturbation import PerturbationSeries, validate_selfadjoint
+from qstab.perturbation import PerturbationSeries, SectorBounds, validate_selfadjoint
 
 
 def comm(A, B):
@@ -44,7 +52,7 @@ def dense_rk4_msq(alg, H, L_ops, rho0, t_final, dt):
             out += L @ r @ L.conj().T
         return out
 
-    obs = msq_observable(alg)
+    obs = msq_observable(alg).toarray()
     rho = rho0.copy()
     msq = [np.trace(obs @ rho).real]
     for _ in range(round(t_final / dt)):
@@ -61,15 +69,15 @@ def dense_rk4_msq(alg, H, L_ops, rho0, t_final, dt):
 class TestAlgebra:
     def test_single_mode_ladder_entries(self):
         alg = build_algebra(1, 4)
-        a = alg.a[0]
+        a = alg.a[0].toarray()
         assert a[0, 1] == pytest.approx(1.0)
         assert a[1, 2] == pytest.approx(np.sqrt(2.0))
         assert a[2, 3] == pytest.approx(np.sqrt(3.0))
-        assert np.count_nonzero(a) == 3
+        assert np.count_nonzero(alg.a[0].data) == 3
 
     def test_ccr_exact_below_edge(self):
         alg = build_algebra(1, 4)
-        a = alg.a[0]
+        a = alg.a[0].toarray()
         defect = comm(a, a.conj().T) - np.eye(4)
         # machine-exact on |0>, |1>, |2>; corrupted only at the truncation edge
         assert np.max(np.abs(defect[:3, :3])) <= 1e-13
@@ -78,35 +86,37 @@ class TestAlgebra:
     def test_distinct_modes_commute(self):
         alg = build_algebra(2, 3)
         assert alg.total_dim == 9
-        a1, a2 = alg.a
+        a1, a2 = alg.a.toarray()
         assert np.max(np.abs(comm(a1, a2.conj().T))) == 0.0
         assert np.max(np.abs(comm(a1, a2))) == 0.0
 
     def test_doubled_vector_is_one_read_only_stack(self):
         alg = build_algebra(2, 4)
         assert alg.x.shape == (4, 16, 16)
-        assert not alg.x.flags.writeable
+        assert not alg.x.data.flags.writeable
         with pytest.raises(ValueError):
-            alg.x[0, 0, 1] = 0.0
-        assert np.array_equal(alg.a, alg.x[:2])
+            alg.x.data[0, 0, 1] = 0.0
+        x = alg.x.toarray()
+        assert np.array_equal(alg.a.toarray(), x[:2])
         for i in range(2):
-            assert np.array_equal(alg.x[2 + i], alg.a[i].conj().T)
+            assert np.array_equal(x[2 + i], x[i].conj().T)
 
     def test_quadratic_form_matches_double_sum(self, rng):
         alg = build_algebra(2, 4)
         A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         A[[0, 2]] = 0.0  # zero rows next to dense ones; A is not Hermitian
-        x = [alg.a[0], alg.a[1], alg.a[0].conj().T, alg.a[1].conj().T]
+        a = alg.a.toarray()
+        x = [a[0], a[1], a[0].conj().T, a[1].conj().T]
         expected = sum(
             A[i, j] * (x[i].conj().T @ x[j]) for i in range(4) for j in range(4)
         )
-        assert np.max(np.abs(quadratic_form(alg, A) - expected)) <= 1e-12
-        assert not np.any(quadratic_form(alg, np.zeros((4, 4))))
+        assert np.max(np.abs(quadratic_form(alg, A).toarray() - expected)) <= 1e-12
+        assert not np.any(quadratic_form(alg, np.zeros((4, 4))).toarray())
 
     def test_linear_forms_match_ladder_sums(self, rng):
         sys = random_system(rng, n=2, m=2, p=3, require_hurwitz=False)
         alg = build_algebra(2, 4)
-        a = alg.a
+        a = alg.a.toarray()
         for ops, B1, B2 in (
             (z_operators(alg, sys), sys.E1, sys.E2),
             (coupling_operators(alg, sys), sys.N1, sys.N2),
@@ -115,7 +125,7 @@ class TestAlgebra:
                 sum(B1[i, j] * a[j] + B2[i, j] * a[j].conj().T for j in range(2))
                 for i in range(B1.shape[0])
             ]
-            assert np.max(np.abs(ops - np.array(expected))) <= 1e-13
+            assert np.max(np.abs(ops.toarray() - np.array(expected))) <= 1e-13
 
     def test_minimum_dimension(self):
         with pytest.raises(TruncationError):
@@ -132,13 +142,98 @@ class TestAlgebra:
             safe_mask(alg, 4)
 
 
+def dense_ladder(modes, dim):
+    """Reference x = [a_1..a_n, a_1'..a_n'] as dense Kronecker products."""
+    lower = np.diag(np.sqrt(np.arange(1, dim)), k=1)
+    a = [
+        functools.reduce(np.kron, [lower if j == i else np.eye(dim) for j in range(modes)])
+        for i in range(modes)
+    ]
+    return a + [op.conj().T for op in a]
+
+
+def random_polynomial(rng, modes, degree, terms=3):
+    """Monomials of a ladder polynomial: (coefficient, indices into x)."""
+    return [
+        (complex(*rng.normal(size=2)), rng.integers(0, 2 * modes, size=length))
+        for length in rng.integers(1, degree + 1, size=terms)
+    ]
+
+
+def evaluate(polynomial, x, identity):
+    """Sum of c * x[b1] @ x[b2] @ ... over the monomials."""
+    total = 0.0 * identity
+    for c, indices in polynomial:
+        term = identity
+        for b in indices:
+            term = term @ x[b]
+        total = total + c * term
+    return total
+
+
+class TestDiagonalStorage:
+    """The flat-diagonal operator type against dense numpy on ladder polynomials."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        modes=st.integers(1, 3),
+        dim=st.integers(3, 7),
+        degree=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # at dim 3 with two modes, a_1 and a_2^3 both shift the flat index by 3,
+    # and a_1 a_2' and a_2^2 by 2: different mode shifts share flat diagonals
+    @example(modes=2, dim=3, degree=3, seed=0)
+    @example(modes=3, dim=3, degree=4, seed=1)
+    def test_matches_dense(self, modes, dim, degree, seed):
+        rng = np.random.default_rng(seed)
+        alg = build_algebra(modes, dim)
+        dense_x = dense_ladder(modes, dim)
+        eye = np.eye(alg.total_dim)
+        assert np.array_equal(alg.x.toarray(), np.array(dense_x))
+        polys = [random_polynomial(rng, modes, degree) for _ in range(3)]
+        A, B, C = (evaluate(p, alg.x, _identity(alg.total_dim)) for p in polys)
+        Ad, Bd, Cd = (evaluate(p, dense_x, eye) for p in polys)
+        scale = 1.0 + max(np.max(np.abs(M)) for M in (Ad, Bd, Cd)) ** 2
+        c = complex(*rng.normal(size=2))
+
+        def close(op, reference):
+            return np.max(np.abs(op.toarray() - reference), initial=0.0) <= 1e-12 * scale
+
+        assert close(A, Ad)
+        assert close(A @ B, Ad @ Bd)
+        assert close(A + B, Ad + Bd)
+        assert close(A - B, Ad - Bd)
+        assert close(c * A, c * Ad)
+        assert close(A.adjoint(), Ad.conj().T)
+        assert close((_stack([A, B]) @ C)[1], Bd @ Cd)
+        assert close(_stack([A, B]).sum(), Ad + Bd)
+        csr = (A @ B).tocsr()
+        assert np.max(np.abs(csr.toarray() - Ad @ Bd), initial=0.0) <= 1e-12 * scale
+        assert np.all(csr.data != 0)
+
+        cut = int(rng.integers(0, dim))
+        safe = np.all(np.indices((dim,) * modes).reshape(modes, -1).T <= dim - 1 - cut, axis=1)
+        expected = np.max(np.abs((Ad @ Bd)[np.ix_(safe, safe)]))
+        assert abs(safe_residual(alg, A @ B, cut) - expected) <= 1e-12 * scale
+
+    def test_mode_shifts_sharing_a_flat_diagonal(self):
+        # at dim 3, a_1 a_2' a_2' and a_2 both move the flat index by 3 - 1 - 1 = 1
+        alg = build_algebra(2, 3)
+        a1, a2, a1d, a2d = alg.x
+        op = a1 @ a2d @ a2d + 2.0 * a2
+        d1, d2, d1d, d2d = dense_ladder(2, 3)
+        assert np.max(np.abs(op.toarray() - (d1 @ d2d @ d2d + 2.0 * d2))) <= 1e-15
+        assert np.count_nonzero(np.any(op.data != 0, axis=1)) == 1
+
+
 class TestOperatorOfSeries:
     def test_opa_interaction_matrix(self):
         chi = 0.1
         sys, series = build_opa(OpaParams(1.0, 1.0, chi))
         alg = build_algebra(2, 5)
-        H = operator_of_series(alg, sys, series)
-        a1, a2 = alg.a
+        H = operator_of_series(alg, sys, series).toarray()
+        a1, a2 = alg.a.toarray()
         expected = 1j * chi * (a2.conj().T @ a1 @ a1 - a1.conj().T @ a1.conj().T @ a2)
         assert np.max(np.abs(H - expected)) < 1e-14
 
@@ -146,7 +241,7 @@ class TestOperatorOfSeries:
         sys, _ = build_opa(OpaParams(1.0, 1.0, 0.1))
         alg = build_algebra(2, 3)
         H = operator_of_series(alg, sys, PerturbationSeries(p=2))
-        assert np.max(np.abs(H)) == 0.0
+        assert np.max(np.abs(H.toarray())) == 0.0
 
     def test_projected_hermiticity(self, rng):
         sys = random_system(rng, n=2, p=2, require_hurwitz=False)
@@ -159,7 +254,7 @@ class TestOperatorOfSeries:
         assert validate_selfadjoint(series) == []
         alg = build_algebra(2, 6)
         H = operator_of_series(alg, sys, series)
-        assert safe_residual(alg, H - H.conj().T, series.total_degree) <= 1e-12
+        assert safe_residual(alg, H - H.adjoint(), series.total_degree) <= 1e-12
 
     def test_degree_beyond_truncation(self):
         sys, _ = build_opa(OpaParams(1.0, 1.0, 0.1))
@@ -243,19 +338,74 @@ class TestCommutatorIdentities:
         with pytest.raises(StructureError):
             check_commutator_identities(alg, sys, series, P)
 
+    @pytest.mark.parametrize(
+        "P",
+        [
+            np.eye(6),
+            np.eye(2),
+            np.ones(4),
+            np.diag([1.0, np.nan, 1.0, np.nan]),
+            np.full((4, 4), np.inf),
+        ],
+        ids=["6x6", "2x2", "vector", "nan", "inf"],
+    )
+    def test_malformed_P_rejected(self, P):
+        sys, series = build_opa(OpaParams(1.0, 1.0, 0.1))
+        alg = build_algebra(2, 6)
+        with pytest.raises(StructureError, match="P must be"):
+            check_commutator_identities(alg, sys, series, P)
+
     def test_mu_matches_double_commutator(self, rng):
         # direct cross-check of the mu formula against the operator algebra
         sys = random_system(rng, n=2, p=3, require_hurwitz=False)
         alg = build_algebra(2, 6)
         P = random_block_P(rng, 2)
         mu = mu_constants(P, sys.Etilde)
-        V = quadratic_form(alg, P)
+        V = quadratic_form(alg, P).toarray()
         mask = safe_mask(alg, 2)
         eye = np.eye(alg.total_dim)
-        for i, z in enumerate(z_operators(alg, sys)):
+        for i, z in enumerate(z_operators(alg, sys).toarray()):
             dc = comm(z, comm(z, V))
             defect = (dc - mu[i] * eye)[np.ix_(mask, mask)]
             assert np.max(np.abs(defect)) <= 1e-10
+
+
+class TestOracleSensitivity:
+    """The identity check stays tight at every benchmarked dim and still sees
+    a wrong constant, so a fast rewrite cannot pass by masking entries out."""
+
+    CUBIC = PerturbationSeries(
+        p=2, coeffs={(2, 1, 1, 2): 0.1j, (1, 2, 2, 1): -0.1j, (1, 1, 1, 1): 0.3}
+    )
+
+    def opa(self):
+        sys, series = build_opa(OpaParams(1.3, 2.1, 0.12))
+        return sys, series, certify(sys, SectorBounds(2.0 * 2.0 * 2.0 / 1.3, 0.1, 0.1)).P
+
+    def generic(self):
+        # E1 and E2 both nonzero, so mu != 0; the OPA's certified P gives mu = 0
+        rng = np.random.default_rng(SEED)
+        sys = random_system(rng, n=2, p=2, require_hurwitz=False)
+        assert np.all(sys.E1 != 0) and np.all(sys.E2 != 0)
+        return sys, self.CUBIC, random_block_P(rng, 2)
+
+    @pytest.mark.parametrize("system", ["opa", "generic"])
+    def test_every_residual_at_rounding_level(self, system):
+        sys, series, P = getattr(self, system)()
+        for dim in range(6, 15):
+            residuals = check_commutator_identities(build_algebra(2, dim), sys, series, P)
+            assert len(residuals) == 5
+            assert max(residuals.values()) <= 1e-10, (dim, residuals)
+
+    @pytest.mark.parametrize("dim", [6, 14])
+    def test_wrong_mu_is_caught(self, monkeypatch, dim):
+        sys, series, P = self.generic()
+        monkeypatch.setattr(
+            qstab.focksim, "mu_constants", lambda P, Etilde: mu_constants(P, Etilde) * (1 + 1e-6)
+        )
+        residuals = check_commutator_identities(build_algebra(2, dim), sys, series, P)
+        assert residuals["double_commutator_constants"] > 1e-8
+        assert residuals["perturbation_commutator"] > 1e-8
 
 
 class TestStates:
@@ -263,21 +413,21 @@ class TestStates:
         alg = build_algebra(2, 3)
         rho = fock_state(alg, (1, 2))
         assert np.trace(rho) == pytest.approx(1.0)
-        number = alg.a[0].conj().T @ alg.a[0]
+        number = (alg.a[0].adjoint() @ alg.a[0]).toarray()
         assert np.einsum("ij,ji->", number, rho).real == pytest.approx(1.0)
 
     def test_coherent_state_mean_occupation(self):
         alg = build_algebra(2, 14)
         rho = coherent_state(alg, [0.5, 0.5j])
         for i in range(2):
-            number = alg.a[i].conj().T @ alg.a[i]
+            number = (alg.a[i].adjoint() @ alg.a[i]).toarray()
             occ = np.einsum("ij,ji->", number, rho).real
             assert occ == pytest.approx(0.25, abs=1e-9)
 
     def test_msq_observable_on_vacuum(self):
         alg = build_algebra(2, 4)
         rho = fock_state(alg, (0, 0))
-        msq = np.einsum("ij,ji->", msq_observable(alg), rho).real
+        msq = np.einsum("ij,ji->", msq_observable(alg).toarray(), rho).real
         assert msq == pytest.approx(2.0)  # one unit per mode from ordering
 
 
@@ -337,6 +487,23 @@ class TestLindblad:
         )
         assert np.max(np.abs(traj.msq - expected)) < 1e-6
 
+    @pytest.mark.parametrize(
+        "H, L_ops, name",
+        [
+            (np.zeros((35, 35)), [], "H"),
+            (np.zeros(36), [], "H"),
+            (np.zeros((36, 36)), [np.zeros((36, 35))], r"L_ops\[0\]"),
+            (build_algebra(2, 5).x[0], [], "H"),
+            (np.zeros((36, 36)), build_algebra(1, 6).x, r"L_ops\[0\]"),
+        ],
+        ids=["H-35x35", "H-vector", "L-36x35", "H-other-algebra", "L-other-algebra"],
+    )
+    def test_operator_size_must_match_the_algebra(self, H, L_ops, name):
+        alg = build_algebra(2, 6)
+        rho0 = fock_state(alg, (1, 0))
+        with pytest.raises(StructureError, match=name):
+            lindblad_evolve(alg, H, L_ops, rho0, 0.1, 1e-3)
+
     def test_trace_drift_aborts(self):
         kappa = 1.0
         alg = build_algebra(1, 6)
@@ -371,10 +538,11 @@ class TestReducedPropagation:
 
     def kept_mask(self, alg, H, L_ops):
         n = alg.total_dim
-        K = sum((L.conj().T @ L for L in L_ops), np.zeros((n, n), dtype=complex))
+        L_ops = [L.tocsr() for L in L_ops]
+        K = sum((L.conj().T @ L for L in L_ops), sparse.csr_array((n, n), dtype=complex))
         seed = np.zeros(n * n, dtype=bool)
         seed[:: n + 1] = True
-        sup = _liouvillian(-1j * H - 0.5 * K, L_ops)
+        sup = _liouvillian(-1j * H.tocsr() - 0.5 * K, L_ops)
         return _kept_entries(sup, seed).reshape(n, n)
 
     def test_opa_keeps_the_charge_zero_block(self):
@@ -391,7 +559,7 @@ class TestReducedPropagation:
         alg, H, L_ops = self.opa_problem(6)
         rho0 = coherent_state(alg, [0.6, 0.4j])
         traj = lindblad_evolve(alg, H, L_ops, rho0, 1.0, 1e-3)
-        reference = dense_rk4_msq(alg, H, L_ops, rho0, 1.0, 1e-3)
+        reference = dense_rk4_msq(alg, H.toarray(), L_ops.toarray(), rho0, 1.0, 1e-3)
         assert np.max(np.abs(traj.msq - reference)) <= 1e-12
 
     def test_generic_quadratic_term_keeps_everything(self, rng):
@@ -401,7 +569,7 @@ class TestReducedPropagation:
         assert self.kept_mask(alg, H, L_ops).all()
         rho0 = coherent_state(alg, [0.6, 0.4j])
         traj = lindblad_evolve(alg, H, L_ops, rho0, 1.0, 1e-3)
-        reference = dense_rk4_msq(alg, H, L_ops, rho0, 1.0, 1e-3)
+        reference = dense_rk4_msq(alg, H.toarray(), L_ops.toarray(), rho0, 1.0, 1e-3)
         assert np.max(np.abs(traj.msq - reference)) <= 1e-12
 
     def test_lost_positivity_aborts(self):
