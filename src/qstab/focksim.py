@@ -25,7 +25,8 @@ sparsity of the Liouvillian superoperator.  For the OPA this is the block
 that conserves q = N_left - N_right with N = n1 + 2 n2 (Buca & Prosen,
 New J. Phys. 14 (2012)), found from the sparsity alone; a system with
 nothing to decouple keeps every entry.  Positivity is then checked on the
-dephased state that is evolved, not on the full rho.
+dephased state that is evolved, not on the full rho.  ``dt`` spaces the
+samples; the RK4 step comes from the 1-norm of the kept superoperator.
 """
 
 from __future__ import annotations
@@ -527,9 +528,18 @@ def msq_observable(alg: TruncatedAlgebra) -> _Diagonals:
 # RK4 steps between positivity checks of the evolved blocks of rho.
 POSITIVITY_CHECK_INTERVAL = 200
 
+# Largest h ||A||_1 of an RK4 step h on the kept superoperator A.  Every
+# eigenvalue of A lies in the closed left half-plane with |h lambda| <=
+# h ||A||_1 <= 1/2, inside RK4's stability region, which holds the left half
+# of the disc |h lambda| <= 2.6 (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.4).  There a step's error per mode is at most |h lambda|^5 / 120.  On
+# OPA cases the deviation from expm of the kept block measures <= 2e-10 at
+# dims 10-12; a bound of 1 let it reach 2e-9, and 2e-8 at dim 6.
+STEP_BOUND = 0.5
+
 
 def default_dt(kappas, chi: float, dim: int) -> float:
-    """Conservative fixed step for the RK4 integrator."""
+    """Sample spacing of ``perfbench/reference_msq.json``; sets no RK4 step."""
     return 1e-3 / max(*kappas, chi * dim)
 
 
@@ -567,12 +577,15 @@ def _liouvillian(
 
 
 def _as_csr(op, n: int, name: str) -> sparse.csr_array:
-    """CSR matrix of an operator of this module, or of any n x n matrix."""
+    """CSR matrix of an operator of this module, or of any finite n x n matrix."""
     if not isinstance(op, _Diagonals):
         op = np.asarray(op, dtype=complex)
     if op.shape != (n, n):
         raise StructureError(f"{name} has shape {op.shape}, but the algebra is {n}x{n}")
-    return op.tocsr() if isinstance(op, _Diagonals) else sparse.csr_array(op)
+    op = op.tocsr() if isinstance(op, _Diagonals) else sparse.csr_array(op)
+    if not np.isfinite(op.data).all():
+        raise StructureError(f"{name} has non-finite entries")
+    return op
 
 
 def _kept_entries(sup: sparse.csr_array, seed: np.ndarray) -> np.ndarray:
@@ -615,9 +628,8 @@ def lindblad_evolve(
     rho0: np.ndarray,
     t_final: float,
     dt: float,
-    record_stride: int = 1,
 ) -> FockTrajectory:
-    """Fixed-step RK4 integration of the master equation.
+    """RK4 integration of the master equation, sampled every ``dt``.
 
     H and each of L_ops (a list or a stack) are operators of this module or
     D x D matrices; each is converted to CSR once.
@@ -628,30 +640,28 @@ def lindblad_evolve(
     rho.  For the OPA it is the block q = N_left - N_right = 0 (N = n1 + 2 n2),
     724 of 20 736 entries at dim 12; when nothing decouples it is all of rho.
 
-    The run takes n = ceil(t_final / dt) equal steps of t_final / n, so the
-    last sample is at t_final and no step is longer than dt; a ratio within
-    1e-9 of an integer counts as that integer.  The state is re-Hermitized
-    after every step.  The run aborts if the trace drifts beyond 1e-6 (reduce
-    dt) or an eigenvalue falls below -1e-8.  Positivity is checked every
+    ``dt`` sets only the output grid: n = ceil(t_final / dt) samples spaced
+    s = t_final / n, the last at t_final; a ratio within 1e-9 of an integer
+    counts as that integer.  Each interval takes k = ceil(s ||A||_1 /
+    ``STEP_BOUND``) equal RK4 steps, where ||A||_1 is the largest absolute
+    column sum of the kept superoperator A.  The state is re-Hermitized after
+    every step.  The run aborts if the trace drifts beyond 1e-6 or an
+    eigenvalue falls below -1e-8.  Positivity is checked every
     ``POSITIVITY_CHECK_INTERVAL`` steps and at the last, on the square blocks
     that the kept entries form (the N-sectors for the OPA), or on the whole
     rho if they form none.  That is the positivity of the dephased state the
     run evolves, which is weaker than a check of the full rho when rho0 has
-    coherences between blocks.  Accuracy requires dt * ||H|| to be small; the
-    default step from ``default_dt`` is conservative for the systems treated
-    here.
+    coherences between blocks.
     """
     for name, value in (("dt", dt), ("t_final", t_final)):
         if not 0 < value < np.inf:
             raise StructureError(f"{name} must be positive and finite, got {value}")
-    if record_stride < 1:
-        raise StructureError(f"record_stride must be at least 1, got {record_stride}")
     rho = np.asarray(rho0, dtype=complex).copy()
     n = alg.total_dim
     if rho.shape != (n, n):
         raise StructureError(f"rho0 shape {rho.shape} does not match the algebra")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-8:
+    if not abs(tr - 1.0) <= 1e-8:
         raise StructureError(f"rho0 must have unit trace, got {tr}")
     if float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)))) < -1e-10:
         raise StructureError("rho0 must be positive semidefinite")
@@ -676,6 +686,7 @@ def lindblad_evolve(
     sup = sup[kept]  # rebinding frees the full operator before the column cut
     step_op = sup[:, kept]
     del sup
+    norm = float(abs(step_op).sum(axis=0).max())
     # Position of each kept (i, j) in the state vector.  The kept set holds
     # (j, i) with (i, j): the superoperator pairs every factor with its
     # conjugate, so its pattern, like the seed, is symmetric under transposition.
@@ -691,16 +702,14 @@ def lindblad_evolve(
 
     ratio = t_final / dt
     whole = round(ratio)
-    n_steps = max(1, whole if abs(ratio - whole) <= 1e-9 else math.ceil(ratio))
-    h = t_final / n_steps
+    n_samples = max(1, whole if abs(ratio - whole) <= 1e-9 else math.ceil(ratio))
+    spacing = t_final / n_samples
+    substeps = max(1, math.ceil(spacing * norm / STEP_BOUND))
+    n_steps = n_samples * substeps
+    h = spacing / substeps
 
-    def expect(x: np.ndarray) -> float:
-        return float((weights @ x).real)
-
-    times = [0.0]
-    msq = [expect(v)]
+    msq = [weights @ v]
     for step in range(1, n_steps + 1):
-        t = t_final if step == n_steps else step * h
         k1 = step_op @ v
         k2 = step_op @ (v + 0.5 * h * k1)
         k3 = step_op @ (v + 0.5 * h * k2)
@@ -708,20 +717,19 @@ def lindblad_evolve(
         v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         v = 0.5 * (v + v[transpose].conj())
         drift = abs(v[diagonal].sum().real - 1.0)
-        if drift > 1e-6:
-            raise SimulationError(
-                f"trace drifted by {drift:.3e} at t={t:.4g}; reduce dt"
-            )
+        if not drift <= 1e-6:
+            raise SimulationError(f"trace drifted by {drift:.3e} at t={step * h:.4g}")
         if step % POSITIVITY_CHECK_INTERVAL == 0 or step == n_steps:
             min_eig = min(float(np.linalg.eigvalsh(v[b])[0]) for b in block_views)
             if min_eig < -1e-8:
                 raise SimulationError(
-                    f"state lost positivity (min eig {min_eig:.3e}) at t={t:.4g}"
+                    f"state lost positivity (min eig {min_eig:.3e}) at t={step * h:.4g}"
                 )
-        if step % record_stride == 0 or step == n_steps:
-            times.append(t)
-            msq.append(expect(v))
-    return FockTrajectory(times=np.array(times), msq=np.array(msq))
+        if step % substeps == 0:
+            msq.append(weights @ v)
+    times = np.arange(n_samples + 1) * spacing
+    times[-1] = t_final
+    return FockTrajectory(times=times, msq=np.array(msq).real)
 
 
 def check_ms_bound(

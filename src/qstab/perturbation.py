@@ -9,6 +9,7 @@ complex numbers; operator-valued evaluation lives in the Fock-space module.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass, field
 
@@ -38,7 +39,7 @@ class PerturbationSeries:
     """Sparse coefficient tensor of a polynomial in (z, z*).
 
     The key order (i, j, k, l) matches the monomial z_i^k (z_j*)^l exactly.
-    Zero coefficients are dropped at construction.
+    Zero coefficients are dropped at construction; non-finite ones are rejected.
     """
 
     p: int
@@ -59,6 +60,8 @@ class PerturbationSeries:
                     f"total degree {k + l} of key {key} exceeds cap {MAX_TOTAL_DEGREE}"
                 )
             c = complex(value)
+            if not cmath.isfinite(c):
+                raise StructureError(f"coefficient {value} of key {key} is not finite")
             if c != 0:
                 clean[(int(i), int(j), int(k), int(l))] = c
         object.__setattr__(self, "coeffs", clean)

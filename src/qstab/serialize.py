@@ -13,15 +13,18 @@ import numbers
 import os
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .certify import StabilityCertificate, Verdict
 from .errors import StructureError
-from .focksim import FockTrajectory
 from .model import LinearQuantumSystem
 from .opa import RegionCurve
 from .perturbation import PerturbationSeries
+
+if TYPE_CHECKING:
+    from .focksim import FockTrajectory
 
 __all__ = [
     "atomic_write_text",

@@ -213,10 +213,27 @@ class TestSimulateCommand:
         assert code == EXIT_OK
         lines = (tmp_path / "sim.trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,msq,bound,slack"
+        assert len(lines) == 52  # samples every 0.01 by default, both ends included
         last = lines[-1].split(",")
         assert float(last[3]) >= 0.0  # slack nonnegative
         cert = json.loads((tmp_path / "sim.certificate.json").read_text())
         assert cert["verdict"] == "Certified"
+
+    def test_default_horizon_is_five_decay_times(self, tmp_path):
+        # abscissa -kappa/2 for the OPA with kappa1 = kappa2 = 4: t_final = 2.5
+        code = main(
+            [
+                "simulate",
+                "--kappa1", "4", "--kappa2", "4", "--chi", "0.05",
+                "--gamma", "8.0", "--dim", "4", "--dt", "0.5",
+                "--out", str(tmp_path / "sim"),
+            ]
+        )
+        assert code == EXIT_OK
+        lines = (tmp_path / "sim.trajectory.csv").read_text().splitlines()
+        assert [float(line.split(",")[0]) for line in lines[1:]] == pytest.approx(
+            [0.0, 0.5, 1.0, 1.5, 2.0, 2.5], abs=1e-12
+        )
 
     def test_uncertified_does_not_simulate(self, tmp_path):
         out = tmp_path / "sim"
@@ -313,6 +330,34 @@ class TestCheckIdentitiesCommand:
         doc = json.loads((tmp_path / "ids.identities.json").read_text())
         assert len(doc) == 5
         assert max(doc.values()) <= 1e-10
+
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_residual_fails(self, tmp_path, capsys):
+        # finite, but its operator overflows and the commutator reads inf - inf
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps(
+            {"p": 2, "terms": [{"i": 1, "j": 1, "k": 2, "l": 2, "re": 1e307}]}
+        ))
+        code = main([
+            "check-identities", "--kappa1", "1", "--kappa2", "1", "--chi", "0.05",
+            "--dim", "6", "--series", str(series),
+        ])
+        assert "perturbation_commutator: nan" in capsys.readouterr().out
+        assert code == EXIT_CHECK_FAILED
+
+
+def test_cli_import_loads_no_fock_simulator():
+    code = (
+        "import sys, qstab.cli; "
+        "print('qstab.focksim' in sys.modules, 'scipy.sparse' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["False", "False"]
 
 
 class TestFileDrivenInputs:
@@ -444,11 +489,16 @@ class TestConfigHandling:
             (["check-identities", *_OPA_FLAGS], "--series", _series_with(j="1")),
             (["check-identities", *_OPA_FLAGS], "--series", _series_with(k=True)),
             (["check-identities", *_OPA_FLAGS], "--series", _series_with(re="0.5")),
+            (["check-identities", *_OPA_FLAGS], "--series", _series_with(re=float("nan"))),
+            (["check-identities", *_OPA_FLAGS], "--series", _series_with(im=float("inf"))),
+            (["simulate", *_OPA_FLAGS, "--gamma", "8"], "--series", _series_with(re=float("nan"))),
             (["certify", "--gamma", "4.5"], "--system", _STRING_ENTRY_SYSTEM),
         ],
         ids=["system-not-an-object", "terms-not-a-list", "p-not-an-integer",
              "p-fractional", "term-index-fractional", "term-index-string",
-             "term-power-boolean", "term-coefficient-string", "system-entry-string"],
+             "term-power-boolean", "term-coefficient-string",
+             "term-coefficient-nan", "term-coefficient-inf", "simulate-coefficient-nan",
+             "system-entry-string"],
     )
     def test_malformed_input_file_is_config_error(self, tmp_path, command, flag, content):
         path = tmp_path / "input.json"

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.linalg import expm
 
 import qstab.focksim
 from conftest import SEED, random_block_P, random_system
 from qstab.certify import certify, mu_constants
 from qstab.errors import SimulationError, StructureError, TruncationError
 from qstab.focksim import (
+    STEP_BOUND,
     build_algebra,
     check_commutator_identities,
     check_ms_bound,
@@ -505,12 +507,27 @@ class TestLindblad:
             lindblad_evolve(alg, H, L_ops, rho0, 0.1, 1e-3)
 
     def test_trace_drift_aborts(self):
-        kappa = 1.0
+        # H = 0.5i I is not Hermitian: the trace grows as e^t, by 1e-2 at the
+        # first sample, whatever step the integrator takes
         alg = build_algebra(1, 6)
-        L = [np.sqrt(kappa) * alg.a[0]]
+        L = [alg.a[0]]
         rho0 = fock_state(alg, (3,))
-        with pytest.raises(SimulationError, match="reduce dt"):
-            lindblad_evolve(alg, np.zeros((6, 6)), L, rho0, 40.0, 2.0)
+        with pytest.raises(SimulationError, match="trace drifted"):
+            lindblad_evolve(alg, 0.5j * np.eye(6), L, rho0, 1.0, 0.01)
+
+    def test_nan_rho0_is_rejected(self):
+        alg = build_algebra(1, 6)
+        rho0 = np.full((6, 6), np.nan)
+        with pytest.raises(StructureError, match="unit trace"):
+            lindblad_evolve(alg, np.zeros((6, 6)), [alg.a[0]], rho0, 1.0, 0.01)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_operator_is_rejected(self, value):
+        alg = build_algebra(1, 6)
+        H = np.zeros((6, 6))
+        H[1, 1] = value
+        with pytest.raises(StructureError, match="finite"):
+            lindblad_evolve(alg, H, [alg.a[0]], fock_state(alg, (1,)), 1.0, 0.01)
 
     def test_truncation_consistency_small(self):
         sys, series = build_opa(OpaParams(1.0, 1.0, 0.05))
@@ -520,7 +537,7 @@ class TestLindblad:
             H = operator_of_series(alg, sys, series)
             L = coupling_operators(alg, sys)
             rho0 = coherent_state(alg, [0.3, 0.3])
-            traj = lindblad_evolve(alg, H, L, rho0, 2.0, 1e-3, record_stride=100)
+            traj = lindblad_evolve(alg, H, L, rho0, 2.0, 0.1)
             results[dim] = traj.msq
         assert np.max(np.abs(results[6] - results[8])) < 1e-6
 
@@ -572,7 +589,37 @@ class TestReducedPropagation:
         reference = dense_rk4_msq(alg, H.toarray(), L_ops.toarray(), rho0, 1.0, 1e-3)
         assert np.max(np.abs(traj.msq - reference)) <= 1e-12
 
-    def test_lost_positivity_aborts(self):
+    @pytest.mark.parametrize("spacing, k_above_one", [(0.01, False), (0.1, True)])
+    def test_matches_expm_of_the_kept_block(self, spacing, k_above_one):
+        # the simulated system of the fock-verify benchmark workload
+        sys, series = build_opa(OpaParams(1.0, 1.0, 0.05))
+        alg = build_algebra(2, 10)
+        n = alg.total_dim
+        H = operator_of_series(alg, sys, series)
+        L_ops = coupling_operators(alg, sys)
+        rho0 = coherent_state(alg, [0.5, 0.5])
+        traj = lindblad_evolve(alg, H, L_ops, rho0, 1.0, spacing)
+        assert np.array_equal(traj.times, spacing * np.arange(round(1.0 / spacing) + 1))
+
+        kept = np.flatnonzero(self.kept_mask(alg, H, L_ops))
+        L_csr = [L.tocsr() for L in L_ops]
+        K = sum((L.conj().T @ L for L in L_csr), sparse.csr_array((n, n), dtype=complex))
+        A = _liouvillian(-1j * H.tocsr() - 0.5 * K, L_csr)[kept][:, kept].toarray()
+        # one RK4 step per sample at 0.01, several at 0.1
+        assert (spacing * np.abs(A).sum(axis=0).max() > STEP_BOUND) == k_above_one
+        propagator = expm(spacing * A)
+        # msq = sum_ij O[i, j] rho[j, i]
+        weights = msq_observable(alg).toarray().T.ravel()[kept]
+        v = rho0.ravel()[kept]
+        reference = []
+        for _ in traj.times:
+            reference.append((weights @ v).real)
+            v = propagator @ v
+        assert np.max(np.abs(traj.msq - reference)) <= 1e-9
+
+    def test_lost_positivity_aborts(self, monkeypatch):
+        # one RK4 step of 0.05 per sample is far outside the stable region
+        monkeypatch.setattr(qstab.focksim, "STEP_BOUND", 1e9)
         sys, series = build_opa(OpaParams(1.0, 1.0, 2.0))
         alg = build_algebra(2, 6)
         H = operator_of_series(alg, sys, series)
@@ -587,12 +634,6 @@ class TestReducedPropagation:
         traj = lindblad_evolve(alg, np.zeros((6, 6)), L, fock_state(alg, (1,)), 0.0015, 1e-3)
         assert traj.times[-1] == 0.0015
         assert np.all(np.diff(traj.times) <= 1e-3)
-
-    def test_record_stride_below_one_is_rejected(self):
-        alg = build_algebra(1, 6)
-        rho0 = fock_state(alg, (1,))
-        with pytest.raises(StructureError, match="record_stride"):
-            lindblad_evolve(alg, np.zeros((6, 6)), [], rho0, 0.1, 1e-3, record_stride=0)
 
 
 class TestMsBound:
