@@ -206,6 +206,29 @@ def _magnitude_terms(g: PerturbationSeries, radii: np.ndarray):
     return np.array(n, dtype=int).reshape(-1, g.p), np.array(G)
 
 
+def _peak_magnitude_sq(terms, shape) -> np.ndarray:
+    """Max over phase combinations m of sum_d |sum_k w^(n_k.m) G_k|^2, w^SCAN_PHASES = 1.
+
+    ``terms`` holds one (n, G) pair per derivative d.  Its modulus depends on m
+    only through each term's phase relative to its first term,
+    (n_k - n_0).m mod SCAN_PHASES, so the combinations are grouped by those
+    phases over all derivatives, and each distinct class is evaluated once and
+    folded into a running maximum.
+    """
+    combos = list(itertools.product(range(SCAN_PHASES), repeat=len(shape)))
+    relative = [(n - n[:1], G) for n, G in terms]
+    keys = np.vstack([n @ np.transpose(combos) % SCAN_PHASES for n, _ in relative])
+    classes = dict(zip(map(tuple, keys.T.tolist()), combos))
+    roots = np.exp(2j * np.pi * np.arange(SCAN_PHASES) / SCAN_PHASES)
+    peak = np.zeros(shape)
+    for m in classes.values():
+        total = sum(
+            np.abs(np.tensordot(roots[n @ m % SCAN_PHASES], G, 1)) ** 2 for n, G in relative
+        )
+        np.maximum(peak, total, out=peak)
+    return peak
+
+
 def scan_sector_region(
     f: PerturbationSeries,
     bounds: SectorBounds,
@@ -213,14 +236,16 @@ def scan_sector_region(
 ):
     """Worst-case sector margins over SCAN_PHASES phases, on a magnitude grid.
 
-    ``mag_sq_grids`` holds one 1-D array of squared magnitudes |z_c|^2 per
-    channel.  A cell is admissible iff both margins are >= 0 at every sampled
-    phase combination for its magnitude tuple.  Exhaustive phase sampling
-    limits this to p <= 2.
+    ``mag_sq_grids`` holds one 1-D array of finite, nonnegative squared
+    magnitudes |z_c|^2 per channel.  A cell is admissible iff both margins are
+    >= 0 at every sampled phase combination for its magnitude tuple.
+    Exhaustive phase sampling limits this to p <= 2.
 
     Each df/dz_i and d2f/dz_i^2 is formed once and split into magnitude grids
-    times phase weights (roots of unity), so a phase combination costs a few
-    scalar-times-grid products, folded into a running minimum.
+    times phase weights (roots of unity).  Phase combinations that give every
+    term of the gradient (or curvature) derivatives the same phase relative to
+    its derivative's first term give the same moduli, so each such class is
+    evaluated once: one class for the OPA, whose derivatives are monomials.
 
     Returns (mask, margin1, margin2), arrays with one axis per channel
     holding the admissibility flag and the phase-minimized margins.
@@ -231,25 +256,16 @@ def scan_sector_region(
         raise StructureError("exhaustive phase sampling is limited to p <= 2 channels")
     grids = [np.asarray(g, dtype=float) for g in mag_sq_grids]
     for g in grids:
-        if g.size == 0:
-            raise StructureError("magnitude grid with zero cells")
-        if np.any(g < 0):
-            raise StructureError("squared magnitudes must be nonnegative")
+        if g.ndim != 1 or g.size == 0:
+            raise StructureError(f"magnitude grids must be 1-D and nonempty, got shape {g.shape}")
+        if not np.all(np.isfinite(g) & (g >= 0)):
+            raise StructureError("squared magnitudes must be finite and nonnegative")
     mag_sq = np.meshgrid(*grids, indexing="ij")
     radii = np.sqrt(mag_sq)
+    shape = radii[0].shape
     grad = [_magnitude_terms(partial_z(f, i), radii) for i in range(1, f.p + 1)]
     curv = [_magnitude_terms(second_partial_z(f, i), radii) for i in range(1, f.p + 1)]
-    roots = np.exp(2j * np.pi * np.arange(SCAN_PHASES) / SCAN_PHASES)
-    base1 = sum(mag_sq) / bounds.gamma**2 + bounds.delta1
-
-    margin1 = np.full(radii[0].shape, np.inf)
-    margin2 = np.full(radii[0].shape, np.inf)
-    for m in itertools.product(range(SCAN_PHASES), repeat=f.p):
-        grad_sq, curv_sq = (
-            sum(np.abs(np.tensordot(roots[(n @ m) % SCAN_PHASES], G, 1)) ** 2 for n, G in terms)
-            for terms in (grad, curv)
-        )
-        margin1 = np.minimum(margin1, base1 - grad_sq)
-        margin2 = np.minimum(margin2, bounds.delta2 - curv_sq)
+    margin1 = sum(mag_sq) / bounds.gamma**2 + bounds.delta1 - _peak_magnitude_sq(grad, shape)
+    margin2 = bounds.delta2 - _peak_magnitude_sq(curv, shape)
     mask = (margin1 >= 0) & (margin2 >= 0)
     return mask, margin1, margin2

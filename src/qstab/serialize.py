@@ -212,20 +212,42 @@ def region_csv(curve: RegionCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _float_reprs(values: np.ndarray) -> np.ndarray:
+    """Object array of ``repr(float(v))`` for each entry, one repr per distinct value.
+
+    Values are told apart by bit pattern, so -0.0, 0.0 and NaN keep their own repr.
+    """
+    bits = values.view(np.int64)
+    distinct = np.unique(bits)
+    texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    return texts[np.searchsorted(distinct, bits)]
+
+
 def scan_csv(grids, mask, margin1, margin2) -> str:
-    """Admissibility mask over a two-channel magnitude grid."""
+    """Admissibility mask and margins over a two-channel magnitude grid.
+
+    One line per cell, row-major over (|z1|^2, |z2|^2), every float written as
+    its repr.  Each margin column calls repr once per distinct value.
+    """
     if len(grids) != 2:
         raise StructureError("scan CSV is defined for two channels")
-    g1, g2 = (list(map(repr, np.asarray(g, dtype=float).tolist())) for g in grids)
+    g1, g2 = (np.asarray(g, dtype=float) for g in grids)
     flags = np.asarray(mask, dtype=int)
-    margins = (np.asarray(margin1, dtype=float), np.asarray(margin2, dtype=float))
-    lines = ["|z1|^2,|z2|^2,admissible,margin1,margin2"]
-    # one grid row at a time: each grid value is formatted once, and only one
-    # row of margins is held as Python floats
-    for a, row, row1, row2 in zip(g1, flags, *margins, strict=True):
-        cells = zip(g2, row.tolist(), row1.tolist(), row2.tolist(), strict=True)
-        lines += [f"{a},{b},{flag},{x!r},{y!r}" for b, flag, x, y in cells]
-    return "\n".join(lines) + "\n"
+    margins = [np.ascontiguousarray(m, dtype=float) for m in (margin1, margin2)]
+    shapes = [g1.shape, g2.shape, flags.shape, *(m.shape for m in margins)]
+    if g1.ndim != 1 or g2.ndim != 1 or any(s != g1.shape + g2.shape for s in shapes[2:]):
+        raise StructureError(
+            "scan CSV needs 1-D grids and (len(grid1), len(grid2)) arrays; got grids "
+            "{} and {}, mask {}, margin1 {}, margin2 {}".format(*shapes)
+        )
+    t1, t2 = (list(map(repr, g.tolist())) for g in (g1, g2))
+    blocks = ["|z1|^2,|z2|^2,admissible,margin1,margin2\n"]
+    # one text block per grid row: holding all 10 000 line strings until one join
+    # raises the peak by ~0.6 MB
+    for a, *rows in zip(t1, flags, *map(_float_reprs, margins)):
+        cells = zip(t2, *(row.tolist() for row in rows))
+        blocks.append("".join([f"{a},{b},{flag},{x},{y}\n" for b, flag, x, y in cells]))
+    return "".join(blocks)
 
 
 def trajectory_csv(traj: FockTrajectory) -> str:

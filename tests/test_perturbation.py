@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qstab.errors import StructureError
@@ -232,6 +232,19 @@ class TestScan:
         with pytest.raises(StructureError):
             scan_sector_region(opa_series, bounds, [np.array([]), np.array([1.0])])
 
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            [np.array([0.0, np.nan]), np.array([1.0])],
+            [np.array([0.0, np.inf]), np.array([1.0])],
+            [np.ones((2, 2)), np.array([1.0])],
+        ],
+        ids=["nan", "inf", "2-d"],
+    )
+    def test_unscannable_grid_rejected(self, opa_series, grids):
+        with pytest.raises(StructureError):
+            scan_sector_region(opa_series, SectorBounds(gamma=1.0), grids)
+
     def test_three_channels_rejected(self):
         f = PerturbationSeries(p=3)
         with pytest.raises(StructureError):
@@ -259,6 +272,15 @@ def opa_region_extent(params, bounds):
         np.linspace(0.0, curve.lambda_bar * 1.05, 100),
         np.linspace(0.0, max(curve.cap2, 1e-12) * 1.2, 100),
     ]
+
+
+@st.composite
+def series_keys(draw):
+    """A channel count p <= 2 and 1-6 distinct keys (i, j, k, l) of low degree."""
+    p = draw(st.integers(1, 2))
+    channel, exponent = st.integers(1, p), st.integers(0, 3)
+    keys = st.tuples(channel, channel, exponent, exponent)
+    return p, draw(st.lists(keys, min_size=1, max_size=6, unique=True))
 
 
 def assert_scan_matches_phase_loop(f, bounds, grids):
@@ -307,6 +329,39 @@ class TestScanMatchesPhaseLoop:
         bounds = SectorBounds(gamma=0.5, delta1=0.5, delta2=20.0)
         mask, _, _ = assert_scan_matches_phase_loop(f, bounds, [np.linspace(0.0, 2.0, 60)])
         assert 0 < np.count_nonzero(mask) < mask.size
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=series_keys(), seed=st.integers(0, 2**32 - 1))
+    # the OPA's shape: monomial derivatives and an empty d2f/dz2^2
+    @example(shape=(2, [(1, 2, 2, 1), (2, 1, 1, 2)]), seed=0)
+    # mixed-channel terms sharing derivatives, and no curvature at all
+    @example(shape=(2, [(1, 2, 1, 0), (1, 1, 1, 1), (2, 1, 1, 1)]), seed=1)
+    @example(shape=(1, [(1, 1, 1, 0)]), seed=2)
+    def test_random_series_property(self, shape, seed):
+        p, keys = shape
+        rng = np.random.default_rng(seed)
+        f = PerturbationSeries(p, {key: complex(*rng.normal(size=2)) for key in keys})
+        # continuous bounds and extents keep exact ties off the grid
+        bounds = SectorBounds(
+            gamma=rng.uniform(0.3, 3.0), delta1=rng.uniform(0.05, 1.0), delta2=rng.uniform(0.05, 5.0)
+        )
+        grids = [np.linspace(0.0, rng.uniform(0.5, 2.0), n) for n in (9, 7)[:p]]
+        assert_scan_matches_phase_loop(f, bounds, grids)
+
+    def test_opa_derivatives_evaluated_once(self, monkeypatch):
+        params = OpaParams(1.0, 1.0, CHI)
+        bounds = SectorBounds(gamma=4.0, delta1=0.0, delta2=0.04)
+        _, series = build_opa(params)
+        derivatives = [d(series, i) for i in (1, 2) for d in (partial_z, second_partial_z)]
+        # every OPA derivative is one monomial, so all 64 combinations form one class
+        assert [len(d.coeffs) for d in derivatives] == [1, 1, 1, 0]
+        calls = []
+        tensordot = np.tensordot
+        monkeypatch.setattr(
+            np, "tensordot", lambda *args, **kw: calls.append(1) or tensordot(*args, **kw)
+        )
+        scan_sector_region(series, bounds, opa_region_extent(params, bounds))
+        assert len(calls) == len(derivatives)
 
     def test_zero_series(self):
         bounds = SectorBounds(gamma=1.5, delta1=0.2, delta2=0.0)

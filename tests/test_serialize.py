@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from conftest import random_system
 from qstab import serialize
 from qstab.errors import StructureError
-from qstab.opa import OpaParams, build_opa
+from qstab.opa import OpaParams, build_opa, region_curve
+from qstab.perturbation import SectorBounds, scan_sector_region
 
 
 class TestComplexEncoding:
@@ -93,10 +95,49 @@ class TestScanCsv:
         g2 = np.array([0.0, 1.0 / 3.0, 7.0])
         margin1 = rng.normal(size=(4, 3))
         margin2 = rng.normal(size=(4, 3))
-        margin1[0, 0], margin1[1, 2], margin2[2, 1] = 0.0, -0.0, 0.1 + 0.2
+        # repeated values, -0.0 next to 0.0, NaN, +-inf and a subnormal in both columns
+        specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1 + 0.2, 0.1 + 0.2]
+        margin1.flat[:8] = specials
+        margin2.flat[4:] = specials[::-1]
+        margin1[3, 2] = margin1[2, 0]
         mask = (margin1 >= 0) & (margin2 >= 0)
         assert np.any(margin1 < 0) and np.any(mask) and not np.all(mask)
         text = serialize.scan_csv([g1, g2], mask, margin1, margin2)
         assert text == row_loop_scan_csv([g1, g2], mask, margin1, margin2)
-        assert "0.30000000000000004" in text
+        for special in ("0.30000000000000004", ",-0.0,", ",nan", ",-inf", ",5e-324"):
+            assert special in text
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            ((3,), (2,), (3, 2), (2, 3), (3, 2)),
+            ((3,), (2,), (3, 2), (3, 2), (3,)),
+            ((3, 1), (2,), (3, 2), (3, 2), (3, 2)),
+        ],
+        ids=["margin1-transposed", "margin2-short", "grid1-2d"],
+    )
+    def test_shape_mismatch_rejected(self, shapes):
+        g1, g2, mask, margin1, margin2 = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(StructureError, match="margin1"):
+            serialize.scan_csv([g1, g2], mask > 0, margin1, margin2)
+
+    def test_memory_on_the_region_grid(self):
+        params = OpaParams(1.0, 1.0, 0.1)
+        bounds = SectorBounds(gamma=4.0, delta1=0.0, delta2=0.04)
+        _, series = build_opa(params)
+        curve = region_curve(params, bounds, 200)
+        grids = [
+            np.linspace(0.0, curve.lambda_bar * 1.05, 100),
+            np.linspace(0.0, max(curve.cap2, 1e-12) * 1.2, 100),
+        ]
+        mask, margin1, margin2 = scan_sector_region(series, bounds, grids)
+        tracemalloc.start()
+        try:
+            serialize.scan_csv(grids, mask, margin1, margin2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # ~2.6 MB with one text block per grid row; one string per cell held until
+        # the join reaches ~3.1 MB
+        assert peak < 3.6e6
 
