@@ -21,7 +21,7 @@ from qstab.focksim import (
     lindblad_evolve,
     operator_of_series,
 )
-from qstab.opa import OpaParams, build_opa, region_curve
+from qstab.opa import OpaParams, OpaRegion, build_opa
 from qstab.perturbation import SectorBounds
 
 
@@ -48,9 +48,9 @@ def main():
         raise SystemExit(1)
     print(f"constants: c1 = {cert.c1:.6f}, c2 = {cert.c2:.6e}, c3 = {cert.c3:.6e}")
 
-    curve = region_curve(params, bounds, 64)
     a2 = args.alpha**2
-    print(f"initial (|z1|^2, |z2|^2) = ({a2}, {a2}); inside region: {curve.contains(a2, a2)}")
+    inside = OpaRegion(params, bounds).contains(a2, a2)
+    print(f"initial (|z1|^2, |z2|^2) = ({a2}, {a2}); inside region: {inside}")
 
     alg = build_algebra(2, args.dim)
     H = operator_of_series(alg, sys, series)

@@ -21,7 +21,7 @@ from .errors import (
     TruncationError,
 )
 from .model import LinearQuantumSystem, hinf_norm, structure_matrices, validate_system
-from .opa import OpaParams, build_opa, closed_form_hinf, region_curve
+from .opa import OpaParams, OpaRegion, build_opa, closed_form_hinf, region_curve
 from .perturbation import (
     PerturbationSeries,
     SectorBounds,
@@ -39,6 +39,7 @@ __all__ = [
     "PerturbationSeries",
     "SectorBounds",
     "OpaParams",
+    "OpaRegion",
     "StabilityCertificate",
     "Verdict",
     "build_opa",

@@ -9,6 +9,8 @@ regularized Riccati equation, and assemble the explicit constants of the
 mean-square bound
 
     <x(t)' x(t)>  <=  c1 * exp(-c2 t) * <x(0)' x(0)> + c3.
+
+Given the admissible amplitude region, it also records the invariant level.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import QmiInfeasibleError, StructureError
 from .model import (
     LinearQuantumSystem, _realizations, _require_hurwitz, _stable, structure_matrices
 )
+from .opa import OpaRegion, invariant_ellipsoid
 from .perturbation import SectorBounds
 
 __all__ = [
@@ -251,13 +254,19 @@ class StabilityCertificate:
 
 
 def certify(
-    sys: LinearQuantumSystem, bounds: SectorBounds, eps: float | None = None
+    sys: LinearQuantumSystem, bounds: SectorBounds, eps: float | None = None,
+    region: OpaRegion | None = None,
 ) -> StabilityCertificate:
     """Run the full pipeline and return a certificate (or a failure verdict).
 
     FailedHurwitz and FailedSmallGain short-circuit with the data computed so
     far.  Errors raised by later stages propagate, tagged with the stage.
+    Given the admissible region of the perturbation (only the OPA has one,
+    ``OpaRegion``), a certified result records ``invariant_level``; without
+    it the level stays None.  A region for other bounds raises StructureError.
     """
+    if region is not None and region.bounds != bounds:
+        raise StructureError(f"the region was built for {region.bounds}, not {bounds}")
     found = {"gamma": bounds.gamma, "F": sys.F, "abscissa": sys.abscissa}
     if not _stable(sys.abscissa):
         return StabilityCertificate(Verdict.FAILED_HURWITZ, **found)
@@ -281,4 +290,6 @@ def certify(
             return StabilityCertificate(Verdict.FAILED_SMALL_GAIN, **found)
         raise QmiInfeasibleError(f"solve_qmi: {exc}") from exc
     constants = vars(certificate_constants(sys, bounds, P))
+    if region is not None:
+        found["invariant_level"] = invariant_ellipsoid(P, region)
     return StabilityCertificate(Verdict.CERTIFIED, P=P, **found, **constants)

@@ -292,21 +292,16 @@ def _verdict_exit(verdict: Verdict) -> int:
     }[verdict]
 
 
-def _certificate_with_level(
-    config: RunConfig, system: LinearQuantumSystem, bounds: SectorBounds
-):
-    cert = run_certify(system, bounds, eps=config.eps)
-    if cert.certified and config.opa_params is not None:
-        # the level reads the exact boundary, not the curve's samples
-        curve = opa.region_curve(config.opa_params, bounds, 2)
-        cert = replace(cert, invariant_level=opa.invariant_ellipsoid(cert.P, curve))
-    return cert
+def _certificate(config: RunConfig, system: LinearQuantumSystem, bounds: SectorBounds):
+    """Certificate for the run; OPA parameters bring the region that sets its level."""
+    region = None if config.opa_params is None else opa.OpaRegion(config.opa_params, bounds)
+    return run_certify(system, bounds, eps=config.eps, region=region)
 
 
 def _cmd_certify(config: RunConfig) -> int:
     bounds = _require_bounds(config)
     system, _ = _load_system(config)
-    cert = _certificate_with_level(config, system, bounds)
+    cert = _certificate(config, system, bounds)
     _write_json(config, ".certificate.json", serialize.certificate_to_json(cert))
     print(f"verdict: {cert.verdict.value}")
     return _verdict_exit(cert.verdict)
@@ -316,16 +311,17 @@ def _cmd_opa_region(config: RunConfig) -> int:
     if config.opa_params is None:
         raise StructureError("opa-region needs OPA parameters")
     bounds = _require_bounds(config)
-    curve = opa.region_curve(config.opa_params, bounds, config.grid)
-    lb = opa.lambda_bar(config.opa_params, bounds)
-    _write_text(config, ".region.csv", serialize.region_csv(curve))
+    region = opa.OpaRegion(config.opa_params, bounds)
+    lb, ceiling = region.lambda_bar, region.ceiling
+    rows = opa.region_curve(region, config.grid)
+    _write_text(config, ".region.csv", serialize.region_csv(rows))
     if _out_path(config, "") is not None:
         # phase-sampled admissibility mask on the same extent as the curve
         _, series = opa.build_opa(config.opa_params)
         n_cells = min(config.grid, 100)
         grids = [
-            np.linspace(0.0, curve.lambda_bar * 1.05, n_cells),
-            np.linspace(0.0, max(curve.cap2, 1e-12) * 1.2, n_cells),
+            np.linspace(0.0, lb.root * 1.05, n_cells),
+            np.linspace(0.0, max(ceiling, 1e-12) * 1.2, n_cells),
         ]
         mask, m1, m2 = scan_sector_region(series, bounds, grids)
         _write_text(config, ".scan.csv", serialize.scan_csv(grids, mask, m1, m2))
@@ -333,12 +329,12 @@ def _cmd_opa_region(config: RunConfig) -> int:
         "lambda_bar_caption": lb.caption,
         "lambda_bar_root": lb.root,
         "caption_discrepancy": lb.discrepancy,
-        "z2_ceiling": curve.cap2,
+        "z2_ceiling": ceiling,
     }
     _write_json(config, ".region.json", report)
     print(
         f"right endpoint |z1|^2 = {lb.root!r} (caption formula {lb.caption!r}, "
-        f"discrepancy {lb.discrepancy!r}); |z2|^2 ceiling {curve.cap2!r}"
+        f"discrepancy {lb.discrepancy!r}); |z2|^2 ceiling {ceiling!r}"
     )
     return EXIT_OK
 
@@ -348,7 +344,7 @@ def _cmd_simulate(config: RunConfig) -> int:
     system, series = _load_system(config)
     if series is None:
         raise StructureError("simulate needs a perturbation series (OPA or --series)")
-    cert = _certificate_with_level(config, system, bounds)
+    cert = _certificate(config, system, bounds)
     _write_json(config, ".certificate.json", serialize.certificate_to_json(cert))
     if not cert.certified:
         print(f"verdict: {cert.verdict.value}; not simulating")

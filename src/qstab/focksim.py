@@ -359,8 +359,11 @@ def operator_of_series(
     """Operator sum S[i,j,k,l] z_i^k (z_j')^l with literal left-to-right order.
 
     For a self-adjoint series the result is exactly Hermitian as a matrix;
-    truncation artifacts live outside the safe subspace.
+    truncation artifacts live outside the safe subspace.  A series whose
+    channel count differs from the system's raises StructureError.
     """
+    if f.p != sys.p:
+        raise StructureError(f"the series has {f.p} channels, the system has {sys.p}")
     if f.total_degree > alg.dim - 1:
         raise TruncationError(
             f"series degree {f.total_degree} exceeds truncation dim-1 = {alg.dim - 1}"
@@ -410,7 +413,11 @@ def check_commutator_identities(
        agreement with ``mu_constants``,
     5. the four-term expansion of [V, f] through the formal partial
        derivatives of f.
+
+    A series whose channel count differs from the system's raises StructureError.
     """
+    if f.p != sys.p:
+        raise StructureError(f"the series has {f.p} channels, the system has {sys.p}")
     P = np.asarray(P, dtype=complex)
     M, N = sys.M, sys.N
     size = 2 * sys.n

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,12 +22,10 @@ from .perturbation import PerturbationSeries, SectorBounds
 
 __all__ = [
     "OpaParams",
-    "RegionCurve",
+    "OpaRegion",
+    "LambdaBar",
     "build_opa",
     "closed_form_hinf",
-    "region_z2_cap",
-    "lambda_bar",
-    "LambdaBar",
     "region_curve",
     "invariant_ellipsoid",
 ]
@@ -74,35 +73,6 @@ def closed_form_hinf(params: OpaParams) -> float:
     return max(2.0 / params.kappa1, 2.0 / params.kappa2)
 
 
-def _knee(params: OpaParams, bounds: SectorBounds) -> float:
-    return 1.0 / (4.0 * bounds.gamma**2 * params.chi**2)
-
-
-def region_z2_cap(params: OpaParams, bounds: SectorBounds, z1sq: float) -> float:
-    """Largest admissible |z2|^2 at the given |z1|^2.
-
-    Below the knee |z1|^2 = 1/(4 gamma^2 chi^2) the gradient bound holds for
-    every |z2|^2 and only the curvature ceiling delta2/(4 chi^2) is active.
-    Beyond the knee the gradient bound gives
-
-        |z2|^2 <= (delta1/chi^2 + |z1|^2/(gamma^2 chi^2) - |z1|^4)
-                  / (4 |z1|^2 - 1/(gamma^2 chi^2)),
-
-    combined with the ceiling and clamped at zero once the numerator turns
-    negative.
-    """
-    if z1sq < 0:
-        raise StructureError(f"|z1|^2 must be nonnegative, got {z1sq}")
-    chi2 = params.chi**2
-    ceiling = bounds.delta2 / (4.0 * chi2)
-    if z1sq <= _knee(params, bounds):
-        return ceiling
-    inv_g2c2 = 1.0 / (bounds.gamma**2 * chi2)
-    numer = bounds.delta1 / chi2 + z1sq * inv_g2c2 - z1sq**2
-    denom = 4.0 * z1sq - inv_g2c2
-    return max(0.0, min(numer / denom, ceiling))
-
-
 @dataclass(frozen=True)
 class LambdaBar:
     """Right endpoint of the admissible interval in |z1|^2, both readings.
@@ -122,65 +92,75 @@ class LambdaBar:
         return abs(self.caption - self.root)
 
 
-def lambda_bar(params: OpaParams, bounds: SectorBounds) -> LambdaBar:
-    g2c2 = bounds.gamma**2 * params.chi**2
-    half = 1.0 / (2.0 * g2c2)
-    caption = half + math.sqrt(half**2 + bounds.delta1)
-    root = half + math.sqrt(half**2 + bounds.delta1 / params.chi**2)
-    return LambdaBar(caption=caption, root=root)
-
-
 @dataclass(frozen=True)
-class RegionCurve:
-    """Sampled upper boundary of the admissible region in (|z1|^2, |z2|^2).
+class OpaRegion:
+    """Admissible region {0 <= u <= lambda_bar.root, 0 <= v <= cap(u)} of the OPA.
 
-    ``samples`` holds (z1sq, z2sq_max, active) triples with active one of
-    "d2" (gradient bound) or "d3" (curvature ceiling).  ``lambda_bar`` is the
-    right endpoint (numerator root) and ``cap2`` the curvature ceiling.
-    The generating parameters are kept so membership tests can evaluate the
-    exact curve instead of interpolating.
+    u = |z1|^2 and v = |z2|^2; the sector bounds hold exactly there.  The
+    curvature ceiling, ``lambda_bar`` and ``cap`` are all read from the
+    closed form.  ``certify`` takes the region to record the invariant level.
     """
 
-    samples: list[tuple[float, float, str]]
-    lambda_bar: float
-    cap2: float
     params: OpaParams
     bounds: SectorBounds
 
+    @property
+    def ceiling(self) -> float:
+        return self.bounds.delta2 / (4.0 * self.params.chi**2)
+
+    @cached_property
+    def lambda_bar(self) -> LambdaBar:
+        g2c2 = self.bounds.gamma**2 * self.params.chi**2
+        half = 1.0 / (2.0 * g2c2)
+        caption = half + math.sqrt(half**2 + self.bounds.delta1)
+        root = half + math.sqrt(half**2 + self.bounds.delta1 / self.params.chi**2)
+        return LambdaBar(caption=caption, root=root)
+
     def cap(self, z1sq: float) -> float:
-        return region_z2_cap(self.params, self.bounds, z1sq)
+        """Largest admissible |z2|^2 at the given |z1|^2.
+
+        Below the knee |z1|^2 = 1/(4 gamma^2 chi^2) the gradient bound holds
+        for every |z2|^2 and only the ceiling delta2/(4 chi^2) is active.
+        Beyond the knee the gradient bound gives
+
+            |z2|^2 <= (delta1/chi^2 + |z1|^2/(gamma^2 chi^2) - |z1|^4)
+                      / (4 |z1|^2 - 1/(gamma^2 chi^2)),
+
+        combined with the ceiling and clamped at zero, the cap beyond
+        lambda_bar.  A negative or NaN |z1|^2 raises StructureError.
+        """
+        if not z1sq >= 0:
+            raise StructureError(f"|z1|^2 must be a nonnegative number, got {z1sq}")
+        chi2 = self.params.chi**2
+        if z1sq <= 1.0 / (4.0 * self.bounds.gamma**2 * chi2):
+            return self.ceiling
+        if z1sq > self.lambda_bar.root:
+            return 0.0
+        inv_g2c2 = 1.0 / (self.bounds.gamma**2 * chi2)
+        numer = self.bounds.delta1 / chi2 + z1sq * inv_g2c2 - z1sq**2
+        denom = 4.0 * z1sq - inv_g2c2
+        return max(0.0, min(numer / denom, self.ceiling))
 
     def contains(self, z1sq: float, z2sq: float, slack: float = 0.0) -> bool:
-        if z1sq < 0 or z2sq < 0:
-            return False
-        if z1sq > self.lambda_bar + slack:
+        """Membership widened by ``slack``; a NaN or negative coordinate is outside."""
+        if not (0 <= z1sq <= self.lambda_bar.root + slack and z2sq >= 0):
             return False
         return z2sq <= self.cap(z1sq) + slack
 
 
-def region_curve(
-    params: OpaParams, bounds: SectorBounds, n_samples: int
-) -> RegionCurve:
-    """Sample the admissibility boundary on a uniform grid of |z1|^2."""
+def region_curve(region: OpaRegion, n_samples: int) -> list[tuple[float, float, str]]:
+    """Rows (|z1|^2, cap, active) on a uniform grid of [0, lambda_bar], with
+    active "d3" where the ceiling binds and "d2" where the gradient bound does."""
     if n_samples < 2:
         raise StructureError(f"need at least 2 samples, got {n_samples}")
-    lb = lambda_bar(params, bounds)
-    ceiling = bounds.delta2 / (4.0 * params.chi**2)
-    samples = []
-    for z1sq in np.linspace(0.0, lb.root, n_samples):
-        cap = region_z2_cap(params, bounds, float(z1sq))
-        active = "d3" if cap >= ceiling else "d2"
-        samples.append((float(z1sq), cap, active))
-    return RegionCurve(
-        samples=samples,
-        lambda_bar=lb.root,
-        cap2=ceiling,
-        params=params,
-        bounds=bounds,
-    )
+    rows = []
+    for z1sq in np.linspace(0.0, region.lambda_bar.root, n_samples):
+        cap = region.cap(float(z1sq))
+        rows.append((float(z1sq), cap, "d3" if cap >= region.ceiling else "d2"))
+    return rows
 
 
-def invariant_ellipsoid(P: np.ndarray, region: RegionCurve) -> float:
+def invariant_ellipsoid(P: np.ndarray, region: OpaRegion) -> float:
     """Level rho with {x : x' P x <= rho} inside the admissible region.
 
     The ellipsoid lives in the doubled coordinates x = (a, a#) of the
@@ -191,8 +171,9 @@ def invariant_ellipsoid(P: np.ndarray, region: RegionCurve) -> float:
     downward along rays from the origin, so the minimum of s1 u + s2 cap(u)
     over u in [0, lambda_bar] is a level that is never overstated: exact for
     a mode-diagonal P (as every certified OPA P is, up to roundoff) and a
-    sound lower bound otherwise.  A P whose weights s1, s2 are not positive
-    raises StructureError.
+    sound lower bound otherwise.  A P that is not a finite 4x4 matrix, or
+    whose weights s1, s2 are not positive, raises StructureError.  ``certify``
+    calls this with the region it is given.
 
     With a = delta1/chi^2, b = 1/(gamma^2 chi^2) and w = 4u - b, the
     gradient branch reads s1 u + s2 cap(u) = (s1/4 - s2/16) w + s2 K / w +
@@ -206,6 +187,8 @@ def invariant_ellipsoid(P: np.ndarray, region: RegionCurve) -> float:
     P = np.asarray(P, dtype=complex)
     if P.shape != (4, 4):
         raise StructureError(f"expected a 4x4 quadratic form, got {P.shape}")
+    if not np.all(np.isfinite(P)):
+        raise StructureError("P must be finite")
     p = np.diag(P).real
     # |x' O x| <= ||O||_2 ||x||^2 = 2 ||O||_2 (u + v) for the off-diagonal part O
     shift = 2.0 * float(np.linalg.norm(P - np.diag(np.diag(P)), 2))
@@ -218,7 +201,7 @@ def invariant_ellipsoid(P: np.ndarray, region: RegionCurve) -> float:
     chi2 = region.params.chi**2
     a = region.bounds.delta1 / chi2
     b = 1.0 / (region.bounds.gamma**2 * chi2)
-    candidates = [0.0, region.lambda_bar]
+    candidates = [0.0, region.lambda_bar.root]
     slope = s1 / 4.0 - s2 / 16.0
     if slope > 0:
         w = math.sqrt(s2 * (a + 3.0 * b**2 / 16.0) / slope)

@@ -20,7 +20,6 @@ import numpy as np
 from .certify import StabilityCertificate, Verdict
 from .errors import StructureError
 from .model import LinearQuantumSystem
-from .opa import RegionCurve
 from .perturbation import PerturbationSeries
 
 if TYPE_CHECKING:
@@ -205,9 +204,10 @@ def certificate_from_json(doc: dict) -> StabilityCertificate:
     )
 
 
-def region_csv(curve: RegionCurve) -> str:
+def region_csv(rows) -> str:
+    """The (z1sq, cap, active) rows of ``opa.region_curve``, floats as their repr."""
     lines = ["z1sq,z2sq_cap,active_constraint"]
-    for z1sq, cap, active in curve.samples:
+    for z1sq, cap, active in rows:
         lines.append(f"{float(z1sq)!r},{float(cap)!r},{active}")
     return "\n".join(lines) + "\n"
 

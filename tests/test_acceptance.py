@@ -25,11 +25,10 @@ from qstab.focksim import (
 from qstab.model import structure_matrices
 from qstab.opa import (
     OpaParams,
+    OpaRegion,
     build_opa,
     closed_form_hinf,
-    lambda_bar,
     region_curve,
-    region_z2_cap,
 )
 from qstab.perturbation import SectorBounds, scan_sector_region
 
@@ -148,8 +147,7 @@ def test_criterion_6_mean_square_bound_simulation():
     assert cert.verdict is Verdict.CERTIFIED
 
     # the initial amplitudes sit strictly inside the admissible region
-    curve = region_curve(params, bounds, 64)
-    assert curve.contains(0.25, 0.25)
+    assert OpaRegion(params, bounds).contains(0.25, 0.25)
 
     dt = 0.01
     t_final = 10.0
@@ -177,11 +175,12 @@ def test_criterion_7_region_geometry():
     _, series = build_opa(params)
     ok = True
 
-    lb = lambda_bar(params, bounds)
+    region = OpaRegion(params, bounds)
+    lb = region.lambda_bar
     ok &= abs(lb.root - 6.25) <= 1e-12
 
-    curve = region_curve(params, bounds, 501)
-    z1sq0, cap0, _ = curve.samples[0]
+    rows = region_curve(region, 501)
+    z1sq0, cap0, _ = rows[0]
     ok &= z1sq0 == 0.0 and cap0 == bounds.delta2 / (4.0 * params.chi**2)
 
     # curve matches the kappa-form closed expression at gamma = 4/kappa1
@@ -189,7 +188,7 @@ def test_criterion_7_region_geometry():
     chi2 = params.chi**2
     knee = 1.0 / (4.0 * bounds.gamma**2 * chi2)
     ceiling = bounds.delta2 / (4.0 * chi2)
-    for z1sq, cap, _ in curve.samples:
+    for z1sq, cap, _ in rows:
         if z1sq <= knee * (1.0 + 1e-9):
             continue
         numer = bounds.delta1 / chi2 + z1sq * kappa1**2 / (16.0 * chi2) - z1sq**2
@@ -198,18 +197,18 @@ def test_criterion_7_region_geometry():
         ok &= abs(cap - expected) <= 1e-12 * (1.0 + expected)
 
     # boundary agrees with the phase-sampled sector scan within one cell
-    g1 = np.linspace(0.0, curve.lambda_bar * 1.05, 50)
-    g2 = np.linspace(0.0, curve.cap2 * 1.2, 50)
+    g1 = np.linspace(0.0, lb.root * 1.05, 50)
+    g2 = np.linspace(0.0, region.ceiling * 1.2, 50)
     mask, _, _ = scan_sector_region(series, bounds, [g1, g2])
     cell = g2[1] - g2[0]
     for col, z1sq in enumerate(g1):
-        cap = region_z2_cap(params, bounds, float(z1sq))
+        cap = region.cap(float(z1sq))
         admissible = np.nonzero(mask[col])[0]
         boundary = g2[admissible[-1]] if admissible.size else -cell / 2.0
         ok &= abs(boundary - min(cap, g2[-1])) <= cell * (1.0 + 1e-9)
 
     # the caption discrepancy at delta1 > 0 is reported, not asserted away
-    lb_pos = lambda_bar(params, SectorBounds(gamma=4.0, delta1=1.0, delta2=0.04))
+    lb_pos = OpaRegion(params, SectorBounds(gamma=4.0, delta1=1.0, delta2=0.04)).lambda_bar
     ok &= lb_pos.discrepancy > 0.0
     record_criterion(7, ok)
     assert ok

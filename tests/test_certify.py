@@ -13,7 +13,7 @@ from qstab.certify import (
 )
 from qstab.errors import NotHurwitzError, QmiInfeasibleError, StructureError
 from qstab.model import LinearQuantumSystem, _realizations, hinf_norm, structure_matrices
-from qstab.opa import OpaParams, build_opa
+from qstab.opa import OpaParams, OpaRegion, build_opa, invariant_ellipsoid
 from qstab.perturbation import SectorBounds
 
 
@@ -377,6 +377,34 @@ class TestCertify:
         dev = np.linalg.norm(cert.P - sm.Sigma @ cert.P.conj() @ sm.Sigma)
         assert dev <= 1e-8 * np.linalg.norm(cert.P)
         assert_constants_recompute(sys, bounds, cert)
+
+
+class TestInvariantLevel:
+    params = OpaParams(1.0, 2.0, 0.1)
+    bounds = SectorBounds(gamma=4.5, delta1=0.1, delta2=0.1)
+
+    def test_region_sets_the_level_of_a_certified_result(self):
+        region = OpaRegion(self.params, self.bounds)
+        cert = certify(opa_system(), self.bounds, region=region)
+        assert cert.certified
+        assert cert.invariant_level == invariant_ellipsoid(cert.P, region)
+        assert cert.invariant_level > 0
+
+    def test_without_a_region_the_level_is_none(self):
+        cert = certify(opa_system(), self.bounds)
+        assert cert.certified
+        assert cert.invariant_level is None
+
+    def test_region_for_other_bounds_is_refused(self):
+        other = SectorBounds(gamma=4.5, delta1=0.1, delta2=0.2)
+        with pytest.raises(StructureError, match="region was built for"):
+            certify(opa_system(), self.bounds, region=OpaRegion(self.params, other))
+
+    def test_failed_verdict_carries_no_level(self):
+        bounds = SectorBounds(gamma=3.0, delta1=0.1, delta2=0.1)
+        cert = certify(opa_system(), bounds, region=OpaRegion(self.params, bounds))
+        assert cert.verdict is Verdict.FAILED_SMALL_GAIN
+        assert cert.invariant_level is None
 
 
 def _threshold_systems():

@@ -9,6 +9,7 @@ import pytest
 
 import qstab.model
 from qstab import cli, serialize
+from qstab.certify import certify
 from qstab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -20,7 +21,7 @@ from qstab.cli import (
 )
 from qstab.errors import NotHurwitzError
 from qstab.model import LinearQuantumSystem
-from qstab.opa import OpaParams, build_opa, invariant_ellipsoid, region_curve
+from qstab.opa import OpaParams, OpaRegion, build_opa, invariant_ellipsoid
 from qstab.perturbation import SectorBounds
 
 
@@ -119,16 +120,27 @@ class TestCertifyCommand:
         assert redumped == text
 
     def test_invariant_level_is_exact_at_any_grid(self, tmp_path):
-        curve = region_curve(OpaParams(1.0, 2.0, 0.1), SectorBounds(4.5, 0.1, 0.1), 64)
+        region = OpaRegion(OpaParams(1.0, 2.0, 0.1), SectorBounds(4.5, 0.1, 0.1))
         levels = []
         for grid in ("2", "200"):
             out = tmp_path / f"grid{grid}"
             assert main(["certify", *opa_flags(out), "--grid", grid]) == EXIT_OK
             doc = json.loads((tmp_path / f"grid{grid}.certificate.json").read_text())
-            expected = invariant_ellipsoid(serialize.certificate_from_json(doc).P, curve)
+            expected = invariant_ellipsoid(serialize.certificate_from_json(doc).P, region)
             assert doc["invariant_level"] == expected
             levels.append(doc["invariant_level"])
         assert levels[0] == levels[1] > 0
+
+    def test_library_and_both_commands_record_one_level(self, tmp_path):
+        params = OpaParams(1.0, 2.0, 0.1)
+        bounds = SectorBounds(4.5, 0.1, 0.1)
+        cert = certify(build_opa(params)[0], bounds, region=OpaRegion(params, bounds))
+        sim_flags = ["--dim", "4", "--t-final", "0.01"]
+        assert main(["certify", *opa_flags(tmp_path / "certify")]) == EXIT_OK
+        assert main(["simulate", *opa_flags(tmp_path / "simulate"), *sim_flags]) == EXIT_OK
+        for command in ("certify", "simulate"):
+            doc = json.loads((tmp_path / f"{command}.certificate.json").read_text())
+            assert doc["invariant_level"] == cert.invariant_level
 
     def test_no_temp_files_left(self, tmp_path):
         out = tmp_path / "run"
@@ -331,6 +343,22 @@ class TestCheckIdentitiesCommand:
         assert len(doc) == 5
         assert max(doc.values()) <= 1e-10
 
+    @pytest.mark.parametrize("command", ["check-identities", "simulate"])
+    @pytest.mark.parametrize("p", [3, 1])
+    def test_series_channel_count_must_match_system(self, tmp_path, capsys, command, p):
+        # the OPA as --system JSON has p = 2 channels
+        sys_doc = serialize.system_to_json(build_opa(OpaParams(1.0, 2.0, 0.1))[0])
+        sys_path = tmp_path / "system.json"
+        sys_path.write_text(json.dumps(sys_doc))
+        term = {"i": p, "j": p, "k": 1, "l": 1, "re": 1}  # z_p z_p', on channel p
+        series_path = tmp_path / "series.json"
+        series_path.write_text(json.dumps({"p": p, "terms": [term]}))
+        code = main([
+            command, "--system", str(sys_path), "--series", str(series_path),
+            "--gamma", "4.5", "--dim", "4", "--t-final", "0.01",
+        ])
+        assert code == EXIT_CONFIG
+        assert f"the series has {p} channels, the system has 2" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -622,7 +650,7 @@ class TestScripts:
         params = OpaParams(1.0, 2.0, 0.1)
         bounds = SectorBounds(gamma=doc["gamma"], delta1=0.1, delta2=0.1)
         P = serialize.matrix_from_json(doc["P"])
-        level = invariant_ellipsoid(P, region_curve(params, bounds, 2))
+        level = invariant_ellipsoid(P, OpaRegion(params, bounds))
         assert doc["invariant_level"] == pytest.approx(level, rel=1e-12)
 
 

@@ -7,12 +7,11 @@ from qstab.certify import certify
 from qstab.errors import StructureError
 from qstab.opa import (
     OpaParams,
+    OpaRegion,
     build_opa,
     closed_form_hinf,
     invariant_ellipsoid,
-    lambda_bar,
     region_curve,
-    region_z2_cap,
 )
 from qstab.perturbation import (
     SectorBounds,
@@ -57,7 +56,7 @@ class TestRegionCap:
     def test_origin_hits_curvature_ceiling(self):
         params = OpaParams(1.0, 1.0, 0.1)
         bounds = SectorBounds(gamma=4.0, delta1=0.3, delta2=0.04)
-        assert region_z2_cap(params, bounds, 0.0) == pytest.approx(
+        assert OpaRegion(params, bounds).cap(0.0) == pytest.approx(
             bounds.delta2 / (4 * params.chi**2)
         )
 
@@ -65,28 +64,49 @@ class TestRegionCap:
         params = OpaParams(1.0, 1.0, 0.1)
         bounds = SectorBounds(gamma=4.0, delta1=0.0, delta2=100.0)
         z1sq = 1.0 / (bounds.gamma**2 * params.chi**2)
-        assert region_z2_cap(params, bounds, z1sq) == pytest.approx(0.0, abs=1e-12)
+        assert OpaRegion(params, bounds).cap(z1sq) == pytest.approx(0.0, abs=1e-12)
 
     def test_admissibility_ends_at_numerator_root(self):
         params = OpaParams(1.0, 1.0, 0.1)
         bounds = SectorBounds(gamma=4.0, delta1=0.0, delta2=100.0)
         root = 1.0 / (bounds.gamma**2 * params.chi**2)
         assert root == pytest.approx(6.25)
-        assert region_z2_cap(params, bounds, root * 1.0001) == 0.0
-        assert region_z2_cap(params, bounds, root * 0.999) > 0.0
+        region = OpaRegion(params, bounds)
+        assert region.cap(root * 1.0001) == 0.0
+        assert region.cap(root * 0.999) > 0.0
+
+
+class TestRegionInputs:
+    region = OpaRegion(OpaParams(1.0, 1.0, 0.1), SectorBounds(gamma=4.0, delta1=0.3, delta2=0.04))
+
+    def test_nan_cap_is_rejected(self):
+        with pytest.raises(StructureError, match="nonnegative number"):
+            self.region.cap(float("nan"))
+
+    def test_nan_point_is_outside(self):
+        assert not self.region.contains(float("nan"), 0.0)
+
+    def test_cap_at_infinity_is_zero(self):
+        assert self.region.cap(float("inf")) == 0.0
+
+    def test_non_finite_P_is_rejected(self):
+        P = np.eye(4)
+        P[1, 2] = np.inf
+        with pytest.raises(StructureError, match="finite"):
+            invariant_ellipsoid(P, self.region)
 
 
 class TestLambdaBar:
     def test_delta1_zero_agreement(self):
         params = OpaParams(1.0, 1.0, 0.1)
-        lb = lambda_bar(params, SectorBounds(gamma=4.0, delta1=0.0, delta2=1.0))
+        lb = OpaRegion(params, SectorBounds(gamma=4.0, delta1=0.0, delta2=1.0)).lambda_bar
         assert lb.caption == pytest.approx(6.25, abs=1e-12)
         assert lb.root == pytest.approx(6.25, abs=1e-12)
         assert lb.discrepancy == pytest.approx(0.0, abs=1e-12)
 
     def test_delta1_positive_discrepancy_reported(self):
         params = OpaParams(1.0, 1.0, 0.1)
-        lb = lambda_bar(params, SectorBounds(gamma=4.0, delta1=1.0, delta2=1.0))
+        lb = OpaRegion(params, SectorBounds(gamma=4.0, delta1=1.0, delta2=1.0)).lambda_bar
         assert lb.caption == pytest.approx(3.125 + np.sqrt(9.765625 + 1.0), rel=1e-12)
         assert lb.root == pytest.approx(3.125 + np.sqrt(9.765625 + 100.0), rel=1e-12)
         assert lb.discrepancy > 1.0  # surfaced, not silently resolved
@@ -97,17 +117,16 @@ class TestRegionCurve:
     bounds = SectorBounds(gamma=4.0, delta1=0.0, delta2=0.04)
 
     def test_starts_at_ceiling(self):
-        curve = region_curve(self.params, self.bounds, 64)
-        z1sq, cap, active = curve.samples[0]
+        z1sq, cap, active = region_curve(OpaRegion(self.params, self.bounds), 64)[0]
         assert z1sq == 0.0
         assert cap == self.bounds.delta2 / (4 * self.params.chi**2)
         assert active == "d3"
 
     def test_nonincreasing_past_knee(self):
         bounds = SectorBounds(gamma=4.0, delta1=0.0, delta2=1e6)  # ceiling never binds
-        curve = region_curve(self.params, bounds, 400)
+        rows = region_curve(OpaRegion(self.params, bounds), 400)
         knee = 1.0 / (4 * bounds.gamma**2 * self.params.chi**2)
-        caps = [cap for z1sq, cap, _ in curve.samples if z1sq > knee * 1.01]
+        caps = [cap for z1sq, cap, _ in rows if z1sq > knee * 1.01]
         assert all(a >= b - 1e-9 for a, b in zip(caps, caps[1:]))
 
     def test_matches_specialized_closed_form(self):
@@ -116,12 +135,12 @@ class TestRegionCurve:
         params = OpaParams(kappa1, 3.0, 0.1)
         gamma = 4.0 / kappa1
         bounds = SectorBounds(gamma=gamma, delta1=0.2, delta2=0.5)
-        curve = region_curve(params, bounds, 501)
+        rows = region_curve(OpaRegion(params, bounds), 501)
         chi2 = params.chi**2
         knee = 1.0 / (4 * gamma**2 * chi2)
         ceiling = bounds.delta2 / (4 * chi2)
         checked = 0
-        for z1sq, cap, _ in curve.samples:
+        for z1sq, cap, _ in rows:
             if z1sq <= knee * (1 + 1e-9):
                 continue
             numer = bounds.delta1 / chi2 + z1sq * kappa1**2 / (16 * chi2) - z1sq**2
@@ -136,20 +155,20 @@ class TestRegionCurve:
         # no jump (the ceiling masks the gradient branch's pole at the knee)
         jumps = {}
         for n in (500, 5000):
-            curve = region_curve(self.params, self.bounds, n)
-            caps = np.array([cap for _, cap, _ in curve.samples])
+            rows = region_curve(OpaRegion(self.params, self.bounds), n)
+            caps = np.array([cap for _, cap, _ in rows])
             jumps[n] = float(np.max(np.abs(np.diff(caps))))
         assert jumps[5000] < 0.2 * jumps[500]
 
     def test_curve_boundary_matches_sector_scan(self):
         _, series = build_opa(self.params)
-        curve = region_curve(self.params, self.bounds, 50)
-        g1 = np.linspace(0.0, curve.lambda_bar * 1.05, 50)
-        g2 = np.linspace(0.0, curve.cap2 * 1.2, 50)
+        region = OpaRegion(self.params, self.bounds)
+        g1 = np.linspace(0.0, region.lambda_bar.root * 1.05, 50)
+        g2 = np.linspace(0.0, region.ceiling * 1.2, 50)
         mask, _, _ = scan_sector_region(series, self.bounds, [g1, g2])
         cell = g2[1] - g2[0]
         for col, z1sq in enumerate(g1):
-            cap = region_z2_cap(self.params, self.bounds, float(z1sq))
+            cap = region.cap(float(z1sq))
             admissible = np.nonzero(mask[col])[0]
             boundary = g2[admissible[-1]] if admissible.size else -cell / 2
             assert abs(boundary - min(cap, g2[-1])) <= cell * (1 + 1e-9)
@@ -158,9 +177,9 @@ class TestRegionCurve:
         from qstab.perturbation import sector_margins
 
         _, series = build_opa(self.params)
-        curve = region_curve(self.params, self.bounds, 40)
+        rows = region_curve(OpaRegion(self.params, self.bounds), 40)
         rng = np.random.default_rng(7)
-        for z1sq, cap, _ in curve.samples:
+        for z1sq, cap, _ in rows:
             if cap <= 0:
                 continue
             z2sq = 0.95 * cap
@@ -178,15 +197,15 @@ def _certified_P(params, bounds):
     return cert.P
 
 
-def _boundary_values(P, curve, z1sq):
+def _boundary_values(P, region, z1sq):
     """x'Px at the boundary points (|z1|^2, cap(|z1|^2)), straight from P."""
-    z2sq = np.array([curve.cap(float(u)) for u in z1sq])
+    z2sq = np.array([region.cap(float(u)) for u in z1sq])
     z = np.stack([np.sqrt(z1sq), np.sqrt(z2sq)], axis=1).astype(complex)
     x = np.concatenate([z, z.conj()], axis=1)
     return np.real(np.einsum("ki,ij,kj->k", x.conj(), P, x))
 
 
-def _level_set_points_inside(P, curve, level, rng, n=400):
+def _level_set_points_inside(P, region, level, rng, n=400):
     """Random phases and magnitude splits on x'Px = level, endpoints included."""
     splits = np.concatenate([[0.0, 1.0], rng.random(n - 2)])
     for t in splits:
@@ -195,7 +214,7 @@ def _level_set_points_inside(P, curve, level, rng, n=400):
         z = z * np.sqrt(level / np.real(x.conj() @ P @ x))
         mags = np.abs(z) ** 2
         # the slack covers the rounding of the sampled point itself
-        if not curve.contains(mags[0], mags[1], slack=1e-12 * (1.0 + mags.sum())):
+        if not region.contains(mags[0], mags[1], slack=1e-12 * (1.0 + mags.sum())):
             return False
     return True
 
@@ -206,20 +225,20 @@ class TestInvariantEllipsoid:
 
     def test_degenerate_region_level_zero(self):
         bounds = SectorBounds(gamma=4.0, delta1=0.0, delta2=0.0)
-        curve = region_curve(self.params, bounds, 16)
-        assert invariant_ellipsoid(np.eye(4), curve) == 0.0
+        region = OpaRegion(self.params, bounds)
+        assert invariant_ellipsoid(np.eye(4), region) == 0.0
 
     def test_identity_level_is_twice_boundary_distance(self):
-        curve = region_curve(self.params, self.bounds, 64)
-        level = invariant_ellipsoid(np.eye(4), curve)
+        region = OpaRegion(self.params, self.bounds)
+        level = invariant_ellipsoid(np.eye(4), region)
         # nearest boundary in squared magnitudes is the curvature ceiling
-        assert level == pytest.approx(2.0 * curve.cap2, rel=1e-12)
+        assert level == pytest.approx(2.0 * region.ceiling, rel=1e-12)
 
     def test_scaling_P_scales_level(self):
-        curve = region_curve(self.params, self.bounds, 64)
+        region = OpaRegion(self.params, self.bounds)
         P = np.diag([0.7, 2.5, 0.7, 2.5]).astype(complex)
-        level1 = invariant_ellipsoid(P, curve)
-        level2 = invariant_ellipsoid(2.0 * P, curve)
+        level1 = invariant_ellipsoid(P, region)
+        level2 = invariant_ellipsoid(2.0 * P, region)
         assert level2 == pytest.approx(2.0 * level1, rel=1e-12)
 
     def test_general_P_level_is_sound(self, rng):
@@ -227,9 +246,9 @@ class TestInvariantEllipsoid:
         # boundary at every phase pair, or the call refuses the P
         from conftest import random_block_P
 
-        curve = region_curve(self.params, self.bounds, 2)
-        u = np.linspace(0.0, curve.lambda_bar, 201)
-        z = np.stack([np.sqrt(u), np.sqrt([curve.cap(float(t)) for t in u])], axis=1)
+        region = OpaRegion(self.params, self.bounds)
+        u = np.linspace(0.0, region.lambda_bar.root, 201)
+        z = np.stack([np.sqrt(u), np.sqrt([region.cap(float(t)) for t in u])], axis=1)
         phases = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False))
         zz = z[:, None, None, :] * np.stack(np.meshgrid(phases, phases, indexing="ij"), axis=-1)
         x = np.concatenate([zz, zz.conj()], axis=-1).reshape(-1, 4)
@@ -237,7 +256,7 @@ class TestInvariantEllipsoid:
         for _ in range(30):
             P = random_block_P(rng, 2)
             try:
-                level = invariant_ellipsoid(P, curve)
+                level = invariant_ellipsoid(P, region)
             except StructureError as exc:
                 assert "positive definite" in str(exc)
                 continue
@@ -247,9 +266,9 @@ class TestInvariantEllipsoid:
         assert levels >= 5
 
     def test_rejects_indefinite_P(self):
-        curve = region_curve(self.params, self.bounds, 64)
+        region = OpaRegion(self.params, self.bounds)
         with pytest.raises(StructureError, match="positive definite"):
-            invariant_ellipsoid(np.diag([1.0, -1.0, 1.0, -1.0]), curve)
+            invariant_ellipsoid(np.diag([1.0, -1.0, 1.0, -1.0]), region)
 
     # certified OPA configurations whose minimum sits on the ceiling at
     # |z1|^2 = 0, at the gradient branch's stationary point, and at lambda_bar
@@ -266,11 +285,11 @@ class TestInvariantEllipsoid:
         params = OpaParams(kappa1, kappa2, chi)
         bounds = SectorBounds(factor * 2.0 * closed_form_hinf(params), delta1, delta2)
         P = _certified_P(params, bounds)
-        curve = region_curve(params, bounds, 2)
-        level = invariant_ellipsoid(P, curve)
-        dense = float(np.min(_boundary_values(P, curve, np.linspace(0.0, curve.lambda_bar, 1_000_001))))
+        region = OpaRegion(params, bounds)
+        level = invariant_ellipsoid(P, region)
+        dense = float(np.min(_boundary_values(P, region, np.linspace(0.0, region.lambda_bar.root, 1_000_001))))
         assert dense * (1 - 1e-9) <= level <= dense * (1 + 1e-12)
-        assert _level_set_points_inside(P, curve, level, rng)
+        assert _level_set_points_inside(P, region, level, rng)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -287,13 +306,13 @@ class TestInvariantEllipsoid:
         params = OpaParams(kappa1, kappa2, chi)
         bounds = SectorBounds(factor * 2.0 * closed_form_hinf(params), delta1, delta2)
         P = _certified_P(params, bounds)
-        curve = region_curve(params, bounds, 2)
-        level = invariant_ellipsoid(P, curve)
-        assert _level_set_points_inside(P, curve, level, np.random.default_rng(seed), n=100)
+        region = OpaRegion(params, bounds)
+        level = invariant_ellipsoid(P, region)
+        assert _level_set_points_inside(P, region, level, np.random.default_rng(seed), n=100)
         # coarse grid, then a fine grid over the two cells around its minimum
-        coarse = np.linspace(0.0, curve.lambda_bar, 2001)
-        values = _boundary_values(P, curve, coarse)
+        coarse = np.linspace(0.0, region.lambda_bar.root, 2001)
+        values = _boundary_values(P, region, coarse)
         k = int(np.argmin(values))
         fine = np.linspace(coarse[max(k - 1, 0)], coarse[min(k + 1, 2000)], 2001)
-        best = min(float(values[k]), float(np.min(_boundary_values(P, curve, fine))))
+        best = min(float(values[k]), float(np.min(_boundary_values(P, region, fine))))
         assert best * (1 - 1e-6) <= level <= best * (1 + 1e-12)

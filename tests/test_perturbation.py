@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qstab.errors import StructureError
-from qstab.opa import OpaParams, build_opa, region_curve
+from qstab.opa import OpaParams, OpaRegion, build_opa
 from qstab.perturbation import (
     SCAN_PHASES,
     PerturbationSeries,
@@ -267,10 +267,10 @@ def phase_loop_scan(f, bounds, mag_sq_grids):
 
 def opa_region_extent(params, bounds):
     """The 100 x 100 magnitude grids ``qstab opa-region`` scans."""
-    curve = region_curve(params, bounds, 200)
+    region = OpaRegion(params, bounds)
     return [
-        np.linspace(0.0, curve.lambda_bar * 1.05, 100),
-        np.linspace(0.0, max(curve.cap2, 1e-12) * 1.2, 100),
+        np.linspace(0.0, region.lambda_bar.root * 1.05, 100),
+        np.linspace(0.0, max(region.ceiling, 1e-12) * 1.2, 100),
     ]
 
 

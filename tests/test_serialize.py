@@ -7,7 +7,7 @@ import pytest
 from conftest import random_system
 from qstab import serialize
 from qstab.errors import StructureError
-from qstab.opa import OpaParams, build_opa, region_curve
+from qstab.opa import OpaParams, OpaRegion, build_opa
 from qstab.perturbation import SectorBounds, scan_sector_region
 
 
@@ -125,10 +125,10 @@ class TestScanCsv:
         params = OpaParams(1.0, 1.0, 0.1)
         bounds = SectorBounds(gamma=4.0, delta1=0.0, delta2=0.04)
         _, series = build_opa(params)
-        curve = region_curve(params, bounds, 200)
+        region = OpaRegion(params, bounds)
         grids = [
-            np.linspace(0.0, curve.lambda_bar * 1.05, 100),
-            np.linspace(0.0, max(curve.cap2, 1e-12) * 1.2, 100),
+            np.linspace(0.0, region.lambda_bar.root * 1.05, 100),
+            np.linspace(0.0, max(region.ceiling, 1e-12) * 1.2, 100),
         ]
         mask, margin1, margin2 = scan_sector_region(series, bounds, grids)
         tracemalloc.start()
