@@ -132,14 +132,13 @@ class OpaRegion:
         if not z1sq >= 0:
             raise StructureError(f"|z1|^2 must be a nonnegative number, got {z1sq}")
         chi2 = self.params.chi**2
-        if z1sq <= 1.0 / (4.0 * self.bounds.gamma**2 * chi2):
+        b = 1.0 / (self.bounds.gamma**2 * chi2)
+        if z1sq <= b / 4.0:
             return self.ceiling
         if z1sq > self.lambda_bar.root:
             return 0.0
-        inv_g2c2 = 1.0 / (self.bounds.gamma**2 * chi2)
-        numer = self.bounds.delta1 / chi2 + z1sq * inv_g2c2 - z1sq**2
-        denom = 4.0 * z1sq - inv_g2c2
-        return max(0.0, min(numer / denom, self.ceiling))
+        numer = self.bounds.delta1 / chi2 + z1sq * b - z1sq**2
+        return max(0.0, min(numer / (4.0 * z1sq - b), self.ceiling))
 
     def contains(self, z1sq: float, z2sq: float, slack: float = 0.0) -> bool:
         """Membership widened by ``slack``; a NaN or negative coordinate is outside."""
