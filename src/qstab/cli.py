@@ -27,7 +27,12 @@ from .certify import Verdict
 from .certify import certify as run_certify
 from .errors import NotHurwitzError, QstabError, StructureError, TruncationError
 from .model import LinearQuantumSystem, validate_system
-from .perturbation import PerturbationSeries, SectorBounds, scan_sector_region
+from .perturbation import (
+    PerturbationSeries,
+    SectorBounds,
+    scan_sector_region,
+    validate_selfadjoint,
+)
 from .serialize import json_number
 
 __all__ = ["RunConfig", "SimParams", "SweepSpec", "run", "main"]
@@ -50,6 +55,12 @@ class SimParams:
     dt: float | None = None
     t_final: float | None = None
     alphas: tuple[complex, ...] = (0.5, 0.5)
+
+    def __post_init__(self):
+        for name in ("dt", "t_final"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise StructureError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -244,6 +255,23 @@ def _load_system(config: RunConfig) -> tuple[LinearQuantumSystem, PerturbationSe
     return system, series
 
 
+def _load_perturbed(config: RunConfig) -> tuple[LinearQuantumSystem, PerturbationSeries]:
+    """System and series of a Fock-space command.  A series read from a file
+    must be self-adjoint; the OPA's is by construction."""
+    system, series = _load_system(config)
+    if series is None:
+        raise StructureError(f"{config.command} needs a perturbation series (OPA or --series)")
+    if config.series_path is not None:
+        violations = validate_selfadjoint(series)
+        if violations:
+            pairs = "; ".join(
+                f"S[{i},{j},{k},{l}] != conj(S[{j},{i},{l},{k}])"
+                for (i, j, k, l), _ in violations
+            )
+            raise StructureError(f"series is not self-adjoint: {pairs}")
+    return system, series
+
+
 def _require_bounds(config: RunConfig) -> SectorBounds:
     if config.bounds is None:
         raise StructureError("this command needs sector bounds (--gamma at least)")
@@ -341,26 +369,25 @@ def _cmd_opa_region(config: RunConfig) -> int:
 
 def _cmd_simulate(config: RunConfig) -> int:
     bounds = _require_bounds(config)
-    system, series = _load_system(config)
-    if series is None:
-        raise StructureError("simulate needs a perturbation series (OPA or --series)")
+    system, series = _load_perturbed(config)
+    from . import focksim
+    sim = config.sim
+    # the Fock-space inputs are checked before the certificate is written
+    dim = sim.dim if sim.dim is not None else 12
+    alg = focksim.build_algebra(system.n, dim)
+    H = focksim.operator_of_series(alg, system, series)
+    H += 0.5 * focksim.quadratic_form(alg, system.M)
+    L_ops = focksim.coupling_operators(alg, system)
+    rho0 = focksim.coherent_state(alg, np.asarray(sim.alphas))
     cert = _certificate(config, system, bounds)
     _write_json(config, ".certificate.json", serialize.certificate_to_json(cert))
     if not cert.certified:
         print(f"verdict: {cert.verdict.value}; not simulating")
         return _verdict_exit(cert.verdict)
 
-    from . import focksim
-    sim = config.sim
-    dim = sim.dim if sim.dim is not None else 12
-    alg = focksim.build_algebra(system.n, dim)
-    H = focksim.operator_of_series(alg, system, series)
-    H += 0.5 * focksim.quadratic_form(alg, system.M)
-    L_ops = focksim.coupling_operators(alg, system)
     dt = sim.dt if sim.dt is not None else SAMPLE_SPACING
     # five decay times of the slowest mode: 10 / min kappa for the OPA
     t_final = sim.t_final if sim.t_final is not None else -5.0 / system.abscissa
-    rho0 = focksim.coherent_state(alg, np.asarray(sim.alphas))
     traj = focksim.lindblad_evolve(alg, H, L_ops, rho0, t_final, dt)
     ok, worst = focksim.check_ms_bound(traj, cert.c1, cert.c2, cert.c3)
     _write_text(config, ".trajectory.csv", serialize.trajectory_csv(traj))
@@ -397,9 +424,7 @@ def _cmd_sweep(config: RunConfig) -> int:
 
 def _cmd_check_identities(config: RunConfig) -> int:
     from . import focksim
-    system, series = _load_system(config)
-    if series is None:
-        raise StructureError("check-identities needs a perturbation series")
+    system, series = _load_perturbed(config)
     dim = config.sim.dim if config.sim.dim is not None else 6
     alg = focksim.build_algebra(system.n, dim)
     P = np.eye(2 * system.n, dtype=complex)

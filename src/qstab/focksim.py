@@ -11,8 +11,11 @@ D x D matrix for each of a few offsets o.  A truncated ladder operator is a
 single diagonal, and a short polynomial in ladder operators has only a
 handful, so a product costs O(D) per pair of diagonals instead of the
 O(D^3) of a dense product.  The same storage serves stacks of operators,
-which share their offsets.  No function here returns a dense operator;
-``toarray`` and ``tocsr`` convert one.
+which share their offsets.  Linear and quadratic forms keep only the
+diagonals that hold an entry other than exactly 0, so products built from
+them never pair a zero diagonal: for a mode-diagonal P, as the OPA's
+usually is, V = x'Px is one diagonal of nine.  No function here returns a dense
+operator; ``toarray`` and ``tocsr`` convert one.
 
 The same algebra drives a density-matrix integrator for the master equation
 
@@ -234,6 +237,13 @@ def _stack(ops: list[_Diagonals]) -> _Diagonals:
     return _Diagonals(offsets, data)
 
 
+def _nonzero(offsets: np.ndarray, data: np.ndarray) -> _Diagonals:
+    """The operator or stack with these diagonals, keeping only those with an
+    entry other than exactly 0 in some layer."""
+    keep = data.any(axis=tuple(range(data.ndim - 2)) + (-1,))
+    return _Diagonals(offsets[keep], data[..., keep, :])
+
+
 def _identity(d: int) -> _Diagonals:
     return _Diagonals(np.zeros(1, dtype=int), np.ones((1, d), dtype=complex))
 
@@ -328,7 +338,7 @@ def _linear_forms(alg: TruncatedAlgebra, A: np.ndarray) -> _Diagonals:
             f"coefficients for {A.shape[-1] // 2} modes but the algebra has {alg.modes}"
         )
     x = alg.x.data
-    return _Diagonals(alg.x.offsets, (A @ _flat(x)).reshape(A.shape[:-1] + x.shape[-2:]))
+    return _nonzero(alg.x.offsets, (A @ _flat(x)).reshape(A.shape[:-1] + x.shape[-2:]))
 
 
 def quadratic_form(alg: TruncatedAlgebra, A: np.ndarray) -> _Diagonals:
@@ -340,7 +350,7 @@ def quadratic_form(alg: TruncatedAlgebra, A: np.ndarray) -> _Diagonals:
         raise StructureError(f"expected a {size}x{size} form, got {A.shape}")
     xx = alg.xx.data
     flat = A.ravel() @ xx.reshape(size**2, -1)
-    return _Diagonals(alg.xx.offsets, flat.reshape(xx.shape[-2:]))
+    return _nonzero(alg.xx.offsets, flat.reshape(xx.shape[-2:]))
 
 
 def z_operators(alg: TruncatedAlgebra, sys: LinearQuantumSystem) -> _Diagonals:
@@ -369,16 +379,18 @@ def operator_of_series(
             f"series degree {f.total_degree} exceeds truncation dim-1 = {alg.dim - 1}"
         )
     # z_j' is the linear form Etilde^# Sigma in x
-    zdag = _linear_forms(alg, sys.Etilde.conj() @ structure_matrices(sys.n).Sigma)
-    bases = {"z": z_operators(alg, sys), "zdag": zdag}
-    powers: dict[tuple[str, int, int], _Diagonals] = {}
+    forms = {"z": sys.Etilde, "zdag": sys.Etilde.conj() @ structure_matrices(sys.n).Sigma}
+    powers: dict[tuple[str, int], list[_Diagonals]] = {}
 
     def power(kind: str, channel: int, exponent: int) -> _Diagonals:
-        key = (kind, channel, exponent)
-        if key not in powers:
-            base = bases[kind][channel - 1]
-            powers[key] = base if exponent == 1 else power(kind, channel, exponent - 1) @ base
-        return powers[key]
+        # not recursive: a closure that calls itself is a reference cycle,
+        # which would keep alg and the powers alive until a garbage collection
+        chain = powers.setdefault((kind, channel), [])
+        if not chain:
+            chain.append(_linear_forms(alg, forms[kind][channel - 1]))
+        while len(chain) < exponent:
+            chain.append(chain[-1] @ chain[0])
+        return chain[exponent - 1]
 
     zero = _Diagonals(np.zeros(0, dtype=int), np.zeros((0, alg.total_dim), dtype=complex))
     terms = [zero]

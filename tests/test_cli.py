@@ -44,6 +44,16 @@ def opa_flags(out, gamma="4.5"):
     ]
 
 
+def opa_system_and_series(tmp_path, series_doc):
+    """Flags for the OPA (kappa 1, 2, chi 0.1) as system JSON with a series file."""
+    sys_path = tmp_path / "system.json"
+    system = build_opa(OpaParams(1.0, 2.0, 0.1))[0]
+    sys_path.write_text(json.dumps(serialize.system_to_json(system)))
+    series_path = tmp_path / "series.json"
+    series_path.write_text(json.dumps(series_doc))
+    return ["--system", str(sys_path), "--series", str(series_path)]
+
+
 class TestGammaSearch:
     def test_opa_threshold(self):
         sys, _ = build_opa(OpaParams(1.0, 2.0, 0.1))
@@ -247,6 +257,25 @@ class TestSimulateCommand:
             [0.0, 0.5, 1.0, 1.5, 2.0, 2.5], abs=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "terms, flags",
+        [
+            ({"p": 1, "terms": [{"i": 1, "j": 1, "k": 1, "l": 1, "re": 1}]}, []),
+            ({"p": 2, "terms": [{"i": 1, "j": 1, "k": 2, "l": 2, "re": 1}]}, []),
+            ({"p": 2, "terms": [{"i": 1, "j": 1, "k": 1, "l": 1, "re": 1}]}, ["--dt", "0"]),
+            ({"p": 2, "terms": [{"i": 1, "j": 1, "k": 1, "l": 1, "re": 1}]}, ["--t-final", "-1"]),
+        ],
+        ids=["one-channel-series", "degree-beyond-dim", "dt-zero", "t-final-negative"],
+    )
+    def test_refused_run_writes_no_certificate(self, tmp_path, terms, flags):
+        # the OPA certifies at gamma 4.5, but the run cannot be simulated
+        code = main([
+            "simulate", *opa_system_and_series(tmp_path, terms),
+            "--gamma", "4.5", "--dim", "4", *flags, "--out", str(tmp_path / "sim"),
+        ])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "sim.certificate.json").exists()
+
     def test_uncertified_does_not_simulate(self, tmp_path):
         out = tmp_path / "sim"
         code = main(
@@ -363,10 +392,11 @@ class TestCheckIdentitiesCommand:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_nan_residual_fails(self, tmp_path, capsys):
-        # finite, but its operator overflows and the commutator reads inf - inf
+        # finite, but its operator z1 z1' overflows inside the safe block and
+        # the commutator there reads inf - inf
         series = tmp_path / "series.json"
         series.write_text(json.dumps(
-            {"p": 2, "terms": [{"i": 1, "j": 1, "k": 2, "l": 2, "re": 1e307}]}
+            {"p": 2, "terms": [{"i": 1, "j": 1, "k": 1, "l": 1, "re": 1e308}]}
         ))
         code = main([
             "check-identities", "--kappa1", "1", "--kappa2", "1", "--chi", "0.05",
@@ -374,6 +404,20 @@ class TestCheckIdentitiesCommand:
         ])
         assert "perturbation_commutator: nan" in capsys.readouterr().out
         assert code == EXIT_CHECK_FAILED
+
+    @pytest.mark.parametrize("command", ["check-identities", "simulate"])
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_series_must_be_self_adjoint(self, tmp_path, capsys, command, kept):
+        # the OPA as JSON with only one of its two chi terms
+        doc = serialize.series_to_json(build_opa(OpaParams(1.0, 2.0, 0.1))[1])
+        doc["terms"] = [doc["terms"][kept]]
+        code = main([
+            command, *opa_system_and_series(tmp_path, doc),
+            "--gamma", "4.5", "--dim", "6", "--t-final", "0.01", "--out", str(tmp_path / "r"),
+        ])
+        assert code == EXIT_CONFIG
+        assert "not self-adjoint: S[1,2,2,1] != conj(S[2,1,1,2])" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r.*"))
 
 
 def test_cli_import_loads_no_fock_simulator():

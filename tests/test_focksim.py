@@ -1,4 +1,5 @@
 import functools
+import gc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qstab.focksim import (
     check_ms_bound,
     _identity,
     _kept_entries,
+    _linear_forms,
     _liouvillian,
     _square_blocks,
     _stack,
@@ -173,6 +175,25 @@ def evaluate(polynomial, x, identity):
     return total
 
 
+def sparse_coefficients(rng, rows, modes):
+    """Complex coefficients on x with exact-zero rows and exact-zero blocks:
+    each row block and each of the a and a' column blocks is dropped at random."""
+    C = rng.normal(size=(rows, 2 * modes)) + 1j * rng.normal(size=(rows, 2 * modes))
+    C[rng.random(rows) < 0.3] = 0.0
+    for block in (slice(None, modes), slice(modes, None)):
+        if rng.random() < 0.3:
+            C[:, block] = 0.0
+        if rows == 2 * modes and rng.random() < 0.3:
+            C[block, rng.integers(0, 2) * modes + np.arange(modes)] = 0.0
+    return C
+
+
+def stored_diagonals_nonzero(op) -> bool:
+    """Whether every stored diagonal holds a nonzero entry in some layer."""
+    every_layer_and_row = tuple(range(op.data.ndim - 2)) + (op.data.ndim - 1,)
+    return bool(np.all(np.any(op.data != 0, axis=every_layer_and_row)))
+
+
 class TestDiagonalStorage:
     """The flat-diagonal operator type against dense numpy on ladder polynomials."""
 
@@ -219,6 +240,37 @@ class TestDiagonalStorage:
         expected = np.max(np.abs((Ad @ Bd)[np.ix_(safe, safe)]))
         assert abs(safe_residual(alg, A @ B, cut) - expected) <= 1e-12 * scale
 
+        # forms built from coefficient matrices store only nonzero diagonals
+        Q = sparse_coefficients(rng, 2 * modes, modes)
+        E, N = (sparse_coefficients(rng, 3, modes) for _ in range(2))
+        zero = np.zeros((modes, modes))
+        sys = LinearQuantumSystem(
+            M1=zero, M2=zero, N1=N[:, :modes], N2=N[:, modes:], E1=E[:, :modes], E2=E[:, modes:]
+        )
+        dense_form = sum(
+            dense_x[a].conj().T @ sum(Q[a, b] * dense_x[b] for b in range(2 * modes))
+            for a in range(2 * modes)
+        )
+        for op, reference in (
+            (quadratic_form(alg, Q), dense_form),
+            (z_operators(alg, sys), np.tensordot(E, np.array(dense_x), 1)),
+            (coupling_operators(alg, sys), np.tensordot(N, np.array(dense_x), 1)),
+        ):
+            assert close(op, reference)
+            assert stored_diagonals_nonzero(op)
+
+    def test_opa_forms_store_only_their_nonzero_diagonals(self):
+        # the certified P is mode-diagonal, so V = x'Px is number operators only
+        sys, _ = build_opa(OpaParams(1.0, 2.0, 0.1))
+        P = certify(sys, SectorBounds(4.5, 0.1, 0.1)).P
+        alg = build_algebra(2, 10)
+        assert quadratic_form(alg, P).offsets.tolist() == [0]
+        assert quadratic_form(alg, np.zeros((4, 4))).offsets.size == 0
+        # z_i = a_i' for the OPA: one diagonal of the four per channel, and
+        # two for the stack of both channels
+        assert [_linear_forms(alg, row).offsets.tolist() for row in sys.Etilde] == [[-10], [-1]]
+        assert z_operators(alg, sys).offsets.tolist() == [-10, -1]
+
     def test_mode_shifts_sharing_a_flat_diagonal(self):
         # at dim 3, a_1 a_2' a_2' and a_2 both move the flat index by 3 - 1 - 1 = 1
         alg = build_algebra(2, 3)
@@ -257,6 +309,18 @@ class TestOperatorOfSeries:
         alg = build_algebra(2, 6)
         H = operator_of_series(alg, sys, series)
         assert safe_residual(alg, H - H.adjoint(), series.total_degree) <= 1e-12
+
+    def test_leaves_no_reference_cycle(self):
+        # a cycle would hold the algebra and every power until a collection
+        sys, series = build_opa(OpaParams(1.0, 1.0, 0.1))
+        alg = build_algebra(2, 6)
+        gc.collect()
+        gc.disable()
+        try:
+            operator_of_series(alg, sys, series)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_degree_beyond_truncation(self):
         sys, _ = build_opa(OpaParams(1.0, 1.0, 0.1))
