@@ -3,18 +3,23 @@
 The certificate pipeline: read the Hurwitz verdict on the system's drift
 matrix F (its spectral abscissa, computed once when the system is built),
 test the small-gain condition ||transfer|| < gamma / 2 against the norm the
-system owns (``LinearQuantumSystem.hinf``, computed once per system), solve
-the quadratic matrix inequality for a block-form Lyapunov matrix P via a
-regularized Riccati equation, and assemble the explicit constants of the
-mean-square bound
+system owns (``LinearQuantumSystem.hinf``, computed once per system), find
+a block-form Lyapunov matrix P strictly satisfying the quadratic matrix
+inequality, and assemble the explicit constants of the mean-square bound
 
     <x(t)' x(t)>  <=  c1 * exp(-c2 t) * <x(0)' x(0)> + c3.
 
-Given the admissible amplitude region, it also records the invariant level.
+A system with the OPA's structure (M1 = M2 = N2 = E1 = 0, E2 = I_n and a
+diagonal N1, read from the blocks) gets P = p* I in closed form, with p* the
+exact minimizer of c3 over scalar P.  Every other system, and any call with
+an explicit ``eps``, gets the stabilizing solution of a regularized Riccati
+equation.  Given the admissible amplitude region, it also records the
+invariant level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -160,6 +165,46 @@ def solve_qmi(
     return P
 
 
+def _closed_form_P(sys: LinearQuantumSystem, bounds: SectorBounds) -> np.ndarray | None:
+    """P = p* I for a system with the OPA's structure; None for any other system.
+
+    The structure is M1 = M2 = N2 = E1 = 0, E2 = I_n and a diagonal n x n N1.
+    Then F = -diag(kappa, kappa) / 2 with kappa_k = |N1_kk|^2, and at P = p I
+    the inequality splits per mode into -kappa_k p + 4 p^2 + 1/gamma^2 < 0.
+    So c(p) = kappa_min - 4p - 1/(gamma^2 p), lam = p K + delta with
+    K = sum kappa_k and delta = delta1 + delta2, and mu = 0.  The offset
+    c3 = lam / (c(p) p) is least at the positive root of
+    4 K p^2 + 8 delta p - K/gamma^2 - delta kappa_min = 0,
+
+        p* = (-2 delta + sqrt(4 delta^2 + K (K/gamma^2 + delta kappa_min))) / (2K),
+
+    evaluated here without the cancellation.  p* lies strictly between the
+    roots of c(p) whenever kappa_min gamma > 4, i.e. whenever the small-gain
+    test passes.  The strictness check of ``solve_qmi`` still runs on P and
+    raises QmiInfeasibleError with both margins if it fails.
+    """
+    n, N1 = sys.n, sys.N1
+    if (
+        sys.M1.any() or sys.M2.any() or sys.N2.any() or sys.E1.any()
+        or not np.array_equal(sys.E2, np.eye(n))
+        or not np.array_equal(N1, np.diag(np.diag(N1)))
+    ):
+        return None
+    kappa = np.abs(np.diag(N1)) ** 2
+    K, kappa_min = float(np.sum(kappa)), float(np.min(kappa))
+    delta = bounds.delta1 + bounds.delta2
+    x = K / bounds.gamma**2 + delta * kappa_min
+    p = x / (2.0 * (2.0 * delta + math.sqrt(4.0 * delta**2 + K * x)))
+    P = p * np.eye(2 * n, dtype=complex)
+    lhs_max = float(np.max(np.linalg.eigvalsh(qmi_lhs(sys.F, sys.Etilde, bounds.gamma, P))))
+    if not (p > 0 and lhs_max < 0):
+        raise QmiInfeasibleError(
+            "closed-form P is not a strict solution: "
+            f"min eig(P) = {p:.3e}, max eig(inequality) = {lhs_max:.3e}"
+        )
+    return P
+
+
 def mu_constants(P: np.ndarray, Etilde: np.ndarray) -> np.ndarray:
     """Constants mu_i = [z_i, [z_i, V]] of the quadratic form V = x' P x.
 
@@ -260,7 +305,10 @@ def certify(
     """Run the full pipeline and return a certificate (or a failure verdict).
 
     FailedHurwitz and FailedSmallGain short-circuit with the data computed so
-    far.  Errors raised by later stages propagate, tagged with the stage.
+    far.  Without ``eps``, a system with the OPA's structure gets P in closed
+    form (``_closed_form_P``) and records ``eps`` as None; every other system,
+    and any call with ``eps``, gets P from ``solve_qmi``.  Errors raised by
+    later stages propagate, tagged with the stage.
     Given the admissible region of the perturbation (only the OPA has one,
     ``OpaRegion``), a certified result records ``invariant_level``; without
     it the level stays None.  A region for other bounds raises StructureError.
@@ -274,21 +322,23 @@ def certify(
     found.update(hinf_primary=hinf.hinf_primary, hinf_reduced=hinf.hinf_reduced)
     if not hinf.hinf_reduced < bounds.gamma / 2.0:
         return StabilityCertificate(Verdict.FAILED_SMALL_GAIN, **found)
-    if eps is None:
-        eps = default_regularization(sys.Etilde, bounds.gamma)
-    found["eps"] = eps
-    try:
-        P = solve_qmi(sys, bounds.gamma, eps)
-    except QmiInfeasibleError as exc:
-        # Regularization shifts the feasible boundary by O(eps).  A gain
-        # margin inside that band is a boundary case, not an anomaly: the
-        # certificate cannot be produced, so the verdict is a (slightly
-        # conservative) small-gain failure.  Beyond the band the failure is
-        # unexpected and propagates.
-        margin = bounds.gamma / 2.0 - hinf.hinf_reduced
-        if margin <= 1e3 * eps * (1.0 + bounds.gamma):
-            return StabilityCertificate(Verdict.FAILED_SMALL_GAIN, **found)
-        raise QmiInfeasibleError(f"solve_qmi: {exc}") from exc
+    P = None if eps is not None else _closed_form_P(sys, bounds)
+    if P is None:
+        if eps is None:
+            eps = default_regularization(sys.Etilde, bounds.gamma)
+        found["eps"] = eps
+        try:
+            P = solve_qmi(sys, bounds.gamma, eps)
+        except QmiInfeasibleError as exc:
+            # Regularization shifts the feasible boundary by O(eps).  A gain
+            # margin inside that band is a boundary case, not an anomaly: the
+            # certificate cannot be produced, so the verdict is a (slightly
+            # conservative) small-gain failure.  Beyond the band the failure
+            # is unexpected and propagates.
+            margin = bounds.gamma / 2.0 - hinf.hinf_reduced
+            if margin <= 1e3 * eps * (1.0 + bounds.gamma):
+                return StabilityCertificate(Verdict.FAILED_SMALL_GAIN, **found)
+            raise QmiInfeasibleError(f"solve_qmi: {exc}") from exc
     constants = vars(certificate_constants(sys, bounds, P))
     if region is not None:
         found["invariant_level"] = invariant_ellipsoid(P, region)

@@ -21,7 +21,8 @@ class ConsistencyError(QstabError):
 
 
 class QmiInfeasibleError(QstabError):
-    """The Riccati solve did not produce a valid solution of the matrix inequality."""
+    """No strict solution of the matrix inequality: the Riccati solve failed, or
+    its result or the closed-form P failed the strictness check."""
 
 
 class TruncationError(QstabError):

@@ -169,10 +169,10 @@ def invariant_ellipsoid(P: np.ndarray, region: OpaRegion) -> float:
     for a mode-diagonal P = diag(p1, p2, p1, p2).  The region is closed
     downward along rays from the origin, so the minimum of s1 u + s2 cap(u)
     over u in [0, lambda_bar] is a level that is never overstated: exact for
-    a mode-diagonal P (as every certified OPA P is, up to roundoff) and a
-    sound lower bound otherwise.  A P that is not a finite 4x4 matrix, or
-    whose weights s1, s2 are not positive, raises StructureError.  ``certify``
-    calls this with the region it is given.
+    a mode-diagonal P (such as the closed-form P = p* I that ``certify``
+    returns for the OPA) and a sound lower bound otherwise.  A P that is not
+    a finite 4x4 matrix, or whose weights s1, s2 are not positive, raises
+    StructureError.  ``certify`` calls this with the region it is given.
 
     With a = delta1/chi^2, b = 1/(gamma^2 chi^2) and w = 4u - b, the
     gradient branch reads s1 u + s2 cap(u) = (s1/4 - s2/16) w + s2 K / w +

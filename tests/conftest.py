@@ -12,7 +12,7 @@ ACCEPTANCE_CRITERIA = {
     1: "closed-form H-infinity reproduction over random mirror couplings",
     2: "original and reduced H-infinity norms agree on random systems",
     3: "certification threshold and sys.hinf.threshold at the small-gain boundary",
-    4: "Riccati solution validity and independently recomputed constants",
+    4: "certified P validity and independently recomputed constants",
     5: "operator identities on the safe truncated subspace",
     6: "simulated mean-square bound and truncation consistency",
     7: "admissible-region geometry against the sector scan",

@@ -161,10 +161,13 @@ def test_criterion_6_mean_square_bound_simulation():
         msq_by_dim[dim] = traj
     holds, worst_slack = check_ms_bound(msq_by_dim[12], cert.c1, cert.c2, cert.c3)
     agreement = float(np.max(np.abs(msq_by_dim[12].msq - msq_by_dim[10].msq)))
+    # the bound must be tight enough for the simulation to test it
+    tight = cert.c3 <= 10.0 * msq_by_dim[12].msq[-1]
     elapsed = time.perf_counter() - t0
-    ok = holds and agreement <= 1e-4 and elapsed < 30.0
+    ok = holds and tight and agreement <= 1e-4 and elapsed < 30.0
     record_criterion(6, ok)
     assert holds, f"worst slack {worst_slack}"
+    assert tight, f"c3 {cert.c3} against a final mean square {msq_by_dim[12].msq[-1]}"
     assert agreement <= 1e-4
     assert elapsed < 30.0
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from conftest import random_system
@@ -7,11 +11,13 @@ from qstab.certify import (
     Verdict,
     certificate_constants,
     certify,
+    default_regularization,
     mu_constants,
     qmi_lhs,
     solve_qmi,
 )
 from qstab.errors import NotHurwitzError, QmiInfeasibleError, StructureError
+from qstab.focksim import build_algebra, quadratic_form
 from qstab.model import LinearQuantumSystem, _realizations, hinf_norm, structure_matrices
 from qstab.opa import OpaParams, OpaRegion, build_opa, invariant_ellipsoid
 from qstab.perturbation import SectorBounds
@@ -335,9 +341,8 @@ class TestCertify:
         assert cert.abscissa == 0.0
 
     def test_exact_threshold_is_small_gain_failure(self):
-        # at gamma = 2*norm the strict condition holds at best within rounding
-        # and the regularized inequality is infeasible; the verdict degrades
-        # to FailedSmallGain instead of raising
+        # the norm is a certified upper bound (2.000000004 here), so at
+        # gamma = 2*norm the strict small-gain test fails
         cert = certify(opa_system(1.0, 2.0), SectorBounds(gamma=4.0))
         assert cert.verdict is Verdict.FAILED_SMALL_GAIN
 
@@ -407,6 +412,116 @@ class TestInvariantLevel:
         assert cert.invariant_level is None
 
 
+def scalar_optimum(kappas, gamma, delta):
+    """p* = (-2 delta + sqrt(4 delta^2 + K (K/gamma^2 + delta kappa_min))) / (2K)."""
+    K, kappa_min = sum(kappas), min(kappas)
+    return (-2 * delta + math.sqrt(4 * delta**2 + K * (K / gamma**2 + delta * kappa_min))) / (2 * K)
+
+
+def mode_diagonal_grid_c3(kappas, gamma, delta, points=700):
+    """Least c3 over P = diag(p1, p2, p1, p2) on a dense grid of each mode's
+    feasible interval, where c = min_k (kappa_k - 4 p_k - 1/(gamma^2 p_k)) > 0."""
+    axes = []
+    for kappa in kappas:
+        half_width = math.sqrt(kappa**2 - 16 / gamma**2) / 8
+        axes.append(np.linspace(kappa / 8 - half_width, kappa / 8 + half_width, points + 2)[1:-1])
+    p1, p2 = np.meshgrid(*axes, indexing="ij")
+    c = np.minimum(*(k - 4 * p - 1 / (gamma**2 * p) for k, p in zip(kappas, (p1, p2))))
+    c3 = (kappas[0] * p1 + kappas[1] * p2 + delta) / (c * np.minimum(p1, p2))
+    return float(np.min(np.where(c > 0, c3, np.inf)))
+
+
+class TestClosedFormCertificate:
+    def test_opa_structure_takes_the_closed_form(self):
+        cert = certify(opa_system(1.0, 2.0), SectorBounds(gamma=4.5, delta1=0.1, delta2=0.1))
+        assert cert.certified and cert.eps is None
+        p = scalar_optimum((1.0, 2.0), 4.5, 0.2)
+        assert np.array_equal(cert.P, cert.P[0, 0] * np.eye(4))
+        assert cert.P[0, 0].real == pytest.approx(p, rel=1e-12)
+        assert np.all(cert.mu == 0)
+
+    def test_explicit_eps_and_other_structures_take_the_riccati_path(self):
+        bounds = SectorBounds(gamma=4.5, delta1=0.1, delta2=0.1)
+        assert certify(opa_system(1.0, 2.0), bounds, eps=1e-3).eps == 1e-3
+        # E2 = 2 I and a coupling N1 with an off-diagonal entry are not the OPA's structure
+        scaled = dissipative_system([1.0, 2.0], E2=2.0 * np.eye(2))
+        coupled = LinearQuantumSystem(
+            M1=np.zeros((2, 2)), M2=np.zeros((2, 2)), N1=[[1.0, 0.1], [0.0, 1.5]],
+            N2=np.zeros((2, 2)), E1=np.zeros((2, 2)), E2=np.eye(2),
+        )
+        for sys in (scaled, coupled):
+            gamma = 3.0 * sys.hinf.hinf_reduced
+            cert = certify(sys, SectorBounds(gamma=gamma, delta1=0.1, delta2=0.1))
+            assert cert.certified
+            assert cert.eps == default_regularization(sys.Etilde, gamma)
+
+    def test_verdict_is_monotone_at_the_threshold(self):
+        # gamma = 4 (1 + 10^-k) once fell in and out of the Riccati path's
+        # boundary band; the closed form certifies every one of them
+        sys = opa_system(1.0, 2.0, chi=0.1)
+        for k in range(4, 9):
+            bounds = SectorBounds(gamma=4.0 * (1.0 + 10.0**-k), delta1=0.1, delta2=0.1)
+            cert = certify(sys, bounds)
+            assert cert.verdict is Verdict.CERTIFIED, k
+            assert_constants_recompute(sys, bounds, cert)
+
+    def test_certified_P_is_exactly_scalar(self):
+        # the draws of the benchmark's Fock-space sessions: a scalar P makes
+        # V = x' P x a single diagonal
+        rng = np.random.default_rng(17)
+        alg = build_algebra(2, 6)
+        for _ in range(75):
+            kappas = tuple(float(k) for k in rng.uniform(0.2, 5.0, size=2))
+            sys = opa_system(*kappas, chi=float(rng.uniform(0.02, 0.3)))
+            for factor in (1.001, 1.2, 2.0, 4.0):
+                gamma = factor * 2.0 * sys.hinf.hinf_reduced
+                cert = certify(sys, SectorBounds(gamma=gamma, delta1=0.1, delta2=0.1))
+                assert cert.certified
+                assert np.array_equal(cert.P, cert.P[0, 0] * np.eye(4))
+                assert cert.P[0, 0].real == pytest.approx(
+                    scalar_optimum(kappas, gamma, 0.2), rel=1e-12
+                )
+                assert quadratic_form(alg, cert.P).offsets.tolist() == [0]
+
+    @pytest.mark.parametrize(
+        "kappas, gamma, c3",
+        [((1.0, 2.0), 4.5, 42.83), ((1.0, 1.0), 8.0, 9.008), ((2.0, 3.0), 2.5, 14.95)],
+    )
+    def test_c3_matches_the_best_mode_diagonal_P(self, kappas, gamma, c3):
+        cert = certify(opa_system(*kappas), SectorBounds(gamma=gamma, delta1=0.1, delta2=0.1))
+        best = mode_diagonal_grid_c3(kappas, gamma, 0.2)
+        assert cert.c3 == pytest.approx(best, rel=1e-3)
+        assert cert.c3 == pytest.approx(c3, rel=1e-3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kappa1=st.floats(0.2, 5.0),
+        kappa2=st.floats(0.2, 5.0),
+        factor=st.floats(1.001, 4.0),
+        delta1=st.floats(0.0, 1.0),
+        delta2=st.floats(0.0, 1.0),
+    )
+    def test_no_riccati_certificate_beats_the_closed_form(
+        self, kappa1, kappa2, factor, delta1, delta2
+    ):
+        sys = opa_system(kappa1, kappa2)
+        gamma = factor * 2.0 * sys.hinf.hinf_reduced
+        bounds = SectorBounds(gamma=gamma, delta1=delta1, delta2=delta2)
+        cert = certify(sys, bounds)
+        assert cert.certified
+        assert_constants_recompute(sys, bounds, cert)
+        assert cert.c2 <= min(kappa1, kappa2) - 4.0 / gamma + 1e-9
+        riccati_c3 = []
+        for eps in (default_regularization(sys.Etilde, gamma), *np.logspace(-6, 0, 49)):
+            try:
+                other = certify(sys, bounds, eps=float(eps))
+            except QmiInfeasibleError:
+                continue
+            if other.certified:
+                riccati_c3.append(other.c3)
+        assert all(cert.c3 <= c3 * (1 + 1e-9) for c3 in riccati_c3)
+
+
 def _threshold_systems():
     """30 OPA draws and 80 random systems with n in {1, 2}, p in {1, 2, 3}."""
     rng = np.random.default_rng(6)
@@ -439,10 +554,10 @@ class TestExactThreshold:
 CONSTANTS = ("mu", "lambda_tilde", "lam", "c", "c1", "c2", "c3")
 
 
-def certify_exit(sys, bounds):
+def certify_exit(sys, bounds, eps=None):
     """Run certify, check the fields its exit promises, and name the exit."""
     try:
-        cert = certify(sys, bounds)
+        cert = certify(sys, bounds, eps=eps)
     except QmiInfeasibleError as exc:
         assert str(exc).startswith("solve_qmi:")
         return "raise"
@@ -450,7 +565,9 @@ def certify_exit(sys, bounds):
     assert cert.abscissa == sys.abscissa
     assert np.array_equal(cert.F, sys.F)
     if cert.certified:
-        assert cert.P is not None and cert.eps is not None
+        assert cert.P is not None
+        # only the closed-form path, a scalar P, records no eps
+        assert cert.eps is not None or np.array_equal(cert.P, cert.P[0, 0] * np.eye(len(cert.P)))
         assert all(getattr(cert, name) is not None for name in CONSTANTS)
         return "certified"
     assert cert.P is None
@@ -471,10 +588,8 @@ def certify_exit(sys, bounds):
 class TestCertificateContract:
     def test_every_exit_carries_its_fields(self):
         exits = []
-        opa = opa_system(1.0, 2.0, chi=0.1)
-        for k in range(4, 8):
-            # k = 6 lands in the boundary band: the norm passes, the solve does not
-            exits.append(certify_exit(opa, SectorBounds(gamma=4.0 * (1.0 + 10.0**-k))))
+        # the norm passes (2 < 2.25), but the Riccati solve at this eps does not
+        exits.append(certify_exit(opa_system(1.0, 2.0, chi=0.1), SectorBounds(gamma=4.5), eps=0.5))
         for sys in _threshold_systems():
             gamma = sys.hinf.threshold
             for g in (gamma, float(np.nextafter(gamma, 0.0))):
