@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import QmiInfeasibleError, StructureError
 from .model import (
@@ -76,8 +75,11 @@ def _stabilizing_riccati(
 
     The stable invariant subspace of H = [[F, G], [-(Q + eps I), -F']] is
     spanned by [I; P].  An ordered Schur form puts the left-half-plane
-    eigenvalues first, so P = Z21 Z11^-1 from its leading columns.
+    eigenvalues first, so P = Z21 Z11^-1 from its leading columns.  SciPy is
+    imported here, so that only the Riccati path loads ``scipy.linalg``.
     """
+    import scipy.linalg as sla
+
     dim = F.shape[0]
     H = np.block([[F, G], [-(Q + eps * np.eye(dim)), -F.conj().T]])
     _, Z, k = sla.schur(H, output="complex", sort="lhp")
@@ -243,11 +245,13 @@ def certificate_constants(
     lambda_tilde is the trace offset produced by the coupling dissipation,
     lam = lambda_tilde + delta1 + sum |mu_i|^2 / 4 + delta2, and c is the
     largest scalar with (inequality LHS) + c P <= 0, recovered from P after
-    the fact.  Then c1 = lmax(P)/lmin(P), c2 = c, c3 = lam / (c lmin(P)).
-    The mu constants behind lam are returned with them.
+    the fact: the least eigenvalue of the pencil (-LHS, P), read as the least
+    eigenvalue of W' (-LHS) W with P = V diag(eigs) V' and W = V / sqrt(eigs)
+    (for P = p I, min eig(-LHS) / p).  Then c1 = lmax(P)/lmin(P), c2 = c,
+    c3 = lam / (c lmin(P)).  The mu constants behind lam are returned with them.
     """
     P = np.asarray(P, dtype=complex)
-    eigs = np.linalg.eigvalsh(P)
+    eigs, V = np.linalg.eigh(P)
     if eigs[0] <= 0:
         raise StructureError(f"P must be positive definite, min eig {eigs[0]:.3e}")
     N, Et = sys.N, sys.Etilde
@@ -260,7 +264,8 @@ def certificate_constants(
     mu = mu_constants(P, Et)
     lam = lambda_tilde + bounds.delta1 + float(np.sum(np.abs(mu) ** 2)) / 4.0 + bounds.delta2
     lhs = qmi_lhs(sys.F, Et, bounds.gamma, P)
-    c = float(np.min(sla.eigh(-lhs, P, eigvals_only=True)))
+    W = V / np.sqrt(eigs)
+    c = float(np.min(np.linalg.eigvalsh(W.conj().T @ -lhs @ W)))
     c1 = float(eigs[-1] / eigs[0])
     if lam == 0.0:
         c3 = 0.0

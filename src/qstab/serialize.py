@@ -11,7 +11,6 @@ import json
 import math
 import numbers
 import os
-import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -45,9 +44,13 @@ __all__ = [
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file in the same directory and a
+    rename.  The temp file is created as ``open()`` creates a file (mode 0666
+    less the umask), so the artifact gets the same mode as any new file there."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.parent / f"{path.name}{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg as sla
 from scipy.optimize import minimize_scalar
 
 from conftest import random_system
@@ -297,6 +299,71 @@ class TestCertificateConstants:
         sys = opa_system()
         with pytest.raises(StructureError):
             certificate_constants(sys, SectorBounds(gamma=8.0), np.diag([1.0, 1, 1, -1]))
+
+    @staticmethod
+    def pencil_c(n, P, lhs):
+        """``certificate_constants``' c for this P, with the inequality's
+        left-hand side replaced by ``lhs`` (c depends on nothing else)."""
+        sys = dissipative_system([1.0] * n)
+        with mock.patch("qstab.certify.qmi_lhs", return_value=lhs):
+            return certificate_constants(sys, SectorBounds(gamma=1.0), P).c
+
+    @staticmethod
+    def random_unitary(rng, size):
+        Q, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+        return Q
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 4]),
+        log_cond=st.floats(0.0, 8.0),
+        log_scale=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pencil_eigenvalue_matches_scipy(self, n, log_cond, log_scale, seed):
+        """c is the least eigenvalue of the pencil (-lhs, P) for any positive
+        definite P up to condition number 1e8.  A backward-stable solver errs by
+        O(eps (||lhs|| / lmin(P) + |c| cond(P))); the two agree within
+        8 * 2n eps times that scale."""
+        rng = np.random.default_rng(seed)
+        size = 2 * n
+        spectrum = np.r_[1.0, 10.0**log_cond, 10.0 ** rng.uniform(0, log_cond, size - 2)]
+        Q = self.random_unitary(rng, size)
+        P = (Q * spectrum) @ Q.conj().T * 10.0**log_scale
+        P = 0.5 * (P + P.conj().T)
+        A = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        lhs = 0.5 * (A + A.conj().T) * 10.0 ** rng.uniform(-3, 3)
+        reference = float(sla.eigh(-lhs, P, eigvals_only=True).min())
+        eigs = np.linalg.eigvalsh(P)
+        scale = np.linalg.norm(lhs, 2) / eigs[0] + abs(reference) * eigs[-1] / eigs[0]
+        eps = np.finfo(float).eps
+        assert abs(self.pencil_c(n, P, lhs) - reference) <= 8 * size * eps * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 4]),
+        log_p=st.floats(-4.0, 4.0),
+        diagonal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scalar_P_divides_the_spectrum(self, n, log_p, diagonal, seed):
+        """At P = p I, c = min eig(-lhs) / p.  For a diagonal lhs, as on the
+        OPA's closed form, only the scaling rounds: within 1e-15 relative.
+        Otherwise the two eigensolves see differently rounded matrices and
+        agree within 8 * 2n eps times ||lhs|| / p."""
+        rng = np.random.default_rng(seed)
+        size, p = 2 * n, 10.0**log_p
+        spectrum = rng.normal(size=size)
+        Q = np.eye(size) if diagonal else self.random_unitary(rng, size)
+        lhs = (Q * spectrum) @ Q.conj().T
+        lhs = 0.5 * (lhs + lhs.conj().T)
+        reference = float(np.linalg.eigvalsh(-lhs).min()) / p
+        c = self.pencil_c(n, p * np.eye(size, dtype=complex), lhs)
+        if diagonal:
+            assert abs(c - reference) <= 1e-15 * abs(reference)
+        else:
+            eps = np.finfo(float).eps
+            assert abs(c - reference) <= 8 * size * eps * np.linalg.norm(lhs, 2) / p
 
     def test_constants_match_spectral_recomputation(self):
         sys = opa_system(1.0, 1.0, chi=0.2)

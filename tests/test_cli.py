@@ -420,16 +420,65 @@ class TestCheckIdentitiesCommand:
         assert not list(tmp_path.glob("r.*"))
 
 
-def test_cli_import_loads_no_fock_simulator():
-    code = (
-        "import sys, qstab.cli; "
-        "print('qstab.focksim' in sys.modules, 'scipy.sparse' in sys.modules)"
-    )
+def _fresh_interpreter(code: str) -> list[str]:
+    """Words of the last line that ``code`` prints in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     result = subprocess.run(
         [executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.split() == ["False", "False"]
+    return result.stdout.splitlines()[-1].split()
+
+
+def test_cli_import_loads_no_fock_simulator():
+    code = (
+        "import sys, qstab.cli; "
+        "print('qstab.focksim' in sys.modules, 'scipy' in sys.modules)"
+    )
+    assert _fresh_interpreter(code) == ["False", "False"]
+
+
+def _detuned_opa_flags(tmp_path):
+    """A generic system (the OPA with a detuning) as a ``--system`` file."""
+    sys, _ = build_opa(OpaParams(1.0, 2.0, 0.1))
+    detuned = LinearQuantumSystem(M1=np.diag([0.3, -0.2]), M2=sys.M2, N1=sys.N1,
+                                  N2=sys.N2, E1=sys.E1, E2=sys.E2)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(serialize.system_to_json(detuned)))
+    return ["--system", str(path)]
+
+
+@pytest.mark.parametrize(
+    "args, riccati",
+    [
+        (lambda out: ["certify", *opa_flags(out)], False),
+        (lambda out: ["sweep", *opa_flags(out), "--parameter", "gamma",
+                      "--start", "3", "--stop", "6", "--steps", "8"], False),
+        (lambda out: ["sweep", *opa_flags(out), "--parameter", "kappa1",
+                      "--start", "0.5", "--stop", "2", "--steps", "4"], False),
+        (lambda out: ["opa-region", *opa_flags(out), "--grid", "20"], False),
+        (lambda out: ["certify", *opa_flags(out), "--eps", "1e-3"], True),
+        (lambda out: ["certify", *_detuned_opa_flags(out.parent), "--gamma", "4.5",
+                      "--delta1", "0.1", "--delta2", "0.1", "--out", str(out)], True),
+    ],
+    ids=["certify", "sweep-gamma", "sweep-kappa1", "opa-region", "certify-eps",
+         "certify-generic"],
+)
+def test_fresh_cli_run_loads_scipy_only_for_riccati(tmp_path, args, riccati):
+    """An OPA certify, sweep or region run loads no SciPy module at all; the
+    Riccati path (``--eps`` or a generic system) loads ``scipy.linalg`` on
+    demand and still certifies."""
+    argv = args(tmp_path / "run")
+    code = (
+        "import sys; from qstab.cli import main; "
+        f"code = main({argv!r}); "
+        "print(code, 'scipy' in sys.modules, 'scipy.linalg' in sys.modules)"
+    )
+    loaded = str(riccati)
+    assert _fresh_interpreter(code) == [str(EXIT_OK), loaded, loaded]
+    if argv[0] == "certify":
+        doc = json.loads((tmp_path / "run.certificate.json").read_text())
+        assert doc["verdict"] == "Certified"
+        assert (doc["eps"] is not None) == riccati
 
 
 class TestFileDrivenInputs:

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -73,6 +75,20 @@ class TestAtomicWrite:
         serialize.atomic_write_text(target, "two\n")
         assert target.read_text() == "two\n"
         assert [p.name for p in target.parent.iterdir()] == ["file.txt"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o007], ids=["022", "007"])
+    def test_mode_follows_the_umask(self, tmp_path, umask):
+        """An artifact gets the mode that open() gives a new file there."""
+        previous = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            serialize.atomic_write_text(tmp_path / "artifact.txt", "x\n")
+        finally:
+            os.umask(previous)
+        expected = stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+        assert expected == 0o666 & ~umask
+        assert stat.S_IMODE((tmp_path / "artifact.txt").stat().st_mode) == expected
 
 
 def row_loop_scan_csv(grids, mask, margin1, margin2):
