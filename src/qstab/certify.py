@@ -182,8 +182,8 @@ def _closed_form_P(sys: LinearQuantumSystem, bounds: SectorBounds) -> np.ndarray
 
     evaluated here without the cancellation.  p* lies strictly between the
     roots of c(p) whenever kappa_min gamma > 4, i.e. whenever the small-gain
-    test passes.  The strictness check of ``solve_qmi`` still runs on P and
-    raises QmiInfeasibleError with both margins if it fails.
+    test passes.  A p that is not positive raises QmiInfeasibleError; the
+    rest of the strictness check runs in ``certify``, on the constants.
     """
     n, N1 = sys.n, sys.N1
     if (
@@ -197,14 +197,9 @@ def _closed_form_P(sys: LinearQuantumSystem, bounds: SectorBounds) -> np.ndarray
     delta = bounds.delta1 + bounds.delta2
     x = K / bounds.gamma**2 + delta * kappa_min
     p = x / (2.0 * (2.0 * delta + math.sqrt(4.0 * delta**2 + K * x)))
-    P = p * np.eye(2 * n, dtype=complex)
-    lhs_max = float(np.max(np.linalg.eigvalsh(qmi_lhs(sys.F, sys.Etilde, bounds.gamma, P))))
-    if not (p > 0 and lhs_max < 0):
-        raise QmiInfeasibleError(
-            "closed-form P is not a strict solution: "
-            f"min eig(P) = {p:.3e}, max eig(inequality) = {lhs_max:.3e}"
-        )
-    return P
+    if not p > 0:
+        raise QmiInfeasibleError(f"closed-form P is not a strict solution: min eig(P) = {p:.3e}")
+    return p * np.eye(2 * n, dtype=complex)
 
 
 def mu_constants(P: np.ndarray, Etilde: np.ndarray) -> np.ndarray:
@@ -312,8 +307,11 @@ def certify(
     FailedHurwitz and FailedSmallGain short-circuit with the data computed so
     far.  Without ``eps``, a system with the OPA's structure gets P in closed
     form (``_closed_form_P``) and records ``eps`` as None; every other system,
-    and any call with ``eps``, gets P from ``solve_qmi``.  Errors raised by
-    later stages propagate, tagged with the stage.
+    and any call with ``eps``, gets P from ``solve_qmi``.  The closed form's
+    strictness is read from the constants, which form the inequality's
+    left-hand side once: for P = p I with p > 0, LHS < 0 exactly when c > 0,
+    and max eig(LHS) = -c p.  Errors raised by later stages propagate, tagged
+    with the stage.
     Given the admissible region of the perturbation (only the OPA has one,
     ``OpaRegion``), a certified result records ``invariant_level``; without
     it the level stays None.  A region for other bounds raises StructureError.
@@ -328,6 +326,7 @@ def certify(
     if not hinf.hinf_reduced < bounds.gamma / 2.0:
         return StabilityCertificate(Verdict.FAILED_SMALL_GAIN, **found)
     P = None if eps is not None else _closed_form_P(sys, bounds)
+    closed_form = P is not None
     if P is None:
         if eps is None:
             eps = default_regularization(sys.Etilde, bounds.gamma)
@@ -345,6 +344,12 @@ def certify(
                 return StabilityCertificate(Verdict.FAILED_SMALL_GAIN, **found)
             raise QmiInfeasibleError(f"solve_qmi: {exc}") from exc
     constants = vars(certificate_constants(sys, bounds, P))
+    if closed_form and not constants["c"] > 0:
+        p = float(P[0, 0].real)
+        raise QmiInfeasibleError(
+            "closed-form P is not a strict solution: "
+            f"min eig(P) = {p:.3e}, max eig(inequality) = {-constants['c'] * p:.3e}"
+        )
     if region is not None:
         found["invariant_level"] = invariant_ellipsoid(P, region)
     return StabilityCertificate(Verdict.CERTIFIED, P=P, **found, **constants)

@@ -22,14 +22,18 @@ The same algebra drives a density-matrix integrator for the master equation
     drho/dt = -i [H, rho] + sum_k ( L_k rho L_k' - (1/2) {L_k' L_k, rho} )
 
 used to check the certified mean-square bound empirically.  Its operators
-are converted to CSR once.  The integrator steps only the entries of rho
+are converted to CSR once; SciPy is imported only there, so the identity
+checks load no SciPy module.  The integrator steps only the entries of rho
 that the trace and x'x depend on: the closure of the diagonal under the
 sparsity of the Liouvillian superoperator.  For the OPA this is the block
 that conserves q = N_left - N_right with N = n1 + 2 n2 (Buca & Prosen,
 New J. Phys. 14 (2012)), found from the sparsity alone; a system with
-nothing to decouple keeps every entry.  Positivity is then checked on the
-dephased state that is evolved, not on the full rho.  ``dt`` spaces the
-samples; the RK4 step comes from the 1-norm of the kept superoperator.
+nothing to decouple keeps every entry.  The superoperator, a sum of
+Kronecker products of D x D factors, is never formed whole: the closure
+reads the factors' sparsity, and only the kept rows and columns are
+assembled.  Positivity is then checked on the dephased state that is
+evolved, not on the full rho.  ``dt`` spaces the samples; the RK4 step
+comes from the 1-norm of the kept superoperator.
 """
 
 from __future__ import annotations
@@ -37,9 +41,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 from .certify import mu_constants
 from .errors import SimulationError, StructureError, TruncationError
@@ -159,6 +166,8 @@ class _Diagonals:
 
     def tocsr(self) -> sparse.csr_array:
         """CSR matrix of a single operator, without the stored zeros."""
+        from scipy import sparse
+
         rows, cols, inside = self._entries()
         values = self.data[inside]
         nonzero = values != 0
@@ -578,25 +587,11 @@ class FockTrajectory:
             raise StructureError("times and msq must have equal lengths")
 
 
-def _liouvillian(
-    H_eff: sparse.csr_array, L_ops: list[sparse.csr_array]
-) -> sparse.csr_array:
-    """Sparse superoperator of the master equation on row-major vec(rho).
-
-    Row-major vec gives vec(A rho B) = (A kron B^T) vec(rho), so
-    H_eff rho + rho H_eff' + sum_k L_k rho L_k' becomes
-    H_eff kron I + I kron conj(H_eff) + sum_k L_k kron conj(L_k).
-    """
-    eye = sparse.identity(H_eff.shape[0], dtype=complex, format="csr")
-    sup = sparse.kron(H_eff, eye, format="csr")
-    sup += sparse.kron(eye, H_eff.conj(), format="csr")
-    for L in L_ops:
-        sup += sparse.kron(L, L.conj(), format="csr")
-    return sup
-
-
 def _as_csr(op, n: int, name: str) -> sparse.csr_array:
-    """CSR matrix of an operator of this module, or of any finite n x n matrix."""
+    """CSR matrix of an operator of this module, or of any finite n x n
+    matrix, with sorted column indices and no repeats."""
+    from scipy import sparse
+
     if not isinstance(op, _Diagonals):
         op = np.asarray(op, dtype=complex)
     if op.shape != (n, n):
@@ -604,24 +599,130 @@ def _as_csr(op, n: int, name: str) -> sparse.csr_array:
     op = op.tocsr() if isinstance(op, _Diagonals) else sparse.csr_array(op)
     if not np.isfinite(op.data).all():
         raise StructureError(f"{name} has non-finite entries")
+    op.sum_duplicates()
     return op
 
 
-def _kept_entries(sup: sparse.csr_array, seed: np.ndarray) -> np.ndarray:
-    """Closure of ``seed`` under the entries its rows of ``sup`` read.
+def _superoperator_terms(H, L_ops, n: int) -> list:
+    """Factors (A, B) of the master equation's superoperator sum_t A kron conj(B)
+    on row-major vec(rho), with None for the identity.
 
-    The returned mask K satisfies sup[K, ~K] = 0, so the entries in K evolve
-    on their own, exactly.  Each round takes the boolean product of the
-    frontier's indicator with the sparsity pattern of ``sup``: the columns
-    of the frontier's rows.
+    Row-major vec gives vec(A rho B) = (A kron B^T) vec(rho), so
+    H_eff rho + rho H_eff' + sum_k L_k rho L_k' with H_eff = -i H - (1/2)
+    sum_k L_k' L_k is H_eff kron I + I kron conj(H_eff) + sum_k L_k kron conj(L_k).
+    """
+    from scipy import sparse
+
+    L_ops = [_as_csr(L, n, f"L_ops[{k}]") for k, L in enumerate(L_ops)]
+    K = sum((L.conj().T @ L for L in L_ops), sparse.csr_array((n, n), dtype=complex))
+    H_eff = -1j * _as_csr(H, n, "H") - 0.5 * K
+    return [(H_eff, None), (None, H_eff), *((L, L) for L in L_ops)]
+
+
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in a CSR matrix's data of the entries stored in ``rows``,
+    row after row, and the number of entries in each row."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    positions = (starts - counts.cumsum() + counts).repeat(counts)
+    positions += np.arange(positions.size)
+    return positions, counts
+
+
+def _row_counts(M, rows: np.ndarray) -> np.ndarray:
+    """Number of entries stored in each of ``rows`` of M; None is the identity."""
+    return np.ones(rows.size, dtype=int) if M is None else M.indptr[rows + 1] - M.indptr[rows]
+
+
+def _kron_entries(A, B, i: np.ndarray, j: np.ndarray, n: int):
+    """Entries of A kron conj(B) stored in its rows (i, j), for the pairs of
+    arrays ``i`` and ``j``; a factor of None stands for the identity.
+
+    Row (i, j) holds A[i, k] conj(B[j, l]) at the flat column k n + l.
+    Returns the number of entries in each row, and per entry, row after row,
+    its flat column and the positions of A[i, k] in A.data and of B[j, l] in
+    B.data (None for the identity).  The columns of each row ascend, since A
+    and B have sorted indices.
+    """
+    if A is None:
+        b, counts = _row_entries(B.indptr, j)
+        return counts, (i * n).repeat(counts) + B.indices[b], None, b
+    a, counts = _row_entries(A.indptr, i)
+    if B is None:
+        return counts, A.indices[a] * n + j.repeat(counts), a, None
+    b, b_counts = _row_entries(B.indptr, j.repeat(counts))
+    a = a.repeat(b_counts)
+    return counts * _row_counts(B, j), A.indices[a] * n + B.indices[b], a, b
+
+
+def _closure(terms: list, seed: np.ndarray, n: int) -> np.ndarray:
+    """Closure of the flat mask ``seed`` under the entries that its rows of
+    the superoperator sum_t A_t kron conj(B_t) read.
+
+    Row (i, j) of A kron conj(B) reads column (k, l) where A[i, k] B[j, l] is
+    stored.  The returned mask K satisfies sup[K, ~K] = 0, so the entries in
+    K evolve on their own, exactly.  Each round gathers the columns that the
+    frontier's rows read, term by term, from the factors' index arrays.
     """
     keep = seed.copy()
     frontier = np.flatnonzero(seed)
     while frontier.size:
-        reached = sup[frontier].indices
-        frontier = np.unique(reached[~keep[reached]])
-        keep[frontier] = True
+        i, j = np.divmod(frontier, n)
+        reached = keep.copy()
+        for A, B in terms:
+            reached[_kron_entries(A, B, i, j, n)[1]] = True
+        frontier = np.flatnonzero(reached & ~keep)
+        keep = reached
     return keep
+
+
+# Kept rows of the superoperator assembled at a time.  Summing the terms of
+# a slab holds them and their sum at once; slabs bound that to a few MB when
+# nothing decouples (dim 12: ~19 entries a row, 20 736 rows).
+SLAB_ROWS = 2048
+
+
+def _kept_superoperator(
+    terms: list, kept: np.ndarray, where: np.ndarray, n: int
+) -> sparse.csr_array:
+    """Rows and columns ``kept`` (flat, ascending, closed) of sum_t A_t kron
+    conj(B_t), as a CSR matrix on the positions ``where`` gives them.
+
+    The rows are assembled in slabs of ``SLAB_ROWS``.  Each term's entries in
+    a slab go straight into CSR arrays; the slab's terms are summed in order
+    and copied into arrays sized for all terms' entries, so no D^2 x D^2
+    operator and no triplet list of the whole sum is formed.  Per entry the
+    sum runs over the terms in order, as a sum of full Kronecker products does.
+    """
+    from scipy import sparse
+
+    i, j = np.divmod(kept, n)
+    capacity = sum(int(_row_counts(A, i) @ _row_counts(B, j)) for A, B in terms)
+    indptr = np.zeros(kept.size + 1, dtype=np.int64)
+    indices = np.empty(capacity, dtype=np.int64)
+    data = np.empty(capacity, dtype=complex)
+    for first in range(0, kept.size, SLAB_ROWS):
+        si, sj = i[first : first + SLAB_ROWS], j[first : first + SLAB_ROWS]
+        slab = None
+        for A, B in terms:
+            counts, cols, a, b = _kron_entries(A, B, si, sj, n)
+            if A is None:
+                values = B.data.conj()[b]
+            elif B is None:
+                values = A.data[a]
+            else:
+                values = A.data[a] * B.data.conj()[b]
+            term = sparse.csr_array(
+                (values, where[cols], np.r_[0, np.cumsum(counts)]),
+                shape=(si.size, kept.size),
+            )
+            slab = term if slab is None else slab + term
+        start = indptr[first]
+        indices[start : start + slab.nnz] = slab.indices
+        data[start : start + slab.nnz] = slab.data
+        indptr[first + 1 : first + si.size + 1] = start + slab.indptr[1:]
+    nnz = indptr[-1]
+    return sparse.csr_array((data[:nnz], indices[:nnz], indptr), shape=(kept.size, kept.size))
 
 
 def _square_blocks(keep: np.ndarray, n: int) -> list[np.ndarray] | None:
@@ -658,6 +759,10 @@ def lindblad_evolve(
     itself, so the kept entries evolve exactly as they would inside the full
     rho.  For the OPA it is the block q = N_left - N_right = 0 (N = n1 + 2 n2),
     724 of 20 736 entries at dim 12; when nothing decouples it is all of rho.
+    The closure is found from the sparsity of H_eff and the L_k
+    (``_closure``), and only its rows and columns of the superoperator are
+    assembled (``_kept_superoperator``), bit for bit as in the full one; the
+    D^2 x D^2 operator is never built.
 
     ``dt`` sets only the output grid: n = ceil(t_final / dt) samples spaced
     s = t_final / n, the last at t_final; a ratio within 1e-9 of an integer
@@ -686,31 +791,28 @@ def lindblad_evolve(
         raise StructureError("rho0 must be positive semidefinite")
     rho /= np.trace(rho)
 
-    L_ops = [_as_csr(L, n, f"L_ops[{k}]") for k, L in enumerate(L_ops)]
-    K = sum((L.conj().T @ L for L in L_ops), sparse.csr_array((n, n), dtype=complex))
-    H_eff = -1j * _as_csr(H, n, "H") - 0.5 * K
-    sup = _liouvillian(H_eff, L_ops)
+    terms = _superoperator_terms(H, L_ops, n)
     # msq = sum_ij O[i, j] rho[j, i] reads rho on the support of O^T.
     observable = msq_observable(alg).tocsr().tocoo()
     support = observable.col * n + observable.row
     seed = np.zeros(n * n, dtype=bool)
     seed[support] = True
     seed[:: n + 1] = True
-    keep = _kept_entries(sup, seed)
+    keep = _closure(terms, seed, n)
     blocks = _square_blocks(keep, n)
     if blocks is None:
         keep[:] = True
         blocks = [np.arange(n)]
     kept = np.flatnonzero(keep)
-    sup = sup[kept]  # rebinding frees the full operator before the column cut
-    step_op = sup[:, kept]
-    del sup
-    norm = float(abs(step_op).sum(axis=0).max())
-    # Position of each kept (i, j) in the state vector.  The kept set holds
-    # (j, i) with (i, j): the superoperator pairs every factor with its
-    # conjugate, so its pattern, like the seed, is symmetric under transposition.
+    # Position of each kept (i, j) in the state vector.
     where = np.full(n * n, -1)
     where[kept] = np.arange(kept.size)
+    step_op = _kept_superoperator(terms, kept, where, n)
+    # ||A||_1, the largest absolute column sum, summed row by row
+    norm = float(np.bincount(step_op.indices, np.abs(step_op.data), kept.size).max())
+    # The kept set holds (j, i) with (i, j): the superoperator pairs every
+    # factor with its conjugate, so its pattern, like the seed, is symmetric
+    # under transposition.
     rows, cols = np.divmod(kept, n)
     transpose = where[cols * n + rows]
     diagonal = where[:: n + 1]

@@ -507,6 +507,18 @@ class TestClosedFormCertificate:
         assert cert.P[0, 0].real == pytest.approx(p, rel=1e-12)
         assert np.all(cert.mu == 0)
 
+    def test_closed_form_that_fails_the_inequality_raises_with_both_margins(self):
+        # a left-hand side of 2 I makes c = -2/p: P is positive, the inequality fails
+        sys = opa_system(1.0, 2.0)
+        bounds = SectorBounds(gamma=4.5, delta1=0.1, delta2=0.1)
+        p = scalar_optimum((1.0, 2.0), 4.5, 0.2)
+        with mock.patch("qstab.certify.qmi_lhs", return_value=2.0 * np.eye(4)):
+            with pytest.raises(QmiInfeasibleError) as raised:
+                certify(sys, bounds)
+        message = str(raised.value)
+        assert f"min eig(P) = {p:.3e}" in message
+        assert "max eig(inequality) = 2.000e+00" in message
+
     def test_explicit_eps_and_other_structures_take_the_riccati_path(self):
         bounds = SectorBounds(gamma=4.5, delta1=0.1, delta2=0.1)
         assert certify(opa_system(1.0, 2.0), bounds, eps=1e-3).eps == 1e-3

@@ -481,6 +481,27 @@ def test_fresh_cli_run_loads_scipy_only_for_riccati(tmp_path, args, riccati):
         assert (doc["eps"] is not None) == riccati
 
 
+@pytest.mark.parametrize(
+    "args, simulates",
+    [
+        (["check-identities", "--dim", "6"], False),
+        (["simulate", "--dim", "6", "--t-final", "0.05"], True),
+    ],
+    ids=["check-identities", "simulate"],
+)
+def test_fresh_fock_run_loads_scipy_sparse_only_to_simulate(tmp_path, args, simulates):
+    """check-identities works on flat diagonals and loads no SciPy module at
+    all; simulate converts its operators to CSR, so it loads ``scipy.sparse``."""
+    argv = [*args, *opa_flags(tmp_path / "run")]
+    code = (
+        "import sys; from qstab.cli import main; "
+        f"code = main({argv!r}); "
+        "print(code, 'scipy' in sys.modules, 'scipy.sparse' in sys.modules)"
+    )
+    loaded = str(simulates)
+    assert _fresh_interpreter(code) == [str(EXIT_OK), loaded, loaded]
+
+
 class TestFileDrivenInputs:
     def test_system_and_series_files_match_builtin_opa(self, tmp_path):
         params = OpaParams(1.0, 2.0, 0.1)

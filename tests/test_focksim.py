@@ -1,5 +1,6 @@
 import functools
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 import qstab.focksim
 from conftest import SEED, random_block_P, random_system
@@ -17,11 +19,12 @@ from qstab.focksim import (
     build_algebra,
     check_commutator_identities,
     check_ms_bound,
+    _closure,
     _identity,
-    _kept_entries,
+    _kept_superoperator,
     _linear_forms,
-    _liouvillian,
     _square_blocks,
+    _superoperator_terms,
     _stack,
     coherent_state,
     coupling_operators,
@@ -606,11 +609,51 @@ class TestLindblad:
         assert np.max(np.abs(results[6] - results[8])) < 1e-6
 
 
+def reference_superoperator(terms, n):
+    """The full D^2 x D^2 superoperator sum_t A_t kron conj(B_t), built term by
+    term with Kronecker products, as the integrator did before it built only
+    the kept rows."""
+    eye = sparse.identity(n, dtype=complex, format="csr")
+    total = None
+    for A, B in terms:
+        A, B = (eye if M is None else M for M in (A, B))
+        term = sparse.kron(A, B.conj(), format="csr")
+        total = term if total is None else total + term
+    return total
+
+
+def reference_closure(sup, seed):
+    """Closure of ``seed`` under the columns that its rows of ``sup`` read."""
+    keep = seed.copy()
+    frontier = np.flatnonzero(seed)
+    while frontier.size:
+        reached = sup[frontier].indices
+        frontier = np.unique(reached[~keep[reached]])
+        keep[frontier] = True
+    return keep
+
+
+def msq_seed(alg):
+    """The diagonal and the entries of rho that x'x reads, as a flat mask."""
+    n = alg.total_dim
+    observable = msq_observable(alg).tocsr().tocoo()
+    seed = np.zeros(n * n, dtype=bool)
+    seed[observable.col * n + observable.row] = True
+    seed[:: n + 1] = True
+    return seed
+
+
+def generic_quadratic(rng, scale):
+    """scale x'Mx for a random Hermitian 4 x 4 M: nothing decouples."""
+    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return lambda alg: scale * quadratic_form(alg, 0.5 * (A + A.conj().T))
+
+
 class TestReducedPropagation:
     """``lindblad_evolve`` steps only the entries of rho that x'x depends on."""
 
-    def opa_problem(self, dim, extra_h=None):
-        sys, series = build_opa(OpaParams(1.0, 2.0, 0.3))
+    def opa_problem(self, dim, extra_h=None, params=OpaParams(1.0, 2.0, 0.3)):
+        sys, series = build_opa(params)
         alg = build_algebra(2, dim)
         H = operator_of_series(alg, sys, series)
         if extra_h is not None:
@@ -619,12 +662,8 @@ class TestReducedPropagation:
 
     def kept_mask(self, alg, H, L_ops):
         n = alg.total_dim
-        L_ops = [L.tocsr() for L in L_ops]
-        K = sum((L.conj().T @ L for L in L_ops), sparse.csr_array((n, n), dtype=complex))
-        seed = np.zeros(n * n, dtype=bool)
-        seed[:: n + 1] = True
-        sup = _liouvillian(-1j * H.tocsr() - 0.5 * K, L_ops)
-        return _kept_entries(sup, seed).reshape(n, n)
+        sup = reference_superoperator(_superoperator_terms(H, L_ops, n), n)
+        return reference_closure(sup, msq_seed(alg)).reshape(n, n)
 
     def test_opa_keeps_the_charge_zero_block(self):
         alg, H, L_ops = self.opa_problem(8)
@@ -636,6 +675,36 @@ class TestReducedPropagation:
             tuple(np.flatnonzero(charge == c)) for c in np.unique(charge)
         )
 
+    @pytest.mark.parametrize("dim", range(6, 13))
+    def test_kept_rows_equal_the_kronecker_block(self, dim):
+        alg, H, L_ops = self.opa_problem(dim, params=OpaParams(1.0, 1.0, 0.05))
+        n = alg.total_dim
+        terms = _superoperator_terms(H, L_ops, n)
+        sup = reference_superoperator(terms, n)
+        seed = msq_seed(alg)
+        keep = _closure(terms, seed, n)
+        assert np.array_equal(keep, reference_closure(sup, seed))
+        kept = np.flatnonzero(keep)
+        assert kept.size < n * n
+        where = np.full(n * n, -1)
+        where[kept] = np.arange(kept.size)
+        block, reference = _kept_superoperator(terms, kept, where, n), sup[kept][:, kept]
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(block, name), getattr(reference, name)), name
+
+    def test_opa_peak_memory_is_below_the_full_superoperator(self):
+        # the simulated system of the fock-verify benchmark workload
+        alg, H, L_ops = self.opa_problem(12, params=OpaParams(1.0, 1.0, 0.05))
+        rho0 = coherent_state(alg, [0.5, 0.5])
+        tracemalloc.start()
+        try:
+            lindblad_evolve(alg, H, L_ops, rho0, 0.05, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sup = reference_superoperator(_superoperator_terms(H, L_ops, alg.total_dim), alg.total_dim)
+        assert peak < sup.data.nbytes + sup.indices.nbytes + sup.indptr.nbytes
+
     def test_opa_matches_dense_propagator(self):
         alg, H, L_ops = self.opa_problem(6)
         rho0 = coherent_state(alg, [0.6, 0.4j])
@@ -644,31 +713,44 @@ class TestReducedPropagation:
         assert np.max(np.abs(traj.msq - reference)) <= 1e-12
 
     def test_generic_quadratic_term_keeps_everything(self, rng):
-        A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        M = 0.5 * (A + A.conj().T)
-        alg, H, L_ops = self.opa_problem(6, lambda alg: 0.05 * quadratic_form(alg, M))
+        alg, H, L_ops = self.opa_problem(6, generic_quadratic(rng, 0.05))
         assert self.kept_mask(alg, H, L_ops).all()
         rho0 = coherent_state(alg, [0.6, 0.4j])
         traj = lindblad_evolve(alg, H, L_ops, rho0, 1.0, 1e-3)
         reference = dense_rk4_msq(alg, H.toarray(), L_ops.toarray(), rho0, 1.0, 1e-3)
         assert np.max(np.abs(traj.msq - reference)) <= 1e-12
 
+    def test_nothing_decouples_at_dim_12(self, rng):
+        alg, H, L_ops = self.opa_problem(
+            12, generic_quadratic(rng, 0.05), params=OpaParams(1.0, 1.0, 0.05)
+        )
+        n = alg.total_dim
+        terms = _superoperator_terms(H, L_ops, n)
+        keep = _closure(terms, msq_seed(alg), n)
+        assert keep.all()
+        everything = np.arange(n * n)
+        block = _kept_superoperator(terms, everything, everything, n)
+        sup = reference_superoperator(terms, n)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(block, name), getattr(sup, name)), name
+        rho0 = coherent_state(alg, [0.5, 0.5])
+        traj = lindblad_evolve(alg, H, L_ops, rho0, 0.05, 0.01)
+        weights = msq_observable(alg).toarray().T.ravel()
+        states = expm_multiply(sup, rho0.ravel(), start=0.0, stop=0.05, num=6, endpoint=True)
+        assert np.max(np.abs(traj.msq - (states @ weights).real)) <= 1e-9
+
     @pytest.mark.parametrize("spacing, k_above_one", [(0.01, False), (0.1, True)])
     def test_matches_expm_of_the_kept_block(self, spacing, k_above_one):
         # the simulated system of the fock-verify benchmark workload
-        sys, series = build_opa(OpaParams(1.0, 1.0, 0.05))
-        alg = build_algebra(2, 10)
+        alg, H, L_ops = self.opa_problem(10, params=OpaParams(1.0, 1.0, 0.05))
         n = alg.total_dim
-        H = operator_of_series(alg, sys, series)
-        L_ops = coupling_operators(alg, sys)
         rho0 = coherent_state(alg, [0.5, 0.5])
         traj = lindblad_evolve(alg, H, L_ops, rho0, 1.0, spacing)
         assert np.array_equal(traj.times, spacing * np.arange(round(1.0 / spacing) + 1))
 
         kept = np.flatnonzero(self.kept_mask(alg, H, L_ops))
-        L_csr = [L.tocsr() for L in L_ops]
-        K = sum((L.conj().T @ L for L in L_csr), sparse.csr_array((n, n), dtype=complex))
-        A = _liouvillian(-1j * H.tocsr() - 0.5 * K, L_csr)[kept][:, kept].toarray()
+        sup = reference_superoperator(_superoperator_terms(H, L_ops, n), n)
+        A = sup[kept][:, kept].toarray()
         # one RK4 step per sample at 0.01, several at 0.1
         assert (spacing * np.abs(A).sum(axis=0).max() > STEP_BOUND) == k_above_one
         propagator = expm(spacing * A)
