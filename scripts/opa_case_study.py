@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from qstab import serialize
-from qstab.certify import certify
+from qstab.certify import certify, certify_sweep
 from qstab.opa import OpaParams, OpaRegion, build_opa, closed_form_hinf, region_curve
 from qstab.perturbation import SectorBounds
 
@@ -36,8 +36,9 @@ def main():
     print(f"smallest certifiable gamma: {threshold:.6f} (= 2 * norm)")
 
     print("\ngamma sweep across the threshold:")
-    for gamma in np.linspace(0.8 * threshold, 1.6 * threshold, 9):
-        cert = certify(sys, SectorBounds(gamma=float(gamma), delta1=0.1, delta2=0.1))
+    gammas = np.linspace(0.8 * threshold, 1.6 * threshold, 9)
+    points = [SectorBounds(gamma=float(gamma), delta1=0.1, delta2=0.1) for gamma in gammas]
+    for gamma, cert in zip(gammas, certify_sweep(sys, points)):
         extra = f"  c={cert.c:.3e}" if cert.certified else ""
         print(f"  gamma = {gamma:7.4f}  ->  {cert.verdict.value}{extra}")
 

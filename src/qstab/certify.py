@@ -15,17 +15,21 @@ exact minimizer of c3 over scalar P.  Every other system, and any call with
 an explicit ``eps``, gets the stabilizing solution of a regularized Riccati
 equation.  Given the admissible amplitude region, it also records the
 invariant level.
+
+``certify_sweep`` runs the pipeline for one system over a sequence of
+sector bounds in one pass: what the points share once, the rest as array
+operations on a stack of P.  ``certify`` is its batch of one.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import QmiInfeasibleError, StructureError
+from .errors import QmiInfeasibleError, QstabError, StructureError
 from .model import (
     LinearQuantumSystem, _realizations, _require_hurwitz, _stable, structure_matrices
 )
@@ -41,6 +45,7 @@ __all__ = [
     "certificate_constants",
     "CertificateConstants",
     "certify",
+    "certify_sweep",
 ]
 
 
@@ -48,6 +53,19 @@ class Verdict(str, Enum):
     CERTIFIED = "Certified"
     FAILED_HURWITZ = "FailedHurwitz"
     FAILED_SMALL_GAIN = "FailedSmallGain"
+
+
+def _inequality_lhs(
+    F: np.ndarray, realization: tuple[np.ndarray, np.ndarray], gamma, P: np.ndarray
+) -> np.ndarray:
+    """``qmi_lhs`` for the original realization (B, C).  gamma and P may be
+    stacked: gamma of shape (k, 1, 1) with P of shape (k, 2n, 2n).  The square
+    of gamma rounds as Python's float power does (``_closed_form_p``)."""
+    B, C = realization
+    return (
+        F.conj().T @ P + P @ F + 4.0 * P @ B @ B.conj().T @ P
+        + C.conj().T @ C / np.float_power(gamma, 2)
+    )
 
 
 def qmi_lhs(
@@ -60,8 +78,7 @@ def qmi_lhs(
     lemma for ||C (sI - F)^-1 B|| < gamma / 2); it must be negative definite
     for the Lyapunov dissipation argument.
     """
-    (B, C), _ = _realizations(Etilde)
-    return F.conj().T @ P + P @ F + 4.0 * P @ B @ B.conj().T @ P + C.conj().T @ C / gamma**2
+    return _inequality_lhs(F, _realizations(Etilde)[0], gamma, P)
 
 
 def _hermitize(P: np.ndarray) -> np.ndarray:
@@ -96,10 +113,10 @@ def _stabilizing_riccati(
         ) from exc
 
 
-def _riccati_data(Etilde: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+def _riccati_data(realizations, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Terms G = 4 (Bp Bp' + Br Br') and Q = (Cp' Cp + Cr' Cr) / gamma^2 of the
     paired Riccati equation; the inequality's quadratic inputs are 2 Bp, 2 Br."""
-    (Bp, Cp), (Br, Cr) = _realizations(Etilde)
+    (Bp, Cp), (Br, Cr) = realizations
     G = 4.0 * (Bp @ Bp.conj().T + Br @ Br.conj().T)
     Q = (Cp.conj().T @ Cp + Cr.conj().T @ Cr) / gamma**2
     return G, Q
@@ -107,7 +124,7 @@ def _riccati_data(Etilde: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndar
 
 def default_regularization(Etilde: np.ndarray, gamma: float) -> float:
     """Default eps turning the strict inequality into an equation with margin."""
-    _, Q = _riccati_data(Etilde, gamma)
+    _, Q = _riccati_data(_realizations(Etilde), gamma)
     return 1e-6 * (1.0 + float(np.linalg.norm(Q, 2)))
 
 
@@ -146,7 +163,7 @@ def solve_qmi(
     if gamma <= 0:
         raise StructureError(f"gamma must be positive, got {gamma}")
     sm = structure_matrices(sys.n)
-    G, Q = _riccati_data(Et, gamma)
+    G, Q = _riccati_data(sys.realizations, gamma)
     if eps is None:
         eps = default_regularization(Et, gamma)
     if not 0 < eps < np.inf:
@@ -155,7 +172,8 @@ def solve_qmi(
     # Clean up roundoff; the exact solution already has the block structure.
     P = _hermitize(0.5 * (P + sm.Sigma @ P.conj() @ sm.Sigma))
     min_eig = float(np.min(np.linalg.eigvalsh(P)))
-    lhs_max = float(np.max(np.linalg.eigvalsh(qmi_lhs(F, Et, gamma, P))))
+    lhs = _inequality_lhs(F, sys.realizations[0], gamma, P)
+    lhs_max = float(np.max(np.linalg.eigvalsh(lhs)))
     if min_eig <= 0 or lhs_max >= 0:
         R = F.conj().T @ P + P @ F + P @ G @ P + Q + eps * np.eye(F.shape[0])
         residual = float(np.linalg.norm(R, "fro"))
@@ -167,23 +185,12 @@ def solve_qmi(
     return P
 
 
-def _closed_form_P(sys: LinearQuantumSystem, bounds: SectorBounds) -> np.ndarray | None:
-    """P = p* I for a system with the OPA's structure; None for any other system.
+def _opa_kappa(sys: LinearQuantumSystem) -> np.ndarray | None:
+    """kappa_k = |N1_kk|^2 of a system with the OPA's structure; None for any other.
 
     The structure is M1 = M2 = N2 = E1 = 0, E2 = I_n and a diagonal n x n N1.
-    Then F = -diag(kappa, kappa) / 2 with kappa_k = |N1_kk|^2, and at P = p I
-    the inequality splits per mode into -kappa_k p + 4 p^2 + 1/gamma^2 < 0.
-    So c(p) = kappa_min - 4p - 1/(gamma^2 p), lam = p K + delta with
-    K = sum kappa_k and delta = delta1 + delta2, and mu = 0.  The offset
-    c3 = lam / (c(p) p) is least at the positive root of
-    4 K p^2 + 8 delta p - K/gamma^2 - delta kappa_min = 0,
-
-        p* = (-2 delta + sqrt(4 delta^2 + K (K/gamma^2 + delta kappa_min))) / (2K),
-
-    evaluated here without the cancellation.  p* lies strictly between the
-    roots of c(p) whenever kappa_min gamma > 4, i.e. whenever the small-gain
-    test passes.  A p that is not positive raises QmiInfeasibleError; the
-    rest of the strictness check runs in ``certify``, on the constants.
+    Then F = -diag(kappa, kappa) / 2, and P = p I takes the closed form of
+    ``_closed_form_p``.
     """
     n, N1 = sys.n, sys.N1
     if (
@@ -192,14 +199,28 @@ def _closed_form_P(sys: LinearQuantumSystem, bounds: SectorBounds) -> np.ndarray
         or not np.array_equal(N1, np.diag(np.diag(N1)))
     ):
         return None
-    kappa = np.abs(np.diag(N1)) ** 2
-    K, kappa_min = float(np.sum(kappa)), float(np.min(kappa))
-    delta = bounds.delta1 + bounds.delta2
-    x = K / bounds.gamma**2 + delta * kappa_min
-    p = x / (2.0 * (2.0 * delta + math.sqrt(4.0 * delta**2 + K * x)))
-    if not p > 0:
-        raise QmiInfeasibleError(f"closed-form P is not a strict solution: min eig(P) = {p:.3e}")
-    return p * np.eye(2 * n, dtype=complex)
+    return np.abs(np.diag(N1)) ** 2
+
+
+def _closed_form_p(kappa: np.ndarray, gamma: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """p* of P = p* I for each gamma and delta = delta1 + delta2.
+
+    At P = p I the inequality splits per mode into
+    -kappa_k p + 4 p^2 + 1/gamma^2 < 0.  So c(p) = kappa_min - 4p - 1/(gamma^2 p),
+    lam = p K + delta with K = sum kappa_k, and mu = 0.  The offset
+    c3 = lam / (c(p) p) is least at the positive root of
+    4 K p^2 + 8 delta p - K/gamma^2 - delta kappa_min = 0,
+
+        p* = (-2 delta + sqrt(4 delta^2 + K (K/gamma^2 + delta kappa_min))) / (2K),
+
+    evaluated here without the cancellation.  p* lies strictly between the
+    roots of c(p) whenever kappa_min gamma > 4, i.e. whenever the small-gain
+    test passes.  Squares go through ``float_power``, which rounds as
+    Python's float power does, so a point's p* does not depend on its stack.
+    """
+    K, kappa_min = float(kappa.sum()), float(kappa.min())
+    x = K / np.float_power(gamma, 2) + delta * kappa_min
+    return x / (2.0 * (2.0 * delta + np.sqrt(4.0 * np.float_power(delta, 2) + K * x)))
 
 
 def mu_constants(P: np.ndarray, Etilde: np.ndarray) -> np.ndarray:
@@ -213,12 +234,13 @@ def mu_constants(P: np.ndarray, Etilde: np.ndarray) -> np.ndarray:
 
     which reduces to -2 Etilde_i Sigma J P^# J Etilde_i^T in the block-form
     case.  The truncated-Fock oracle pins these constants down to rounding.
+    A stack of P, shape (k, 2n, 2n), gives a (k, p) stack of constants.
     """
     P = np.asarray(P, dtype=complex)
     Etilde = np.asarray(Etilde, dtype=complex)
     sm = structure_matrices(Etilde.shape[1] // 2)
-    core = sm.J @ sm.Sigma @ (P.T + sm.Sigma @ P @ sm.Sigma) @ sm.J
-    return np.einsum("ia,ab,ib->i", Etilde, core, Etilde)
+    core = sm.J @ sm.Sigma @ (np.swapaxes(P, -1, -2) + sm.Sigma @ P @ sm.Sigma) @ sm.J
+    return np.einsum("ia,...ab,ib->...i", Etilde, core, Etilde)
 
 
 @dataclass(frozen=True)
@@ -230,6 +252,45 @@ class CertificateConstants:
     c2: float
     c3: float
     mu: np.ndarray
+
+
+def _stacked_constants(
+    sys: LinearQuantumSystem, gamma: np.ndarray, delta1: np.ndarray, delta2: np.ndarray,
+    P: np.ndarray,
+) -> list[CertificateConstants | StructureError]:
+    """``certificate_constants`` for a (k, 2n, 2n) stack of P and k bounds.
+
+    Each point gets its constants, or the StructureError of a P that is not
+    positive definite; the stacked ``eigh`` and ``eigvalsh`` run LAPACK on
+    each matrix as an unstacked call would, so the constants do not depend
+    on the stack.
+    """
+    eigs, V = np.linalg.eigh(P)
+    definite = ~(eigs[:, 0] <= 0)
+    # a P that is not positive definite gets its error, so its constants may
+    # come from any positive spectrum
+    safe = np.where(definite[:, None], eigs, 1.0)
+    N, Et = sys.N, sys.Etilde
+    sm = structure_matrices(sys.n)
+    proj = np.zeros((2 * sys.m, 2 * sys.m))
+    proj[: sys.m, : sys.m] = np.eye(sys.m)
+    lambda_tilde = (P @ sm.J @ N.conj().T @ proj @ N @ sm.J).trace(axis1=1, axis2=2).real
+    mu = mu_constants(P, Et)
+    lam = lambda_tilde + delta1 + (np.abs(mu) ** 2).sum(axis=1) / 4.0 + delta2
+    lhs = _inequality_lhs(sys.F, sys.realizations[0], gamma[:, None, None], P)
+    W = V / np.sqrt(safe)[:, None, :]
+    c = np.linalg.eigvalsh(np.swapaxes(W.conj(), 1, 2) @ -lhs @ W).min(axis=1)
+    c1 = safe[:, -1] / safe[:, 0]
+    # no decay margin for a P with c <= 0: the offset bound degenerates
+    c3 = np.divide(lam, c * safe[:, 0], out=np.full_like(c, np.inf), where=c > 0)
+    c3[lam == 0.0] = 0.0
+    columns = (definite, eigs[:, 0], lambda_tilde, lam, c, c1, c3)
+    rows = zip(*(a.tolist() for a in columns), mu)
+    return [
+        CertificateConstants(lt, la, ci, c1i, ci, c3i, mui) if ok
+        else StructureError(f"P must be positive definite, min eig {e0:.3e}")
+        for ok, e0, lt, la, ci, c1i, c3i, mui in rows
+    ]
 
 
 def certificate_constants(
@@ -245,31 +306,13 @@ def certificate_constants(
     (for P = p I, min eig(-LHS) / p).  Then c1 = lmax(P)/lmin(P), c2 = c,
     c3 = lam / (c lmin(P)).  The mu constants behind lam are returned with them.
     """
-    P = np.asarray(P, dtype=complex)
-    eigs, V = np.linalg.eigh(P)
-    if eigs[0] <= 0:
-        raise StructureError(f"P must be positive definite, min eig {eigs[0]:.3e}")
-    N, Et = sys.N, sys.Etilde
-    sm = structure_matrices(sys.n)
-    proj = np.zeros((2 * sys.m, 2 * sys.m))
-    proj[: sys.m, : sys.m] = np.eye(sys.m)
-    lambda_tilde = float(
-        np.real(np.trace(P @ sm.J @ N.conj().T @ proj @ N @ sm.J))
+    (constants,) = _stacked_constants(
+        sys, *(np.array([x]) for x in (bounds.gamma, bounds.delta1, bounds.delta2)),
+        np.asarray(P, dtype=complex)[None],
     )
-    mu = mu_constants(P, Et)
-    lam = lambda_tilde + bounds.delta1 + float(np.sum(np.abs(mu) ** 2)) / 4.0 + bounds.delta2
-    lhs = qmi_lhs(sys.F, Et, bounds.gamma, P)
-    W = V / np.sqrt(eigs)
-    c = float(np.min(np.linalg.eigvalsh(W.conj().T @ -lhs @ W)))
-    c1 = float(eigs[-1] / eigs[0])
-    if lam == 0.0:
-        c3 = 0.0
-    elif c > 0.0:
-        c3 = lam / (c * float(eigs[0]))
-    else:
-        # No decay margin for this P; the offset bound degenerates.
-        c3 = float("inf")
-    return CertificateConstants(lambda_tilde, lam, c, c1, c, c3, mu)
+    if isinstance(constants, StructureError):
+        raise constants
+    return constants
 
 
 @dataclass(frozen=True)
@@ -298,58 +341,115 @@ class StabilityCertificate:
         return self.verdict is Verdict.CERTIFIED
 
 
+def certify_sweep(
+    sys: LinearQuantumSystem, bounds: Sequence[SectorBounds], eps: float | None = None
+) -> list[StabilityCertificate]:
+    """The certificate of one system at each of a sequence of sector bounds.
+
+    One pass for all points.  Once per call: the Hurwitz verdict, both norms
+    (``sys.hinf``), the OPA structure test and the small-gain realization.
+    Per point, as array operations: the strict small-gain verdicts
+    ||transfer|| < gamma / 2, p* on the closed-form path, the constants on a
+    (k, 2n, 2n) stack of P (``certificate_constants``) and the closed form's
+    strictness check.  The Riccati path (given ``eps``, or a system without
+    the OPA's structure) solves each point on its own.  Each certificate is
+    the one ``certify`` returns for its point alone, bit for bit, and when
+    points raise, the call raises the error of the first of them.
+    """
+    bounds = list(bounds)
+    found = {"F": sys.F, "abscissa": sys.abscissa}
+    if not _stable(sys.abscissa):
+        return [StabilityCertificate(Verdict.FAILED_HURWITZ, b.gamma, **found) for b in bounds]
+    hinf = sys.hinf
+    found.update(hinf_primary=hinf.hinf_primary, hinf_reduced=hinf.hinf_reduced)
+    gamma, delta1, delta2 = np.array(
+        [(b.gamma, b.delta1, b.delta2) for b in bounds], dtype=float
+    ).reshape(-1, 3).T
+    passed = np.flatnonzero(hinf.hinf_reduced < gamma / 2.0)
+    if not passed.size:
+        return [StabilityCertificate(Verdict.FAILED_SMALL_GAIN, b.gamma, **found) for b in bounds]
+    gamma, delta1, delta2 = gamma[passed], delta1[passed], delta2[passed]
+    kappa = None if eps is not None else _opa_kappa(sys)
+    # by position in ``passed``: the error that stops a point, or None for a
+    # Riccati boundary-band failure; a stopped point's row of P is a placeholder
+    stopped: dict[int, QstabError | None] = {}
+    point_eps: dict[int, float] = {}
+    if kappa is not None:
+        p = _closed_form_p(kappa, gamma, delta1 + delta2)
+        positive = p > 0
+        for j in np.flatnonzero(~positive).tolist():
+            stopped[j] = QmiInfeasibleError(
+                f"closed-form P is not a strict solution: min eig(P) = {p[j]:.3e}"
+            )
+        P = np.where(positive, p, 1.0)[:, None, None] * np.eye(2 * sys.n, dtype=complex)
+    else:
+        P = np.empty((passed.size, 2 * sys.n, 2 * sys.n), dtype=complex)
+        for j, g in enumerate(gamma.tolist()):
+            point_eps[j] = e = eps if eps is not None else default_regularization(sys.Etilde, g)
+            try:
+                P[j] = solve_qmi(sys, g, e)
+            except QmiInfeasibleError as exc:
+                P[j] = np.eye(2 * sys.n)
+                stopped[j] = None
+                # Regularization shifts the feasible boundary by O(eps).  A gain
+                # margin inside that band is a boundary case, not an anomaly: the
+                # certificate cannot be produced, so the verdict is a (slightly
+                # conservative) small-gain failure.  Beyond the band the failure
+                # is unexpected and raises.
+                if g / 2.0 - hinf.hinf_reduced > 1e3 * e * (1.0 + g):
+                    stopped[j] = QmiInfeasibleError(f"solve_qmi: {exc}")
+                    stopped[j].__cause__ = exc
+    constants = _stacked_constants(sys, gamma, delta1, delta2, P)
+    for j, const in enumerate(constants):
+        if j in stopped:
+            continue
+        if isinstance(const, StructureError):
+            stopped[j] = const
+        elif kappa is not None and not const.c > 0:
+            stopped[j] = QmiInfeasibleError(
+                "closed-form P is not a strict solution: "
+                f"min eig(P) = {p[j]:.3e}, max eig(inequality) = {-const.c * p[j]:.3e}"
+            )
+    errors = [j for j, error in stopped.items() if error is not None]
+    if errors:
+        raise stopped[min(errors)]
+    position = dict(zip(passed.tolist(), range(passed.size)))
+    certs = []
+    for i, b in enumerate(bounds):
+        j = position.get(i)
+        point = dict(found, eps=point_eps.get(j))
+        if j is None or j in stopped:
+            certs.append(StabilityCertificate(Verdict.FAILED_SMALL_GAIN, b.gamma, **point))
+        else:
+            certs.append(StabilityCertificate(
+                Verdict.CERTIFIED, b.gamma, P=P[j], **point, **vars(constants[j])
+            ))
+    return certs
+
+
 def certify(
     sys: LinearQuantumSystem, bounds: SectorBounds, eps: float | None = None,
     region: OpaRegion | None = None,
 ) -> StabilityCertificate:
     """Run the full pipeline and return a certificate (or a failure verdict).
 
+    The batch of one of ``certify_sweep``, which holds the pipeline.
     FailedHurwitz and FailedSmallGain short-circuit with the data computed so
-    far.  Without ``eps``, a system with the OPA's structure gets P in closed
-    form (``_closed_form_P``) and records ``eps`` as None; every other system,
-    and any call with ``eps``, gets P from ``solve_qmi``.  The closed form's
-    strictness is read from the constants, which form the inequality's
-    left-hand side once: for P = p I with p > 0, LHS < 0 exactly when c > 0,
-    and max eig(LHS) = -c p.  Errors raised by later stages propagate, tagged
-    with the stage.
+    far.  Without ``eps``, a system with the OPA's structure gets P = p* I in
+    closed form (``_closed_form_p``) and records ``eps`` as None; every other
+    system, and any call with ``eps``, gets P from ``solve_qmi``.  The closed
+    form's strictness is read from the constants, which form the
+    inequality's left-hand side once: for P = p I with p > 0, LHS < 0
+    exactly when c > 0, and max eig(LHS) = -c p.  A P that is not strict
+    raises QmiInfeasibleError with both margins.  Errors raised by later
+    stages propagate, tagged with the stage.
     Given the admissible region of the perturbation (only the OPA has one,
     ``OpaRegion``), a certified result records ``invariant_level``; without
     it the level stays None.  A region for other bounds raises StructureError.
     """
     if region is not None and region.bounds != bounds:
         raise StructureError(f"the region was built for {region.bounds}, not {bounds}")
-    found = {"gamma": bounds.gamma, "F": sys.F, "abscissa": sys.abscissa}
-    if not _stable(sys.abscissa):
-        return StabilityCertificate(Verdict.FAILED_HURWITZ, **found)
-    hinf = sys.hinf
-    found.update(hinf_primary=hinf.hinf_primary, hinf_reduced=hinf.hinf_reduced)
-    if not hinf.hinf_reduced < bounds.gamma / 2.0:
-        return StabilityCertificate(Verdict.FAILED_SMALL_GAIN, **found)
-    P = None if eps is not None else _closed_form_P(sys, bounds)
-    closed_form = P is not None
-    if P is None:
-        if eps is None:
-            eps = default_regularization(sys.Etilde, bounds.gamma)
-        found["eps"] = eps
-        try:
-            P = solve_qmi(sys, bounds.gamma, eps)
-        except QmiInfeasibleError as exc:
-            # Regularization shifts the feasible boundary by O(eps).  A gain
-            # margin inside that band is a boundary case, not an anomaly: the
-            # certificate cannot be produced, so the verdict is a (slightly
-            # conservative) small-gain failure.  Beyond the band the failure
-            # is unexpected and propagates.
-            margin = bounds.gamma / 2.0 - hinf.hinf_reduced
-            if margin <= 1e3 * eps * (1.0 + bounds.gamma):
-                return StabilityCertificate(Verdict.FAILED_SMALL_GAIN, **found)
-            raise QmiInfeasibleError(f"solve_qmi: {exc}") from exc
-    constants = vars(certificate_constants(sys, bounds, P))
-    if closed_form and not constants["c"] > 0:
-        p = float(P[0, 0].real)
-        raise QmiInfeasibleError(
-            "closed-form P is not a strict solution: "
-            f"min eig(P) = {p:.3e}, max eig(inequality) = {-constants['c'] * p:.3e}"
-        )
-    if region is not None:
-        found["invariant_level"] = invariant_ellipsoid(P, region)
-    return StabilityCertificate(Verdict.CERTIFIED, P=P, **found, **constants)
+    (cert,) = certify_sweep(sys, [bounds], eps)
+    if region is None or not cert.certified:
+        return cert
+    return replace(cert, invariant_level=invariant_ellipsoid(cert.P, region))

@@ -3,7 +3,9 @@
 Subcommands: validate, certify, opa-region, simulate, sweep,
 check-identities.  A single JSON config document can supply everything;
 command-line flags override config fields.  Artifacts are written atomically
-under the --out prefix.
+under the --out prefix.  A sweep over gamma, delta1 or delta2 certifies
+all its points in one stacked call (``certify_sweep``); a sweep over
+kappa1, kappa2 or chi builds and certifies a system per point.
 
 Exit codes: 0 success / certified / all checks pass; 1 drift matrix not
 Hurwitz; 2 small-gain condition failed; 3 a numerical check failed
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import opa, serialize
-from .certify import Verdict
+from .certify import Verdict, certify_sweep
 from .certify import certify as run_certify
 from .errors import NotHurwitzError, QstabError, StructureError, TruncationError
 from .model import LinearQuantumSystem, validate_system
@@ -403,15 +405,19 @@ def _cmd_sweep(config: RunConfig) -> int:
     bounds = _require_bounds(config)
     sweep, params, name = config.sweep, config.opa_params, config.sweep.parameter
     values = [float(v) for v in np.linspace(sweep.start, sweep.stop, sweep.steps)]
-    # points are made as the sweep reaches them, so a bad value raises there
     if name in ("gamma", "delta1", "delta2"):
-        system, _ = opa.build_opa(params)  # shared, so its norms are computed once
-        points = ((system, replace(bounds, **{name: v})) for v in values)
+        # one system, certified at every point in one stacked pass
+        system, _ = opa.build_opa(params)
+        points = [SectorBounds(**{**vars(bounds), name: v}) for v in values]
+        certs = certify_sweep(system, points, config.eps)
     elif name in ("kappa1", "kappa2", "chi"):
-        points = ((opa.build_opa(replace(params, **{name: v}))[0], bounds) for v in values)
+        # a system per point, built as the sweep reaches it, so a bad value raises there
+        certs = [
+            run_certify(opa.build_opa(replace(params, **{name: v}))[0], bounds, eps=config.eps)
+            for v in values
+        ]
     else:
         raise StructureError(f"unknown sweep parameter {name!r}")
-    certs = [run_certify(s, b, eps=config.eps) for s, b in points]
     lines = [f"{name},verdict,hinf_reduced,c1,c2,c3"]
     for value, cert in zip(values, certs):
         consts = ",".join("" if c is None else repr(c) for c in (cert.c1, cert.c2, cert.c3))

@@ -775,7 +775,8 @@ def lindblad_evolve(
     that the kept entries form (the N-sectors for the OPA), or on the whole
     rho if they form none.  That is the positivity of the dephased state the
     run evolves, which is weaker than a check of the full rho when rho0 has
-    coherences between blocks.
+    coherences between blocks.  rho0 itself is checked whole: it needs unit
+    trace and no eigenvalue at or below -1e-10.
     """
     for name, value in (("dt", dt), ("t_final", t_final)):
         if not 0 < value < np.inf:
@@ -787,8 +788,12 @@ def lindblad_evolve(
     tr = np.trace(rho).real
     if not abs(tr - 1.0) <= 1e-8:
         raise StructureError(f"rho0 must have unit trace, got {tr}")
-    if float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)))) < -1e-10:
-        raise StructureError("rho0 must be positive semidefinite")
+    # min eig(herm(rho0)) > -1e-10, up to rounding, exactly when this shift is
+    # positive definite
+    try:
+        np.linalg.cholesky(0.5 * (rho + rho.conj().T) + 1e-10 * np.eye(n))
+    except np.linalg.LinAlgError:
+        raise StructureError("rho0 must be positive semidefinite") from None
     rho /= np.trace(rho)
 
     terms = _superoperator_terms(H, L_ops, n)
@@ -817,8 +822,9 @@ def lindblad_evolve(
     transpose = where[cols * n + rows]
     diagonal = where[:: n + 1]
     block_views = [where[b[:, None] * n + b[None, :]] for b in blocks]
-    weights = np.zeros(kept.size, dtype=complex)
-    weights[where[support]] = observable.data
+    # msq = sum_k weights_k v[read_k], summed by numpy (pairwise, in a fixed
+    # order) rather than by a BLAS dot whose order follows the thread count
+    read, weights = where[support], observable.data
     v = rho.ravel()[kept]
 
     ratio = t_final / dt
@@ -829,7 +835,7 @@ def lindblad_evolve(
     n_steps = n_samples * substeps
     h = spacing / substeps
 
-    msq = [weights @ v]
+    msq = [np.sum(weights * v[read])]
     for step in range(1, n_steps + 1):
         k1 = step_op @ v
         k2 = step_op @ (v + 0.5 * h * k1)
@@ -847,7 +853,7 @@ def lindblad_evolve(
                     f"state lost positivity (min eig {min_eig:.3e}) at t={step * h:.4g}"
                 )
         if step % substeps == 0:
-            msq.append(weights @ v)
+            msq.append(np.sum(weights * v[read]))
     times = np.arange(n_samples + 1) * spacing
     times[-1] = t_final
     return FockTrajectory(times=times, msq=np.array(msq).real)

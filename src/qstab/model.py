@@ -62,11 +62,20 @@ def structure_matrices(n: int) -> StructureMatrices:
     return StructureMatrices(n=n, J=J, Sigma=Sigma)
 
 
+def _blocks(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
+    """The 2 x 2 block matrix, as ``np.block`` builds it, without its generic
+    nesting checks (which cost more than the copy at these sizes)."""
+    return np.concatenate([
+        np.concatenate([top_left, top_right], axis=1),
+        np.concatenate([bottom_left, bottom_right], axis=1),
+    ])
+
+
 def _as_complex(name: str, value) -> np.ndarray:
     arr = np.asarray(value, dtype=complex)
     if arr.ndim != 2:
         raise StructureError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise StructureError(f"{name} has non-finite entries")
     return arr
 
@@ -88,7 +97,9 @@ def _peak_gain(F: np.ndarray, B: np.ndarray, C: np.ndarray, omegas: np.ndarray) 
     return float(np.max(np.linalg.svd(T, compute_uv=False)[:, 0]))
 
 
-def hinf_norm(F: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
+def hinf_norm(
+    F: np.ndarray, B: np.ndarray, C: np.ndarray, eigs: np.ndarray | None = None
+) -> float:
     """H-infinity norm of C (sI - F)^-1 B for Hurwitz F (Bruinsma-Steinbuch).
 
     A level d is crossed at the frequency w iff iw is an eigenvalue of
@@ -104,26 +115,33 @@ def hinf_norm(F: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
     leave eigenvalues just above it inside the axis tolerance; when a step
     makes no progress the margin doubles instead, and the widened level is
     still returned only once it crosses nowhere.
+
+    ``eigs`` are the eigenvalues of F when the caller has them already (a
+    system keeps its own); they give both the Hurwitz guard and the
+    resonances.  Without them F is factored here.
     """
     F = np.asarray(F, dtype=complex)
     B = np.asarray(B, dtype=complex)
     C = np.asarray(C, dtype=complex)
-    eigs = np.linalg.eigvals(F)
+    if eigs is None:
+        eigs = np.linalg.eigvals(F)
     _require_hurwitz(float(np.max(eigs.real)))
-    if B.size == 0 or C.size == 0 or not (np.any(B) and np.any(C)):
+    if B.size == 0 or C.size == 0 or not (B.any() and C.any()):
         return 0.0
 
     BBt = B @ B.conj().T
     CtC = C.conj().T @ C
 
     def crossings(level: float) -> np.ndarray:
-        H = np.block([[F, BBt / level], [-CtC / level, -F.conj().T]])
+        H = _blocks(F, BBt / level, -CtC / level, -F.conj().T)
         eigs = np.linalg.eigvals(H)
         tol = 1e-8 * (1.0 + float(np.max(np.abs(eigs))))
         return np.sort(eigs.imag[np.abs(eigs.real) < tol])
 
     resonances = eigs.imag
-    lo = _peak_gain(F, B, C, np.concatenate([[0.0], resonances, -resonances]))
+    # each distinct probe once (all nine of the OPA's are 0)
+    probes = sorted({0.0, *resonances.tolist(), *(-resonances).tolist()})
+    lo = _peak_gain(F, B, C, np.array(probes))
     if lo == 0.0:
         # The probes found nothing; confirm the transfer function vanishes.
         if crossings(1e-12).size == 0:
@@ -182,10 +200,11 @@ class LinearQuantumSystem:
         M = [[M1, M2], [M2#, M1#]] (Hermitian),   N = [[N1, N2], [N2#, N1#]],
         Etilde = [E1 E2] (row i defines z_i),     F = -i J M - (1/2) J N' J_m N,
 
-    with J_m = diag(I_m, -I_m); F is the drift matrix and ``abscissa`` the
-    largest real part of its eigenvalues, the one Hurwitz verdict every
-    stage reads.  ``hinf`` holds both small-gain norms, computed on first
-    use.  Instances are immutable values with read-only arrays;
+    with J_m = diag(I_m, -I_m); F is the drift matrix, ``spectrum`` its
+    eigenvalues and ``abscissa`` their largest real part, the one Hurwitz
+    verdict every stage reads.  ``realizations`` and ``hinf`` hold the
+    small-gain realizations and both norms, computed on first use.
+    Instances are immutable values with read-only arrays;
     ``dataclasses.replace`` re-derives the assembled matrices and the norms.
     """
 
@@ -199,6 +218,7 @@ class LinearQuantumSystem:
     N: np.ndarray = field(init=False, repr=False, compare=False)
     Etilde: np.ndarray = field(init=False, repr=False, compare=False)
     F: np.ndarray = field(init=False, repr=False, compare=False)
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
     abscissa: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -228,21 +248,25 @@ class LinearQuantumSystem:
             )
         m = self.N1.shape[0]
         J = structure_matrices(n).J
-        Jm = np.diag(np.r_[np.ones(m), -np.ones(m)])
-        M = np.block([[self.M1, self.M2], [self.M2.conj(), self.M1.conj()]])
-        N = np.block([[self.N1, self.N2], [self.N2.conj(), self.N1.conj()]])
+        Jm = np.diag(np.concatenate([np.ones(m), -np.ones(m)]))
+        M = _blocks(self.M1, self.M2, self.M2.conj(), self.M1.conj())
+        N = _blocks(self.N1, self.N2, self.N2.conj(), self.N1.conj())
         assembled = {
             "M": M,
             "N": N,
             "Etilde": np.hstack([self.E1, self.E2]),
             "F": -1j * J @ M - 0.5 * J @ N.conj().T @ Jm @ N,
         }
+        assembled["spectrum"] = np.linalg.eigvals(assembled["F"])
         for name, arr in assembled.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(
-            self, "abscissa", float(np.max(np.linalg.eigvals(self.F).real))
-        )
+        object.__setattr__(self, "abscissa", float(np.max(self.spectrum.real)))
+
+    @functools.cached_property
+    def realizations(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(B, C) of the original and the reduced small-gain transfer function."""
+        return _realizations(self.Etilde)
 
     @functools.cached_property
     def hinf(self) -> HinfResult:
@@ -251,10 +275,11 @@ class LinearQuantumSystem:
         They depend on the system alone, not on gamma, delta1 or delta2.  A
         drift matrix that is not Hurwitz raises NotHurwitzError.  The norms are
         equal in exact arithmetic; a disagreement beyond 1e-6 relative raises
-        ConsistencyError (an implementation bug, not bad input).
+        ConsistencyError (an implementation bug, not bad input).  Both
+        iterations take the system's own spectrum, so F is factored once.
         """
         _require_hurwitz(self.abscissa)
-        primary, reduced = (hinf_norm(self.F, B, C) for B, C in _realizations(self.Etilde))
+        primary, reduced = (hinf_norm(self.F, B, C, self.spectrum) for B, C in self.realizations)
         if abs(primary - reduced) > NORM_AGREEMENT_RTOL * (1.0 + reduced):
             raise ConsistencyError(
                 f"transfer-function norms disagree: original {primary:.12g} "

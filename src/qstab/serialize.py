@@ -215,15 +215,23 @@ def region_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _float_reprs(values: np.ndarray) -> np.ndarray:
-    """Object array of ``repr(float(v))`` for each entry, one repr per distinct value.
+def _float_reprs(values: np.ndarray) -> list[str]:
+    """``repr(float(v))`` of each entry in C order, one repr per distinct value.
 
-    Values are told apart by bit pattern, so -0.0, 0.0 and NaN keep their own repr.
+    Values are told apart by bit pattern, so -0.0, 0.0 and NaN keep their own
+    repr.  One sort of the bit patterns finds the distinct values; when every
+    value is distinct, each is formatted directly with no lookup.
     """
-    bits = values.view(np.int64)
-    distinct = np.unique(bits)
+    flat = values.ravel()
+    bits = flat.view(np.int64)
+    ordered = np.sort(bits)
+    first = np.ones(bits.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    if first.all():
+        return list(map(repr, flat.tolist()))
+    distinct = ordered[first]
     texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
-    return texts[np.searchsorted(distinct, bits)]
+    return texts[np.searchsorted(distinct, bits)].tolist()
 
 
 def scan_csv(grids, mask, margin1, margin2) -> str:
@@ -244,11 +252,13 @@ def scan_csv(grids, mask, margin1, margin2) -> str:
             "{} and {}, mask {}, margin1 {}, margin2 {}".format(*shapes)
         )
     t1, t2 = (list(map(repr, g.tolist())) for g in (g1, g2))
+    # zip stops at the end of t2 and so takes one grid row from each margin
+    x1, x2 = (iter(_float_reprs(m)) for m in margins)
     blocks = ["|z1|^2,|z2|^2,admissible,margin1,margin2\n"]
     # one text block per grid row: holding all 10 000 line strings until one join
     # raises the peak by ~0.6 MB
-    for a, *rows in zip(t1, flags, *map(_float_reprs, margins)):
-        cells = zip(t2, *(row.tolist() for row in rows))
+    for a, row in zip(t1, flags.tolist()):
+        cells = zip(t2, row, x1, x2)
         blocks.append("".join([f"{a},{b},{flag},{x},{y}\n" for b, flag, x, y in cells]))
     return "".join(blocks)
 

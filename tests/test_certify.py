@@ -13,12 +13,13 @@ from qstab.certify import (
     Verdict,
     certificate_constants,
     certify,
+    certify_sweep,
     default_regularization,
     mu_constants,
     qmi_lhs,
     solve_qmi,
 )
-from qstab.errors import NotHurwitzError, QmiInfeasibleError, StructureError
+from qstab.errors import NotHurwitzError, QmiInfeasibleError, QstabError, StructureError
 from qstab.focksim import build_algebra, quadratic_form
 from qstab.model import LinearQuantumSystem, _realizations, hinf_norm, structure_matrices
 from qstab.opa import OpaParams, OpaRegion, build_opa, invariant_ellipsoid
@@ -305,7 +306,7 @@ class TestCertificateConstants:
         """``certificate_constants``' c for this P, with the inequality's
         left-hand side replaced by ``lhs`` (c depends on nothing else)."""
         sys = dissipative_system([1.0] * n)
-        with mock.patch("qstab.certify.qmi_lhs", return_value=lhs):
+        with mock.patch("qstab.certify._inequality_lhs", return_value=lhs):
             return certificate_constants(sys, SectorBounds(gamma=1.0), P).c
 
     @staticmethod
@@ -512,7 +513,7 @@ class TestClosedFormCertificate:
         sys = opa_system(1.0, 2.0)
         bounds = SectorBounds(gamma=4.5, delta1=0.1, delta2=0.1)
         p = scalar_optimum((1.0, 2.0), 4.5, 0.2)
-        with mock.patch("qstab.certify.qmi_lhs", return_value=2.0 * np.eye(4)):
+        with mock.patch("qstab.certify._inequality_lhs", return_value=2.0 * np.eye(4)):
             with pytest.raises(QmiInfeasibleError) as raised:
                 certify(sys, bounds)
         message = str(raised.value)
@@ -633,6 +634,102 @@ class TestExactThreshold:
 CONSTANTS = ("mu", "lambda_tilde", "lam", "c", "c1", "c2", "c3")
 
 
+def assert_sweep_matches_points(sys, points, eps=None):
+    """A stacked ``certify_sweep`` gives each point the certificate that one
+    ``certify`` call on it gives, or raises the first point's error."""
+    singles = []
+    for bounds in points:
+        try:
+            singles.append(certify(sys, bounds, eps=eps))
+        except QstabError as exc:
+            singles.append(exc)
+    first_error = next((one for one in singles if isinstance(one, QstabError)), None)
+    if first_error is not None:
+        with pytest.raises(type(first_error)) as raised:
+            certify_sweep(sys, points, eps)
+        assert str(raised.value) == str(first_error)
+        singles = singles[: singles.index(first_error)]
+        points = points[: len(singles)]
+    stacked = certify_sweep(sys, points, eps)
+    assert len(stacked) == len(points)
+    for bounds, one, cert in zip(points, singles, stacked):
+        assert cert.verdict is one.verdict
+        for name in ("gamma", "abscissa", "hinf_primary", "hinf_reduced", "eps",
+                     "lambda_tilde", "lam", "c", "c1", "c2", "c3"):
+            assert getattr(cert, name) == getattr(one, name), name
+        for name in ("F", "P", "mu"):
+            a, b = getattr(cert, name), getattr(one, name)
+            assert (a is None and b is None) or np.array_equal(a, b), name
+        if cert.certified:
+            assert_constants_recompute(sys, bounds, cert)
+    return stacked
+
+
+class TestCertifySweep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kappa1=st.floats(0.2, 5.0),
+        kappa2=st.floats(0.2, 5.0),
+        chi=st.floats(0.02, 0.3),
+        factors=st.lists(st.floats(0.5, 4.0), min_size=1, max_size=12),
+        deltas=st.lists(st.floats(0.0, 2.0), min_size=3, max_size=8),
+    )
+    def test_stack_equals_one_call_per_point(self, kappa1, kappa2, chi, factors, deltas):
+        sys = opa_system(kappa1, kappa2, chi)
+        threshold = sys.hinf.threshold
+        below = float(np.nextafter(threshold, 0.0))
+        gammas = [threshold, below, *(f * threshold for f in factors)]
+        delta1, delta2 = deltas[0], deltas[1]
+        certs = assert_sweep_matches_points(
+            sys, [SectorBounds(g, delta1, delta2) for g in gammas]
+        )
+        assert certs[0].certified and not certs[1].certified
+        gamma = max(gammas)
+        for name in ("delta1", "delta2"):
+            other = {"delta1": delta1, "delta2": delta2}
+            points = [SectorBounds(gamma, **{**other, name: d}) for d in (0.0, *deltas)]
+            assert all(c.certified for c in assert_sweep_matches_points(sys, points))
+
+    def test_riccati_sweep_equals_one_call_per_point(self):
+        sys = opa_system(1.0, 2.0, chi=0.1)
+        threshold = sys.hinf.threshold
+        gammas = [float(np.nextafter(threshold, 0.0)), threshold, 4.0001, 4.5, 6.0, 12.0]
+        for eps in (1e-3, 0.5):
+            certs = assert_sweep_matches_points(
+                sys, [SectorBounds(g, 0.1, 0.1) for g in gammas], eps=eps
+            )
+            assert {c.eps for c in certs if c.certified} <= {eps}
+        # 0.5 puts gamma = 4.5 inside the boundary band, a small-gain failure with eps
+        assert certs[3].verdict is Verdict.FAILED_SMALL_GAIN and certs[3].eps == 0.5
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_generic_sweep_equals_one_call_per_point(self, seed):
+        sys = random_system(np.random.default_rng(seed), n=2, p=2)
+        threshold = sys.hinf.threshold
+        # the Riccati path often raises at 1.5x threshold (ROADMAP item 3), so
+        # the points before it certify and the stack raises its error
+        factors = (2.0, 3.0, 5.0, 1.5)
+        gammas = [float(np.nextafter(threshold, 0.0)), *(f * threshold for f in factors), threshold]
+        assert_sweep_matches_points(sys, [SectorBounds(g, 0.1, 0.1) for g in gammas])
+
+    def test_unstable_system_fails_every_point(self):
+        sys = single_mode(np.array([[0.9]]))
+        certs = certify_sweep(sys, [SectorBounds(g) for g in (1.0, 2.0)])
+        assert [c.verdict for c in certs] == [Verdict.FAILED_HURWITZ] * 2
+        assert certify_sweep(opa_system(), []) == []
+
+    def test_first_raising_point_wins(self):
+        # a left-hand side of 2 I fails the strictness check at every certified point
+        sys = opa_system(1.0, 2.0)
+        points = [SectorBounds(g, 0.1, 0.1) for g in (3.0, 4.5, 6.0)]
+        with mock.patch("qstab.certify._inequality_lhs", return_value=2.0 * np.eye(4)):
+            with pytest.raises(QmiInfeasibleError) as raised:
+                certify_sweep(sys, points)
+        p = scalar_optimum((1.0, 2.0), 4.5, 0.2)
+        assert f"min eig(P) = {p:.3e}" in str(raised.value)
+
+
 def certify_exit(sys, bounds, eps=None):
     """Run certify, check the fields its exit promises, and name the exit."""
     try:
@@ -684,8 +781,8 @@ class TestCertificateContract:
         assert set(exits) == {"certified", "hurwitz", "small-gain", "band", "raise"}
 
 
-def test_one_opa_certify_computes_the_drift_spectrum_three_times(monkeypatch):
-    # once when the system is built, once in each hinf_norm for its resonances
+def test_one_opa_certify_computes_the_drift_spectrum_once(monkeypatch):
+    # when the system is built; both hinf_norm iterations read it from the system
     original = np.linalg.eigvals
     drift_calls = []
 
@@ -697,4 +794,4 @@ def test_one_opa_certify_computes_the_drift_spectrum_three_times(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", counting)
     cert = certify(opa_system(1.0, 2.0), SectorBounds(gamma=4.5, delta1=0.1, delta2=0.1))
     assert cert.certified
-    assert len(drift_calls) == 3
+    assert len(drift_calls) == 1

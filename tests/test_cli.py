@@ -315,14 +315,17 @@ class TestSweepCommand:
 
 
 class TestSweepSharesTheNorm:
-    """A gamma or delta sweep builds one system and computes its two norms
-    once; a kappa or chi sweep builds a system, and two norms, per point.
-    Every point runs one certify call."""
+    """A gamma or delta sweep builds one system, computes its two norms once
+    and certifies every point in one stacked call; a kappa or chi sweep
+    builds a system, and two norms, per point and certifies each point on
+    its own."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"hinf_norm": 0, "run_certify": 0}
-        for module, name in ((qstab.model, "hinf_norm"), (cli, "run_certify")):
+        calls = {"hinf_norm": 0, "run_certify": 0, "certify_sweep": 0}
+        for module, name in (
+            (qstab.model, "hinf_norm"), (cli, "run_certify"), (cli, "certify_sweep")
+        ):
             def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
@@ -345,7 +348,12 @@ class TestSweepSharesTheNorm:
                 "--start", start, "--stop", stop, "--steps", str(steps)]
         assert main(args) == EXIT_OK
         assert len((tmp_path / "s.sweep.csv").read_text().splitlines()) == steps + 1
-        assert calls == {"hinf_norm": norms, "run_certify": steps}
+        stacked = parameter in ("gamma", "delta1", "delta2")
+        assert calls == {
+            "hinf_norm": norms,
+            "run_certify": 0 if stacked else steps,
+            "certify_sweep": int(stacked),
+        }
 
     def test_region_and_validate_compute_no_norm(self, tmp_path, calls):
         sys, _ = build_opa(OpaParams(1.0, 2.0, 0.1))
@@ -353,7 +361,7 @@ class TestSweepSharesTheNorm:
         path.write_text(json.dumps(serialize.system_to_json(sys)))
         assert main(["validate", "--system", str(path)]) == EXIT_OK
         assert main(["opa-region", *opa_flags(tmp_path / "r"), "--grid", "20"]) == EXIT_OK
-        assert calls == {"hinf_norm": 0, "run_certify": 0}
+        assert calls == {"hinf_norm": 0, "run_certify": 0, "certify_sweep": 0}
 
 
 class TestCheckIdentitiesCommand:
@@ -427,6 +435,32 @@ def _fresh_interpreter(code: str) -> list[str]:
         [executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return result.stdout.splitlines()[-1].split()
+
+
+def test_trajectory_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # M1 mixes the modes and M2 squeezes them, so no block of rho decouples
+    # and msq sums over all 14 641 kept entries at dim 11
+    opa_sys, series = build_opa(OpaParams(1.0, 1.0, 0.05))
+    system = LinearQuantumSystem(
+        M1=[[0.0, 0.05], [0.05, 0.0]], M2=0.05 * np.eye(2), N1=opa_sys.N1,
+        N2=opa_sys.N2, E1=opa_sys.E1, E2=opa_sys.E2,
+    )
+    (tmp_path / "system.json").write_text(json.dumps(serialize.system_to_json(system)))
+    (tmp_path / "series.json").write_text(json.dumps(serialize.series_to_json(series)))
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        args = ["simulate", "--system", str(tmp_path / "system.json"),
+                "--series", str(tmp_path / "series.json"), "--gamma", "8",
+                "--delta1", "0.1", "--delta2", "0.1", "--dim", "11", "--t-final", "0.1",
+                "--out", str(out)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        code = f"from qstab.cli import main; raise SystemExit(main({args!r}))"
+        subprocess.run([executable, "-c", code], env=env, capture_output=True, check=True)
+        texts.append(Path(str(out) + ".trajectory.csv").read_bytes())
+    assert len(texts[0].splitlines()) == 12
+    assert texts[0] == texts[1]
 
 
 def test_cli_import_loads_no_fock_simulator():

@@ -588,6 +588,28 @@ class TestLindblad:
         with pytest.raises(StructureError, match="unit trace"):
             lindblad_evolve(alg, np.zeros((6, 6)), [alg.a[0]], rho0, 1.0, 0.01)
 
+    @pytest.mark.parametrize("dim", range(6, 15))
+    def test_rank_one_coherent_state_is_accepted(self, dim):
+        # a pure state is only semidefinite: its least eigenvalue is 0 up to rounding
+        alg = build_algebra(2, dim)
+        rho0 = coherent_state(alg, [0.5, 0.5])
+        sys, _ = build_opa(OpaParams(1.0, 2.0, 0.1))
+        L = coupling_operators(alg, sys)
+        traj = lindblad_evolve(alg, np.zeros_like(rho0), L, rho0, 0.01, 0.01)
+        assert traj.msq.shape == (2,)
+
+    @pytest.mark.parametrize("least, accepted", [(-2e-10, False), (-5e-11, True)])
+    def test_rho0_threshold_is_minus_1e_10(self, rng, least, accepted):
+        alg = build_algebra(1, 6)
+        Q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        rho0 = Q @ np.diag([1.0 - 0.4 - least, 0.4, least, 0.0, 0.0, 0.0]) @ Q.conj().T
+        run = lambda: lindblad_evolve(alg, np.zeros((6, 6)), [alg.a[0]], rho0, 0.01, 0.01)
+        if accepted:
+            run()
+        else:
+            with pytest.raises(StructureError, match="positive semidefinite"):
+                run()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_operator_is_rejected(self, value):
         alg = build_algebra(1, 6)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import qstab.model
 from conftest import random_system
-from qstab.certify import Verdict, certify
+from qstab.certify import Verdict, certify, certify_sweep
 from qstab.errors import NotHurwitzError, StructureError
 from qstab.model import (
     LinearQuantumSystem,
@@ -181,7 +181,10 @@ class TestSmallGainNorm:
         assert sys.hinf is first
         certify(sys, SectorBounds(gamma=4.5))
         certify(sys, SectorBounds(gamma=3.0))
+        certify_sweep(sys, [SectorBounds(gamma=g) for g in (3.0, 4.0, 4.5, 8.0)])
         assert len(norm_calls) == 2
+        # both iterations read the system's own spectrum of F
+        assert all(args[3] is sys.spectrum for args in norm_calls)
         assert first.hinf_reduced == pytest.approx(2.0, rel=1e-8)
 
     def test_replace_rederives_the_norms(self, norm_calls):
