@@ -28,7 +28,7 @@ def main():
     args = parser.parse_args()
 
     params = OpaParams(args.kappa1, args.kappa2, args.chi)
-    sys, _ = build_opa(params)
+    sys, series = build_opa(params)
 
     norm = closed_form_hinf(params)
     threshold = sys.hinf.threshold
@@ -43,7 +43,7 @@ def main():
         print(f"  gamma = {gamma:7.4f}  ->  {cert.verdict.value}{extra}")
 
     bounds = SectorBounds(gamma=1.125 * threshold, delta1=0.1, delta2=0.1)
-    cert = certify(sys, bounds, region=OpaRegion(params, bounds))
+    cert = certify(sys, bounds, series=series)
     print(f"\ncertificate at gamma = {bounds.gamma:.4f}:")
     print(f"  c1 = {cert.c1:.6f}, c2 = {cert.c2:.6e}, c3 = {cert.c3:.6e}")
     print(f"  lambda_tilde = {cert.lambda_tilde:.6e}, lambda = {cert.lam:.6e}")

@@ -9,12 +9,11 @@ inequality, and assemble the explicit constants of the mean-square bound
 
     <x(t)' x(t)>  <=  c1 * exp(-c2 t) * <x(0)' x(0)> + c3.
 
-A system with the OPA's structure (M1 = M2 = N2 = E1 = 0, E2 = I_n and a
-diagonal N1, read from the blocks) gets P = p* I in closed form, with p* the
-exact minimizer of c3 over scalar P.  Every other system, and any call with
-an explicit ``eps``, gets the stabilizing solution of a regularized Riccati
-equation.  Given the admissible amplitude region, it also records the
-invariant level.
+A system with the OPA's structure (``LinearQuantumSystem.opa_kappa``) gets
+P = p* I in closed form, with p* the exact minimizer of c3 over scalar P.
+Every other system, and any call with an explicit ``eps``, gets the
+stabilizing solution of a regularized Riccati equation.  Given an OPA's
+perturbation series, it also records the invariant level.
 
 ``certify_sweep`` runs the pipeline for one system over a sequence of
 sector bounds in one pass: what the points share once, the rest as array
@@ -33,8 +32,8 @@ from .errors import QmiInfeasibleError, QstabError, StructureError
 from .model import (
     LinearQuantumSystem, _realizations, _require_hurwitz, _stable, structure_matrices
 )
-from .opa import OpaRegion, invariant_ellipsoid
-from .perturbation import SectorBounds
+from .opa import invariant_ellipsoid, opa_region
+from .perturbation import PerturbationSeries, SectorBounds
 
 __all__ = [
     "Verdict",
@@ -79,10 +78,6 @@ def qmi_lhs(
     for the Lyapunov dissipation argument.
     """
     return _inequality_lhs(F, _realizations(Etilde)[0], gamma, P)
-
-
-def _hermitize(P: np.ndarray) -> np.ndarray:
-    return 0.5 * (P + P.conj().T)
 
 
 def _stabilizing_riccati(
@@ -170,7 +165,8 @@ def solve_qmi(
         raise StructureError(f"eps must be positive and finite, got {eps}")
     P = _stabilizing_riccati(F, G, Q, eps)
     # Clean up roundoff; the exact solution already has the block structure.
-    P = _hermitize(0.5 * (P + sm.Sigma @ P.conj() @ sm.Sigma))
+    P = 0.5 * (P + sm.Sigma @ P.conj() @ sm.Sigma)
+    P = 0.5 * (P + P.conj().T)
     min_eig = float(np.min(np.linalg.eigvalsh(P)))
     lhs = _inequality_lhs(F, sys.realizations[0], gamma, P)
     lhs_max = float(np.max(np.linalg.eigvalsh(lhs)))
@@ -183,23 +179,6 @@ def solve_qmi(
             f"Riccati residual {residual:.3e}"
         )
     return P
-
-
-def _opa_kappa(sys: LinearQuantumSystem) -> np.ndarray | None:
-    """kappa_k = |N1_kk|^2 of a system with the OPA's structure; None for any other.
-
-    The structure is M1 = M2 = N2 = E1 = 0, E2 = I_n and a diagonal n x n N1.
-    Then F = -diag(kappa, kappa) / 2, and P = p I takes the closed form of
-    ``_closed_form_p``.
-    """
-    n, N1 = sys.n, sys.N1
-    if (
-        sys.M1.any() or sys.M2.any() or sys.N2.any() or sys.E1.any()
-        or not np.array_equal(sys.E2, np.eye(n))
-        or not np.array_equal(N1, np.diag(np.diag(N1)))
-    ):
-        return None
-    return np.abs(np.diag(N1)) ** 2
 
 
 def _closed_form_p(kappa: np.ndarray, gamma: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -369,7 +348,7 @@ def certify_sweep(
     if not passed.size:
         return [StabilityCertificate(Verdict.FAILED_SMALL_GAIN, b.gamma, **found) for b in bounds]
     gamma, delta1, delta2 = gamma[passed], delta1[passed], delta2[passed]
-    kappa = None if eps is not None else _opa_kappa(sys)
+    kappa = None if eps is not None else sys.opa_kappa
     # by position in ``passed``: the error that stops a point, or None for a
     # Riccati boundary-band failure; a stopped point's row of P is a placeholder
     stopped: dict[int, QstabError | None] = {}
@@ -429,7 +408,7 @@ def certify_sweep(
 
 def certify(
     sys: LinearQuantumSystem, bounds: SectorBounds, eps: float | None = None,
-    region: OpaRegion | None = None,
+    series: PerturbationSeries | None = None,
 ) -> StabilityCertificate:
     """Run the full pipeline and return a certificate (or a failure verdict).
 
@@ -438,18 +417,16 @@ def certify(
     far.  Without ``eps``, a system with the OPA's structure gets P = p* I in
     closed form (``_closed_form_p``) and records ``eps`` as None; every other
     system, and any call with ``eps``, gets P from ``solve_qmi``.  The closed
-    form's strictness is read from the constants, which form the
-    inequality's left-hand side once: for P = p I with p > 0, LHS < 0
-    exactly when c > 0, and max eig(LHS) = -c p.  A P that is not strict
-    raises QmiInfeasibleError with both margins.  Errors raised by later
-    stages propagate, tagged with the stage.
-    Given the admissible region of the perturbation (only the OPA has one,
-    ``OpaRegion``), a certified result records ``invariant_level``; without
-    it the level stays None.  A region for other bounds raises StructureError.
+    form's strictness is read from the constants, which form the inequality's
+    left-hand side once: for P = p I with p > 0, LHS < 0 exactly when c > 0,
+    and max eig(LHS) = -c p.  A P that is not strict raises
+    QmiInfeasibleError with both margins.  Errors raised by later stages
+    propagate, tagged with the stage.  A certified result records
+    ``invariant_level`` on the region ``opa_region`` finds for the system and
+    its perturbation ``series``; without one it stays None.
     """
-    if region is not None and region.bounds != bounds:
-        raise StructureError(f"the region was built for {region.bounds}, not {bounds}")
     (cert,) = certify_sweep(sys, [bounds], eps)
-    if region is None or not cert.certified:
+    region = opa_region(sys, series, bounds) if cert.certified else None
+    if region is None:
         return cert
     return replace(cert, invariant_level=invariant_ellipsoid(cert.P, region))

@@ -322,16 +322,10 @@ def _verdict_exit(verdict: Verdict) -> int:
     }[verdict]
 
 
-def _certificate(config: RunConfig, system: LinearQuantumSystem, bounds: SectorBounds):
-    """Certificate for the run; OPA parameters bring the region that sets its level."""
-    region = None if config.opa_params is None else opa.OpaRegion(config.opa_params, bounds)
-    return run_certify(system, bounds, eps=config.eps, region=region)
-
-
 def _cmd_certify(config: RunConfig) -> int:
     bounds = _require_bounds(config)
-    system, _ = _load_system(config)
-    cert = _certificate(config, system, bounds)
+    system, series = _load_system(config)
+    cert = run_certify(system, bounds, eps=config.eps, series=series)
     _write_json(config, ".certificate.json", serialize.certificate_to_json(cert))
     print(f"verdict: {cert.verdict.value}")
     return _verdict_exit(cert.verdict)
@@ -381,7 +375,7 @@ def _cmd_simulate(config: RunConfig) -> int:
     H += 0.5 * focksim.quadratic_form(alg, system.M)
     L_ops = focksim.coupling_operators(alg, system)
     rho0 = focksim.coherent_state(alg, np.asarray(sim.alphas))
-    cert = _certificate(config, system, bounds)
+    cert = run_certify(system, bounds, eps=config.eps, series=series)
     _write_json(config, ".certificate.json", serialize.certificate_to_json(cert))
     if not cert.certified:
         print(f"verdict: {cert.verdict.value}; not simulating")

@@ -202,8 +202,8 @@ class LinearQuantumSystem:
 
     with J_m = diag(I_m, -I_m); F is the drift matrix, ``spectrum`` its
     eigenvalues and ``abscissa`` their largest real part, the one Hurwitz
-    verdict every stage reads.  ``realizations`` and ``hinf`` hold the
-    small-gain realizations and both norms, computed on first use.
+    verdict every stage reads.  The small-gain ``realizations``, both norms
+    ``hinf`` and the OPA structure test ``opa_kappa`` are computed on first use.
     Instances are immutable values with read-only arrays;
     ``dataclasses.replace`` re-derives the assembled matrices and the norms.
     """
@@ -286,6 +286,18 @@ class LinearQuantumSystem:
                 f"vs reduced {reduced:.12g}"
             )
         return HinfResult(primary, reduced)
+
+    @functools.cached_property
+    def opa_kappa(self) -> np.ndarray | None:
+        """kappa_k = |N1_kk|^2 when M1 = M2 = N2 = E1 = 0, E2 = I_n and N1 is diagonal
+        n x n (the OPA's structure: F = -diag(kappa, kappa) / 2), else None.  The
+        closed-form P of ``certify`` and ``opa.opa_region`` read this one test."""
+        diag = np.diag(self.N1)
+        zero = not (self.M1.any() or self.M2.any() or self.N2.any() or self.E1.any())
+        diagonal = np.array_equal(self.N1, np.diag(diag))
+        if zero and diagonal and np.array_equal(self.E2, np.eye(self.n)):
+            return np.abs(diag) ** 2
+        return None
 
     @property
     def n(self) -> int:

@@ -4,8 +4,8 @@ An OPA couples a fundamental cavity mode a1 and a second-harmonic mode a2
 through a chi(2) medium.  The interaction Hamiltonian
 i*chi*(a2' a1^2 - a1'^2 a2) is cubic, so the stability analysis goes through
 the sector-bounded perturbation machinery with z1 = a1', z2 = a2'.  This
-module provides the closed-form small-gain norm and the admissible
-region of mode amplitudes on which the sector bounds hold.
+module provides the closed-form small-gain norm and the admissible region
+of mode amplitudes on which the sector bounds hold (``opa_region``).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "OpaParams",
     "OpaRegion",
     "LambdaBar",
+    "opa_region",
     "build_opa",
     "closed_form_hinf",
     "region_curve",
@@ -98,7 +99,8 @@ class OpaRegion:
 
     u = |z1|^2 and v = |z2|^2; the sector bounds hold exactly there.  The
     curvature ceiling, ``lambda_bar`` and ``cap`` are all read from the
-    closed form.  ``certify`` takes the region to record the invariant level.
+    closed form.  ``certify`` builds it with ``opa_region`` from the system
+    and series it is given, and records the invariant level it bounds.
     """
 
     params: OpaParams
@@ -147,6 +149,21 @@ class OpaRegion:
         return z2sq <= self.cap(z1sq) + slack
 
 
+def opa_region(
+    sys: LinearQuantumSystem, series: PerturbationSeries | None, bounds: SectorBounds
+) -> OpaRegion | None:
+    """The admissible region at the given bounds of an OPA system and series:
+    a system with the OPA's structure (``sys.opa_kappa``), two damped modes
+    and exactly the series {S[2,1,1,2] = i chi, S[1,2,2,1] = -i chi}, chi > 0.
+    None for any other system or series."""
+    kappa = sys.opa_kappa
+    chi = 0.0 if series is None else series.coeff(2, 1, 1, 2).imag
+    chi2 = PerturbationSeries(2, {(2, 1, 1, 2): 1j * chi, (1, 2, 2, 1): -1j * chi})
+    if kappa is None or sys.n != 2 or not kappa.all() or not chi > 0 or series != chi2:
+        return None
+    return OpaRegion(OpaParams(*kappa.tolist(), chi), bounds)
+
+
 def region_curve(region: OpaRegion, n_samples: int) -> list[tuple[float, float, str]]:
     """Rows (|z1|^2, cap, active) on a uniform grid of [0, lambda_bar], with
     active "d3" where the ceiling binds and "d2" where the gradient bound does."""
@@ -172,7 +189,7 @@ def invariant_ellipsoid(P: np.ndarray, region: OpaRegion) -> float:
     a mode-diagonal P (such as the closed-form P = p* I that ``certify``
     returns for the OPA) and a sound lower bound otherwise.  A P that is not
     a finite 4x4 matrix, or whose weights s1, s2 are not positive, raises
-    StructureError.  ``certify`` calls this with the region it is given.
+    StructureError.  ``certify`` calls this with the region ``opa_region`` finds.
 
     With a = delta1/chi^2, b = 1/(gamma^2 chi^2) and w = 4u - b, the
     gradient branch reads s1 u + s2 cap(u) = (s1/4 - s2/16) w + s2 K / w +

@@ -22,8 +22,8 @@ from qstab.certify import (
 from qstab.errors import NotHurwitzError, QmiInfeasibleError, QstabError, StructureError
 from qstab.focksim import build_algebra, quadratic_form
 from qstab.model import LinearQuantumSystem, _realizations, hinf_norm, structure_matrices
-from qstab.opa import OpaParams, OpaRegion, build_opa, invariant_ellipsoid
-from qstab.perturbation import SectorBounds
+from qstab.opa import OpaParams, OpaRegion, build_opa, invariant_ellipsoid, opa_region
+from qstab.perturbation import PerturbationSeries, SectorBounds
 
 
 def opa_system(kappa1=1.0, kappa2=2.0, chi=0.1):
@@ -457,9 +457,10 @@ class TestInvariantLevel:
     bounds = SectorBounds(gamma=4.5, delta1=0.1, delta2=0.1)
 
     def test_region_sets_the_level_of_a_certified_result(self):
-        region = OpaRegion(self.params, self.bounds)
-        cert = certify(opa_system(), self.bounds, region=region)
+        sys, series = build_opa(self.params)
+        cert = certify(sys, self.bounds, series=series)
         assert cert.certified
+        region = OpaRegion(self.params, self.bounds)
         assert cert.invariant_level == invariant_ellipsoid(cert.P, region)
         assert cert.invariant_level > 0
 
@@ -468,16 +469,56 @@ class TestInvariantLevel:
         assert cert.certified
         assert cert.invariant_level is None
 
-    def test_region_for_other_bounds_is_refused(self):
-        other = SectorBounds(gamma=4.5, delta1=0.1, delta2=0.2)
-        with pytest.raises(StructureError, match="region was built for"):
-            certify(opa_system(), self.bounds, region=OpaRegion(self.params, other))
-
     def test_failed_verdict_carries_no_level(self):
         bounds = SectorBounds(gamma=3.0, delta1=0.1, delta2=0.1)
-        cert = certify(opa_system(), bounds, region=OpaRegion(self.params, bounds))
+        sys, series = build_opa(self.params)
+        cert = certify(sys, bounds, series=series)
         assert cert.verdict is Verdict.FAILED_SMALL_GAIN
         assert cert.invariant_level is None
+
+    def test_the_series_sets_chi(self):
+        """The level belongs to the series' chi, not to the chi the system was built with."""
+        strong = build_opa(OpaParams(1.0, 2.0, 0.5))[1]
+        cert = certify(opa_system(), self.bounds, series=strong)
+        region = OpaRegion(OpaParams(1.0, 2.0, 0.5), self.bounds)
+        assert cert.invariant_level == invariant_ellipsoid(cert.P, region) == 0.023249061407009622
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            {(2, 1, 1, 2): 0.1j, (1, 2, 2, 1): -0.1j, (1, 1, 1, 1): 0.5},
+            {(2, 1, 1, 2): 0.1j, (1, 2, 2, 1): -0.2j},
+            {(2, 1, 1, 2): -0.1j, (1, 2, 2, 1): 0.1j},
+            {(2, 1, 1, 2): 0.1 + 0.1j, (1, 2, 2, 1): 0.1 - 0.1j},
+            {(2, 1, 1, 2): 0.1j},
+        ],
+        ids=["extra-term", "unequal", "negative-chi", "complex", "one-term"],
+    )
+    def test_a_series_that_is_not_the_opas_gets_no_level(self, coeffs):
+        cert = certify(opa_system(), self.bounds, series=PerturbationSeries(2, coeffs))
+        assert cert.certified
+        assert cert.invariant_level is None
+        assert opa_region(opa_system(), PerturbationSeries(2, coeffs), self.bounds) is None
+
+    def test_a_system_that_is_not_the_opas_gets_no_level(self):
+        sys, series = build_opa(self.params)
+        detuned = LinearQuantumSystem(M1=np.diag([0.3, -0.2]), M2=sys.M2, N1=sys.N1,
+                                      N2=sys.N2, E1=sys.E1, E2=sys.E2)
+        assert detuned.opa_kappa is None
+        cert = certify(detuned, self.bounds, series=series)
+        assert cert.certified
+        assert cert.invariant_level is None
+        three_modes = dissipative_system([1.0, 2.0, 3.0], E2=np.eye(3))
+        assert three_modes.opa_kappa is not None
+        assert opa_region(three_modes, PerturbationSeries(3, series.coeffs), self.bounds) is None
+
+    def test_the_structure_test_is_kept_on_the_system(self):
+        sys, series = build_opa(self.params)
+        assert "opa_kappa" not in vars(sys)
+        certify(sys, self.bounds, series=series)
+        kappa = vars(sys)["opa_kappa"]
+        assert sys.opa_kappa is kappa
+        np.testing.assert_allclose(kappa, [1.0, 2.0], rtol=1e-15)
 
 
 def scalar_optimum(kappas, gamma, delta):

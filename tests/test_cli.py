@@ -142,15 +142,38 @@ class TestCertifyCommand:
         assert levels[0] == levels[1] > 0
 
     def test_library_and_both_commands_record_one_level(self, tmp_path):
-        params = OpaParams(1.0, 2.0, 0.1)
-        bounds = SectorBounds(4.5, 0.1, 0.1)
-        cert = certify(build_opa(params)[0], bounds, region=OpaRegion(params, bounds))
+        sys, series = build_opa(OpaParams(1.0, 2.0, 0.1))
+        cert = certify(sys, SectorBounds(4.5, 0.1, 0.1), series=series)
         sim_flags = ["--dim", "4", "--t-final", "0.01"]
         assert main(["certify", *opa_flags(tmp_path / "certify")]) == EXIT_OK
         assert main(["simulate", *opa_flags(tmp_path / "simulate"), *sim_flags]) == EXIT_OK
         for command in ("certify", "simulate"):
             doc = json.loads((tmp_path / f"{command}.certificate.json").read_text())
             assert doc["invariant_level"] == cert.invariant_level
+
+    @pytest.mark.parametrize(
+        "series_doc, level",
+        [
+            (serialize.series_to_json(build_opa(OpaParams(1.0, 2.0, 0.5))[1]),
+             0.023249061407009622),
+            # the OPA's series plus z1 z1* with a real coefficient
+            ({"p": 2, "terms": [{"i": 1, "j": 2, "k": 2, "l": 1, "re": 0.0, "im": -0.1},
+                                {"i": 2, "j": 1, "k": 1, "l": 2, "re": 0.0, "im": 0.1},
+                                {"i": 1, "j": 1, "k": 1, "l": 1, "re": 0.5}]}, None),
+        ],
+        ids=["chi-0.5", "extra-term"],
+    )
+    def test_series_file_sets_the_level(self, tmp_path, series_doc, level):
+        """The level belongs to the series a run certifies, not to --chi."""
+        series_path = tmp_path / "series.json"
+        series_path.write_text(json.dumps(series_doc))
+        sim_flags = ["--dim", "4", "--t-final", "0.01"]
+        for command, extra in (("certify", []), ("simulate", sim_flags)):
+            out = tmp_path / command
+            argv = [command, *opa_flags(out), "--series", str(series_path), *extra]
+            assert main(argv) == EXIT_OK
+            doc = json.loads((tmp_path / f"{command}.certificate.json").read_text())
+            assert doc.get("invariant_level") == level
 
     def test_no_temp_files_left(self, tmp_path):
         out = tmp_path / "run"
@@ -490,12 +513,15 @@ def _detuned_opa_flags(tmp_path):
         (lambda out: ["sweep", *opa_flags(out), "--parameter", "kappa1",
                       "--start", "0.5", "--stop", "2", "--steps", "4"], False),
         (lambda out: ["opa-region", *opa_flags(out), "--grid", "20"], False),
+        (lambda out: ["certify", *opa_system_and_series(
+            out.parent, serialize.series_to_json(build_opa(OpaParams(1.0, 2.0, 0.1))[1])),
+            "--gamma", "4.5", "--delta1", "0.1", "--delta2", "0.1", "--out", str(out)], False),
         (lambda out: ["certify", *opa_flags(out), "--eps", "1e-3"], True),
         (lambda out: ["certify", *_detuned_opa_flags(out.parent), "--gamma", "4.5",
                       "--delta1", "0.1", "--delta2", "0.1", "--out", str(out)], True),
     ],
-    ids=["certify", "sweep-gamma", "sweep-kappa1", "opa-region", "certify-eps",
-         "certify-generic"],
+    ids=["certify", "sweep-gamma", "sweep-kappa1", "opa-region", "certify-files",
+         "certify-eps", "certify-generic"],
 )
 def test_fresh_cli_run_loads_scipy_only_for_riccati(tmp_path, args, riccati):
     """An OPA certify, sweep or region run loads no SciPy module at all; the
@@ -554,9 +580,17 @@ class TestFileDrivenInputs:
         assert code_file == code_opa == EXIT_OK
         doc_file = json.loads((tmp_path / "file_run.certificate.json").read_text())
         doc_opa = json.loads((tmp_path / "opa_run.certificate.json").read_text())
-        # identical certificate apart from the OPA-only ellipsoid level
+        # without a series the system carries no region, so no level
+        assert "invariant_level" not in doc_file
         doc_opa.pop("invariant_level")
         assert doc_file == doc_opa
+        # with the series the certificate is the OPA's, byte for byte
+        out_both = tmp_path / "both_run"
+        code_both = main(["certify", "--system", str(sys_path), "--series", str(series_path),
+                          *base, "--out", str(out_both)])
+        assert code_both == EXIT_OK
+        assert ((tmp_path / "both_run.certificate.json").read_bytes()
+                == (tmp_path / "opa_run.certificate.json").read_bytes())
 
         code_ids = main(
             [
@@ -779,13 +813,8 @@ class TestScripts:
         "script, args, artifact",
         [
             ("opa_case_study.py", ["--out", "opa"], "opa.certificate.json"),
-            (
-                "msq_bound_demo.py",
-                ["--dim", "6", "--t-final", "0.05", "--out", "msq"],
-                "msq.trajectory.csv",
-            ),
         ],
-        ids=["opa_case_study", "msq_bound_demo"],
+        ids=["opa_case_study"],
     )
     def test_script_writes_artifact(self, tmp_path, script, args, artifact):
         run_script(tmp_path, script, args)
