@@ -245,25 +245,16 @@ def _load_json(path: str, what: str) -> dict:
 
 
 def _load_system(config: RunConfig) -> tuple[LinearQuantumSystem, PerturbationSeries | None]:
+    """The run's one system, from OPA parameters or --system, and its series;
+    a --series file overrides the OPA's and must be self-adjoint."""
+    if (config.opa_params is None) == (config.system_path is None):
+        raise StructureError("give exactly one system: OPA parameters or --system")
     if config.opa_params is not None:
         system, series = opa.build_opa(config.opa_params)
-    elif config.system_path is not None:
-        system = serialize.system_from_json(_load_json(config.system_path, "system"))
-        series = None
     else:
-        raise StructureError("no system given: pass OPA parameters or --system")
+        system, series = serialize.system_from_json(_load_json(config.system_path, "system")), None
     if config.series_path is not None:
         series = serialize.series_from_json(_load_json(config.series_path, "series"))
-    return system, series
-
-
-def _load_perturbed(config: RunConfig) -> tuple[LinearQuantumSystem, PerturbationSeries]:
-    """System and series of a Fock-space command.  A series read from a file
-    must be self-adjoint; the OPA's is by construction."""
-    system, series = _load_system(config)
-    if series is None:
-        raise StructureError(f"{config.command} needs a perturbation series (OPA or --series)")
-    if config.series_path is not None:
         violations = validate_selfadjoint(series)
         if violations:
             pairs = "; ".join(
@@ -271,6 +262,14 @@ def _load_perturbed(config: RunConfig) -> tuple[LinearQuantumSystem, Perturbatio
                 for (i, j, k, l), _ in violations
             )
             raise StructureError(f"series is not self-adjoint: {pairs}")
+    return system, series
+
+
+def _load_perturbed(config: RunConfig) -> tuple[LinearQuantumSystem, PerturbationSeries]:
+    """System and series of a Fock-space command, which needs a series."""
+    system, series = _load_system(config)
+    if series is None:
+        raise StructureError(f"{config.command} needs a perturbation series (OPA or --series)")
     return system, series
 
 
@@ -332,16 +331,16 @@ def _cmd_certify(config: RunConfig) -> int:
 
 
 def _cmd_opa_region(config: RunConfig) -> int:
-    if config.opa_params is None:
-        raise StructureError("opa-region needs OPA parameters")
     bounds = _require_bounds(config)
-    region = opa.OpaRegion(config.opa_params, bounds)
+    system, series = _load_system(config)
+    region = opa.opa_region(system, series, bounds)
+    if region is None:
+        raise StructureError("opa-region needs the OPA's system and series")
     lb, ceiling = region.lambda_bar, region.ceiling
     rows = opa.region_curve(region, config.grid)
     _write_text(config, ".region.csv", serialize.region_csv(rows))
     if _out_path(config, "") is not None:
         # phase-sampled admissibility mask on the same extent as the curve
-        _, series = opa.build_opa(config.opa_params)
         n_cells = min(config.grid, 100)
         grids = [
             np.linspace(0.0, lb.root * 1.05, n_cells),
@@ -394,17 +393,17 @@ def _cmd_simulate(config: RunConfig) -> int:
 def _cmd_sweep(config: RunConfig) -> int:
     if config.sweep is None:
         raise StructureError("sweep needs --parameter/--start/--stop/--steps")
-    if config.opa_params is None:
-        raise StructureError("sweep operates on the OPA model; give its parameters")
     bounds = _require_bounds(config)
+    system, _ = _load_system(config)
     sweep, params, name = config.sweep, config.opa_params, config.sweep.parameter
     values = [float(v) for v in np.linspace(sweep.start, sweep.stop, sweep.steps)]
     if name in ("gamma", "delta1", "delta2"):
         # one system, certified at every point in one stacked pass
-        system, _ = opa.build_opa(params)
         points = [SectorBounds(**{**vars(bounds), name: v}) for v in values]
         certs = certify_sweep(system, points, config.eps)
     elif name in ("kappa1", "kappa2", "chi"):
+        if params is None:
+            raise StructureError(f"a {name} sweep builds an OPA per point; give its parameters")
         # a system per point, built as the sweep reaches it, so a bad value raises there
         certs = [
             run_certify(opa.build_opa(replace(params, **{name: v}))[0], bounds, eps=config.eps)

@@ -44,6 +44,24 @@ def opa_flags(out, gamma="4.5"):
     ]
 
 
+_OPA_FLAGS = ["--kappa1", "1", "--kappa2", "2", "--chi", "0.1"]
+# the OPA's series plus z1 z1* with a real coefficient
+_EXTRA_TERM_SERIES = {"p": 2, "terms": [{"i": 1, "j": 2, "k": 2, "l": 1, "re": 0.0, "im": -0.1},
+                                        {"i": 2, "j": 1, "k": 1, "l": 2, "re": 0.0, "im": 0.1},
+                                        {"i": 1, "j": 1, "k": 1, "l": 1, "re": 0.5}]}
+
+
+def _opa_series_file(tmp_path, series_doc):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(series_doc))
+    return path
+
+
+def _artifacts(tmp_path, prefix):
+    """Suffix -> bytes of every artifact a run wrote under ``prefix``."""
+    return {p.name[len(prefix):]: p.read_bytes() for p in tmp_path.glob(f"{prefix}.*")}
+
+
 def opa_system_and_series(tmp_path, series_doc):
     """Flags for the OPA (kappa 1, 2, chi 0.1) as system JSON with a series file."""
     sys_path = tmp_path / "system.json"
@@ -156,10 +174,7 @@ class TestCertifyCommand:
         [
             (serialize.series_to_json(build_opa(OpaParams(1.0, 2.0, 0.5))[1]),
              0.023249061407009622),
-            # the OPA's series plus z1 z1* with a real coefficient
-            ({"p": 2, "terms": [{"i": 1, "j": 2, "k": 2, "l": 1, "re": 0.0, "im": -0.1},
-                                {"i": 2, "j": 1, "k": 1, "l": 2, "re": 0.0, "im": 0.1},
-                                {"i": 1, "j": 1, "k": 1, "l": 1, "re": 0.5}]}, None),
+            (_EXTRA_TERM_SERIES, None),
         ],
         ids=["chi-0.5", "extra-term"],
     )
@@ -436,14 +451,18 @@ class TestCheckIdentitiesCommand:
         assert "perturbation_commutator: nan" in capsys.readouterr().out
         assert code == EXIT_CHECK_FAILED
 
-    @pytest.mark.parametrize("command", ["check-identities", "simulate"])
+    @pytest.mark.parametrize(
+        "command",
+        ["check-identities", "simulate", "certify", "opa-region", "sweep", "validate"],
+    )
     @pytest.mark.parametrize("kept", [0, 1])
     def test_series_must_be_self_adjoint(self, tmp_path, capsys, command, kept):
         # the OPA as JSON with only one of its two chi terms
         doc = serialize.series_to_json(build_opa(OpaParams(1.0, 2.0, 0.1))[1])
         doc["terms"] = [doc["terms"][kept]]
+        sweep = ["--parameter", "gamma", "--start", "3", "--stop", "6", "--steps", "4"]
         code = main([
-            command, *opa_system_and_series(tmp_path, doc),
+            command, *opa_system_and_series(tmp_path, doc), *(sweep if command == "sweep" else []),
             "--gamma", "4.5", "--dim", "6", "--t-final", "0.01", "--out", str(tmp_path / "r"),
         ])
         assert code == EXIT_CONFIG
@@ -516,12 +535,15 @@ def _detuned_opa_flags(tmp_path):
         (lambda out: ["certify", *opa_system_and_series(
             out.parent, serialize.series_to_json(build_opa(OpaParams(1.0, 2.0, 0.1))[1])),
             "--gamma", "4.5", "--delta1", "0.1", "--delta2", "0.1", "--out", str(out)], False),
+        (lambda out: ["opa-region", *opa_system_and_series(
+            out.parent, serialize.series_to_json(build_opa(OpaParams(1.0, 2.0, 0.1))[1])),
+            "--gamma", "4.5", "--delta1", "0.1", "--delta2", "0.1", "--out", str(out)], False),
         (lambda out: ["certify", *opa_flags(out), "--eps", "1e-3"], True),
         (lambda out: ["certify", *_detuned_opa_flags(out.parent), "--gamma", "4.5",
                       "--delta1", "0.1", "--delta2", "0.1", "--out", str(out)], True),
     ],
     ids=["certify", "sweep-gamma", "sweep-kappa1", "opa-region", "certify-files",
-         "certify-eps", "certify-generic"],
+         "opa-region-files", "certify-eps", "certify-generic"],
 )
 def test_fresh_cli_run_loads_scipy_only_for_riccati(tmp_path, args, riccati):
     """An OPA certify, sweep or region run loads no SciPy module at all; the
@@ -601,6 +623,62 @@ class TestFileDrivenInputs:
         )
         assert code_ids == EXIT_OK
 
+        # the region, and a gamma sweep, from files are the parameter run's bytes
+        files = ["--system", str(sys_path), "--series", str(series_path)]
+        sweep = ["--parameter", "gamma", "--start", "3", "--stop", "6", "--steps", "8"]
+        for command, extra in (("opa-region", ["--grid", "20"]), ("sweep", sweep)):
+            assert main([command, *opa_flags(tmp_path / f"{command}-opa"), *extra]) == EXIT_OK
+            assert main([command, *files, *base, *extra,
+                         "--out", str(tmp_path / f"{command}-files")]) == EXIT_OK
+            opa_run = _artifacts(tmp_path, f"{command}-opa")
+            assert opa_run and _artifacts(tmp_path, f"{command}-files") == opa_run
+        assert main(["sweep", *files[:2], *base, *sweep,
+                     "--out", str(tmp_path / "sweep-system")]) == EXIT_OK
+        assert _artifacts(tmp_path, "sweep-system") == _artifacts(tmp_path, "sweep-opa")
+
+    def test_region_comes_from_the_series(self, tmp_path):
+        """opa-region --chi 0.1 --series <chi = 0.5> writes the --chi 0.5 region."""
+        series_path = _opa_series_file(
+            tmp_path, serialize.series_to_json(build_opa(OpaParams(1.0, 2.0, 0.5))[1]))
+        argv = ["opa-region", *opa_flags(tmp_path / "from-series"), "--series", str(series_path)]
+        assert main([*argv, "--grid", "20"]) == EXIT_OK
+        chi_flags = opa_flags(tmp_path / "chi")
+        chi_flags[chi_flags.index("--chi") + 1] = "0.5"
+        assert main(["opa-region", *chi_flags, "--grid", "20"]) == EXIT_OK
+        chi_run = _artifacts(tmp_path, "chi")
+        assert len(chi_run) == 3 and _artifacts(tmp_path, "from-series") == chi_run
+        report = json.loads(chi_run[".region.json"])
+        assert report["z2_ceiling"] == pytest.approx(0.1)  # 0.1 / (4 * 0.25)
+
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            lambda tmp_path: _detuned_opa_flags(tmp_path) + ["--series", str(_opa_series_file(
+                tmp_path, serialize.series_to_json(build_opa(OpaParams(1.0, 2.0, 0.1))[1])))],
+            lambda tmp_path: opa_system_and_series(tmp_path, _EXTRA_TERM_SERIES),
+            lambda tmp_path: opa_system_and_series(tmp_path, _EXTRA_TERM_SERIES)[:2],
+            lambda tmp_path: [*_OPA_FLAGS, "--series", str(_opa_series_file(
+                tmp_path, _EXTRA_TERM_SERIES))],
+        ],
+        ids=["detuned-system", "extra-term", "no-series", "opa-with-extra-term"],
+    )
+    def test_region_of_a_non_opa_is_refused(self, tmp_path, capsys, inputs):
+        argv = ["opa-region", *inputs(tmp_path), "--gamma", "4.5", "--delta1", "0.1",
+                "--delta2", "0.1", "--out", str(tmp_path / "r")]
+        assert main(argv) == EXIT_CONFIG
+        assert "opa-region needs the OPA's system and series" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r.*"))
+
+    @pytest.mark.parametrize("parameter", ["kappa1", "chi"])
+    def test_model_sweep_needs_opa_parameters(self, tmp_path, capsys, parameter):
+        series_doc = serialize.series_to_json(build_opa(OpaParams(1.0, 2.0, 0.1))[1])
+        argv = ["sweep", *opa_system_and_series(tmp_path, series_doc)[:2], "--gamma", "4.5",
+                "--parameter", parameter, "--start", "0.5", "--stop", "2", "--steps", "4",
+                "--out", str(tmp_path / "s")]
+        assert main(argv) == EXIT_CONFIG
+        assert f"a {parameter} sweep builds an OPA per point" in capsys.readouterr().err
+        assert not list(tmp_path.glob("s.*"))
+
     def test_simulate_reads_each_file_once(self, tmp_path, monkeypatch):
         sys, series = build_opa(OpaParams(1.0, 2.0, 0.1))
         sys_path = tmp_path / "system.json"
@@ -622,7 +700,6 @@ class TestFileDrivenInputs:
         assert sorted(reads) == ["series", "system"]
 
 
-_OPA_FLAGS = ["--kappa1", "1", "--kappa2", "2", "--chi", "0.1"]
 # a self-adjoint term, z1 z1* with a real coefficient
 _TERM = {"i": 1, "j": 1, "k": 1, "l": 1, "re": 0.5}
 # a damped mode, N1 = 1, whose N1 entry is given as a pair of strings
@@ -668,6 +745,18 @@ class TestConfigHandling:
 
     def test_incomplete_opa_params(self):
         assert main(["certify", "--kappa1", "1.0", "--gamma", "4.0"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_two_system_sources_are_config_error(self, tmp_path, capsys, source):
+        """OPA parameters and a --system file together name two systems."""
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(serialize.system_to_json(build_opa(OpaParams(1.0, 2.0, 0.1))[0])))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"system": {"path": str(path)}}))
+        system = ["--system", str(path)] if source == "flag" else ["--config", str(config)]
+        assert main(["certify", *opa_flags(tmp_path / "run"), *system]) == EXIT_CONFIG
+        assert "give exactly one system" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run.*"))
 
     @pytest.mark.parametrize(
         "document, key, value",
