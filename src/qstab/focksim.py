@@ -15,25 +15,26 @@ which share their offsets.  Linear and quadratic forms keep only the
 diagonals that hold an entry other than exactly 0, so products built from
 them never pair a zero diagonal: for a mode-diagonal P, as the OPA's
 usually is, V = x'Px is one diagonal of nine.  No function here returns a dense
-operator; ``toarray`` and ``tocsr`` convert one.
+operator; ``toarray`` converts one.
 
 The same algebra drives a density-matrix integrator for the master equation
 
     drho/dt = -i [H, rho] + sum_k ( L_k rho L_k' - (1/2) {L_k' L_k, rho} )
 
-used to check the certified mean-square bound empirically.  Its operators
-are converted to CSR once; SciPy is imported only there, so the identity
-checks load no SciPy module.  The integrator steps only the entries of rho
-that the trace and x'x depend on: the closure of the diagonal under the
-sparsity of the Liouvillian superoperator.  For the OPA this is the block
-that conserves q = N_left - N_right with N = n1 + 2 n2 (Buca & Prosen,
-New J. Phys. 14 (2012)), found from the sparsity alone; a system with
-nothing to decouple keeps every entry.  The superoperator, a sum of
-Kronecker products of D x D factors, is never formed whole: the closure
-reads the factors' sparsity, and only the kept rows and columns are
-assembled.  Positivity is then checked on the dephased state that is
-evolved, not on the full rho.  ``dt`` spaces the samples; the RK4 step
-comes from the 1-norm of the kept superoperator.
+used to check the certified mean-square bound empirically.  The integrator
+steps only the entries of rho that the trace and x'x depend on: the closure
+of the diagonal under the sparsity of the Liouvillian superoperator.  For
+the OPA this is the block that conserves q = N_left - N_right with
+N = n1 + 2 n2 (Buca & Prosen, New J. Phys. 14 (2012)), found from the
+sparsity alone; a system with nothing to decouple keeps every entry.  The
+superoperator, a sum of Kronecker products A kron conj(B) of D x D
+factors, is never formed whole: diagonals oa of A and ob of B make its
+diagonal oa D + ob, so its rows are read from the factors' diagonals, and
+only the kept rows and columns are assembled.  SciPy is imported only to
+hold that block as the CSR matrix the steps multiply, so the identity
+checks load no SciPy module.  Positivity is checked on the dephased state
+that is evolved, not on the full rho.  ``dt`` spaces the samples; the RK4
+step comes from the 1-norm of the kept superoperator.
 """
 
 from __future__ import annotations
@@ -163,17 +164,6 @@ class _Diagonals:
         out = np.zeros(self.shape, dtype=complex)
         out[..., rows, cols] = self.data[..., inside]
         return out
-
-    def tocsr(self) -> sparse.csr_array:
-        """CSR matrix of a single operator, without the stored zeros."""
-        from scipy import sparse
-
-        rows, cols, inside = self._entries()
-        values = self.data[inside]
-        nonzero = values != 0
-        return sparse.csr_array(
-            (values[nonzero], (rows[nonzero], cols[nonzero])), shape=self.shape
-        )
 
 
 def _flat(data: np.ndarray) -> np.ndarray:
@@ -587,98 +577,82 @@ class FockTrajectory:
             raise StructureError("times and msq must have equal lengths")
 
 
-def _as_csr(op, n: int, name: str) -> sparse.csr_array:
-    """CSR matrix of an operator of this module, or of any finite n x n
-    matrix, with sorted column indices and no repeats."""
-    from scipy import sparse
-
+def _as_diagonals(op, n: int, name: str) -> _Diagonals:
+    """An operator of this module, or any finite n x n matrix, by its
+    diagonals; a matrix keeps only the diagonals that hold a nonzero entry."""
     if not isinstance(op, _Diagonals):
         op = np.asarray(op, dtype=complex)
     if op.shape != (n, n):
         raise StructureError(f"{name} has shape {op.shape}, but the algebra is {n}x{n}")
-    op = op.tocsr() if isinstance(op, _Diagonals) else sparse.csr_array(op)
-    if not np.isfinite(op.data).all():
+    if not np.isfinite(op.data if isinstance(op, _Diagonals) else op).all():
         raise StructureError(f"{name} has non-finite entries")
-    op.sum_duplicates()
-    return op
+    if isinstance(op, _Diagonals):
+        return op
+    rows, cols = np.nonzero(op)
+    offsets, which = np.unique(cols - rows, return_inverse=True)
+    data = np.zeros((offsets.size, n), dtype=complex)
+    data[which, rows] = op[rows, cols]
+    return _Diagonals(offsets, data)
 
 
-def _superoperator_terms(H, L_ops, n: int) -> list:
+def _superoperator_terms(H, L_ops, n: int) -> list[tuple[_Diagonals, _Diagonals]]:
     """Factors (A, B) of the master equation's superoperator sum_t A kron conj(B)
-    on row-major vec(rho), with None for the identity.
+    on row-major vec(rho).
 
     Row-major vec gives vec(A rho B) = (A kron B^T) vec(rho), so
     H_eff rho + rho H_eff' + sum_k L_k rho L_k' with H_eff = -i H - (1/2)
     sum_k L_k' L_k is H_eff kron I + I kron conj(H_eff) + sum_k L_k kron conj(L_k).
     """
-    from scipy import sparse
-
-    L_ops = [_as_csr(L, n, f"L_ops[{k}]") for k, L in enumerate(L_ops)]
-    K = sum((L.conj().T @ L for L in L_ops), sparse.csr_array((n, n), dtype=complex))
-    H_eff = -1j * _as_csr(H, n, "H") - 0.5 * K
-    return [(H_eff, None), (None, H_eff), *((L, L) for L in L_ops)]
-
-
-def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in a CSR matrix's data of the entries stored in ``rows``,
-    row after row, and the number of entries in each row."""
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    positions = (starts - counts.cumsum() + counts).repeat(counts)
-    positions += np.arange(positions.size)
-    return positions, counts
+    L_ops = [_as_diagonals(L, n, f"L_ops[{k}]") for k, L in enumerate(L_ops)]
+    zero = _Diagonals(np.zeros(0, dtype=int), np.zeros((0, n), dtype=complex))
+    K = sum((L.adjoint() @ L for L in L_ops), zero)
+    H_eff = -1j * _as_diagonals(H, n, "H") - 0.5 * K
+    eye = _identity(n)
+    return [(H_eff, eye), (eye, H_eff), *((L, L) for L in L_ops)]
 
 
-def _row_counts(M, rows: np.ndarray) -> np.ndarray:
-    """Number of entries stored in each of ``rows`` of M; None is the identity."""
-    return np.ones(rows.size, dtype=int) if M is None else M.indptr[rows + 1] - M.indptr[rows]
+def _rows(terms: list, flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``flat`` of the superoperator sum_t A_t kron conj(B_t) on the
+    flat n^2 space, by their diagonals: (offsets, data) with data[o, r] the
+    entry of row flat[r] in column flat[r] + offsets[o].
 
-
-def _kron_entries(A, B, i: np.ndarray, j: np.ndarray, n: int):
-    """Entries of A kron conj(B) stored in its rows (i, j), for the pairs of
-    arrays ``i`` and ``j``; a factor of None stands for the identity.
-
-    Row (i, j) holds A[i, k] conj(B[j, l]) at the flat column k n + l.
-    Returns the number of entries in each row, and per entry, row after row,
-    its flat column and the positions of A[i, k] in A.data and of B[j, l] in
-    B.data (None for the identity).  The columns of each row ascend, since A
-    and B have sorted indices.
+    Row (i, j) of A kron conj(B) holds A[i, i + oa] conj(B[j, j + ob]) in
+    column (i + oa) n + j + ob, so diagonals oa of A and ob of B make
+    diagonal oa n + ob.  The terms are summed in order, as a sum of
+    Kronecker products sums them.  An entry whose column leaves the space
+    is 0.
     """
-    if A is None:
-        b, counts = _row_entries(B.indptr, j)
-        return counts, (i * n).repeat(counts) + B.indices[b], None, b
-    a, counts = _row_entries(A.indptr, i)
-    if B is None:
-        return counts, A.indices[a] * n + j.repeat(counts), a, None
-    b, b_counts = _row_entries(B.indptr, j.repeat(counts))
-    a = a.repeat(b_counts)
-    return counts * _row_counts(B, j), A.indices[a] * n + B.indices[b], a, b
+    i, j = np.divmod(flat, n)
+    keys = tuple((A.offsets[:, None] * n + B.offsets).tobytes() for A, B in terms)
+    offsets, places = _union_plan(keys)
+    data = np.zeros((offsets.size, flat.size), dtype=complex)
+    for (A, B), place in zip(terms, places):
+        data[place] += (A.data[:, None, i] * B.data[None, :, j].conj()).reshape(place.size, -1)
+    return offsets, data
 
 
 def _closure(terms: list, seed: np.ndarray, n: int) -> np.ndarray:
     """Closure of the flat mask ``seed`` under the entries that its rows of
     the superoperator sum_t A_t kron conj(B_t) read.
 
-    Row (i, j) of A kron conj(B) reads column (k, l) where A[i, k] B[j, l] is
-    stored.  The returned mask K satisfies sup[K, ~K] = 0, so the entries in
-    K evolve on their own, exactly.  Each round gathers the columns that the
-    frontier's rows read, term by term, from the factors' index arrays.
+    The returned mask K satisfies sup[K, ~K] = 0, so the entries in K evolve
+    on their own, exactly.  Each round reads the frontier's rows from
+    ``_rows`` and adds the columns where they hold an entry other than 0.
     """
     keep = seed.copy()
     frontier = np.flatnonzero(seed)
     while frontier.size:
-        i, j = np.divmod(frontier, n)
+        offsets, data = _rows(terms, frontier, n)
         reached = keep.copy()
-        for A, B in terms:
-            reached[_kron_entries(A, B, i, j, n)[1]] = True
+        reached[(frontier + offsets[:, None])[data != 0]] = True
         frontier = np.flatnonzero(reached & ~keep)
         keep = reached
     return keep
 
 
-# Kept rows of the superoperator assembled at a time.  Summing the terms of
-# a slab holds them and their sum at once; slabs bound that to a few MB when
-# nothing decouples (dim 12: ~19 entries a row, 20 736 rows).
+# Kept rows of the superoperator assembled at a time.  A slab's rows are
+# held by diagonal, with every term's products; slabs bound that to a few MB
+# when nothing decouples (dim 12: ~19 entries a row, 20 736 rows).
 SLAB_ROWS = 2048
 
 
@@ -688,39 +662,31 @@ def _kept_superoperator(
     """Rows and columns ``kept`` (flat, ascending, closed) of sum_t A_t kron
     conj(B_t), as a CSR matrix on the positions ``where`` gives them.
 
-    The rows are assembled in slabs of ``SLAB_ROWS``.  Each term's entries in
-    a slab go straight into CSR arrays; the slab's terms are summed in order
-    and copied into arrays sized for all terms' entries, so no D^2 x D^2
-    operator and no triplet list of the whole sum is formed.  Per entry the
-    sum runs over the terms in order, as a sum of full Kronecker products does.
+    The rows come from ``_rows`` in slabs of ``SLAB_ROWS`` and their entries
+    other than 0 go straight into CSR arrays sized for all terms' entries,
+    so no D^2 x D^2 operator and no triplet list of the whole sum is formed.
     """
     from scipy import sparse
 
     i, j = np.divmod(kept, n)
-    capacity = sum(int(_row_counts(A, i) @ _row_counts(B, j)) for A, B in terms)
+    capacity = sum(
+        int(np.count_nonzero(A.data, axis=0)[i] @ np.count_nonzero(B.data, axis=0)[j])
+        for A, B in terms
+    )
     indptr = np.zeros(kept.size + 1, dtype=np.int64)
     indices = np.empty(capacity, dtype=np.int64)
     data = np.empty(capacity, dtype=complex)
     for first in range(0, kept.size, SLAB_ROWS):
-        si, sj = i[first : first + SLAB_ROWS], j[first : first + SLAB_ROWS]
-        slab = None
-        for A, B in terms:
-            counts, cols, a, b = _kron_entries(A, B, si, sj, n)
-            if A is None:
-                values = B.data.conj()[b]
-            elif B is None:
-                values = A.data[a]
-            else:
-                values = A.data[a] * B.data.conj()[b]
-            term = sparse.csr_array(
-                (values, where[cols], np.r_[0, np.cumsum(counts)]),
-                shape=(si.size, kept.size),
-            )
-            slab = term if slab is None else slab + term
+        rows = kept[first : first + SLAB_ROWS]
+        offsets, values = _rows(terms, rows, n)
+        # row by row, columns ascending with the offsets
+        values = values.T
+        stored = values != 0
         start = indptr[first]
-        indices[start : start + slab.nnz] = slab.indices
-        data[start : start + slab.nnz] = slab.data
-        indptr[first + 1 : first + si.size + 1] = start + slab.indptr[1:]
+        indptr[first + 1 : first + rows.size + 1] = start + np.cumsum(stored.sum(axis=1))
+        end = indptr[first + rows.size]
+        indices[start:end] = where[(rows[:, None] + offsets)[stored]]
+        data[start:end] = values[stored]
     nnz = indptr[-1]
     return sparse.csr_array((data[:nnz], indices[:nnz], indptr), shape=(kept.size, kept.size))
 
@@ -752,7 +718,7 @@ def lindblad_evolve(
     """RK4 integration of the master equation, sampled every ``dt``.
 
     H and each of L_ops (a list or a stack) are operators of this module or
-    D x D matrices; each is converted to CSR once.
+    D x D matrices; a matrix is read once into its nonzero diagonals.
     Only the entries of rho that the trace and x'x depend on are evolved:
     the closure of the diagonal and the support of x'x under the sparsity of
     the Liouvillian superoperator.  The closure reads no entry outside
@@ -798,8 +764,9 @@ def lindblad_evolve(
 
     terms = _superoperator_terms(H, L_ops, n)
     # msq = sum_ij O[i, j] rho[j, i] reads rho on the support of O^T.
-    observable = msq_observable(alg).tocsr().tocoo()
-    support = observable.col * n + observable.row
+    observable = msq_observable(alg)
+    i, j, inside = observable._entries()
+    support = j * n + i
     seed = np.zeros(n * n, dtype=bool)
     seed[support] = True
     seed[:: n + 1] = True
@@ -824,7 +791,7 @@ def lindblad_evolve(
     block_views = [where[b[:, None] * n + b[None, :]] for b in blocks]
     # msq = sum_k weights_k v[read_k], summed by numpy (pairwise, in a fixed
     # order) rather than by a BLAS dot whose order follows the thread count
-    read, weights = where[support], observable.data
+    read, weights = where[support], observable.data[inside]
     v = rho.ravel()[kept]
 
     ratio = t_final / dt

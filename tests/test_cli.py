@@ -573,7 +573,8 @@ def test_fresh_cli_run_loads_scipy_only_for_riccati(tmp_path, args, riccati):
 )
 def test_fresh_fock_run_loads_scipy_sparse_only_to_simulate(tmp_path, args, simulates):
     """check-identities works on flat diagonals and loads no SciPy module at
-    all; simulate converts its operators to CSR, so it loads ``scipy.sparse``."""
+    all; simulate steps its kept superoperator as a CSR matrix, so it loads
+    ``scipy.sparse``."""
     argv = [*args, *opa_flags(tmp_path / "run")]
     code = (
         "import sys; from qstab.cli import main; "
