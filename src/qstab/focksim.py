@@ -247,6 +247,10 @@ def _identity(d: int) -> _Diagonals:
     return _Diagonals(np.zeros(1, dtype=int), np.ones((1, d), dtype=complex))
 
 
+def _zero(d: int) -> _Diagonals:
+    return _Diagonals(np.zeros(0, dtype=int), np.zeros((0, d), dtype=complex))
+
+
 def _comm(A: _Diagonals, B: _Diagonals) -> _Diagonals:
     AB, BA = A @ B, B @ A  # the same offset pairs, so the same offsets
     return _Diagonals(AB.offsets, AB.data - BA.data)
@@ -391,8 +395,7 @@ def operator_of_series(
             chain.append(chain[-1] @ chain[0])
         return chain[exponent - 1]
 
-    zero = _Diagonals(np.zeros(0, dtype=int), np.zeros((0, alg.total_dim), dtype=complex))
-    terms = [zero]
+    terms = [_zero(alg.total_dim)]
     for (i, j, k, l), c in f.coeffs.items():
         if k and l:
             term = power("z", i, k) @ power("zdag", j, l)
@@ -580,19 +583,18 @@ class FockTrajectory:
 def _as_diagonals(op, n: int, name: str) -> _Diagonals:
     """An operator of this module, or any finite n x n matrix, by its
     diagonals; a matrix keeps only the diagonals that hold a nonzero entry."""
+    if np.shape(op) != (n, n):
+        raise StructureError(f"{name} has shape {np.shape(op)}, but the algebra is {n}x{n}")
     if not isinstance(op, _Diagonals):
-        op = np.asarray(op, dtype=complex)
-    if op.shape != (n, n):
-        raise StructureError(f"{name} has shape {op.shape}, but the algebra is {n}x{n}")
-    if not np.isfinite(op.data if isinstance(op, _Diagonals) else op).all():
+        matrix = np.asarray(op, dtype=complex)
+        rows, cols = np.nonzero(matrix)
+        offsets, which = np.unique(cols - rows, return_inverse=True)
+        data = np.zeros((offsets.size, n), dtype=complex)
+        data[which, rows] = matrix[rows, cols]
+        op = _Diagonals(offsets, data)
+    if not np.isfinite(op.data).all():
         raise StructureError(f"{name} has non-finite entries")
-    if isinstance(op, _Diagonals):
-        return op
-    rows, cols = np.nonzero(op)
-    offsets, which = np.unique(cols - rows, return_inverse=True)
-    data = np.zeros((offsets.size, n), dtype=complex)
-    data[which, rows] = op[rows, cols]
-    return _Diagonals(offsets, data)
+    return op
 
 
 def _superoperator_terms(H, L_ops, n: int) -> list[tuple[_Diagonals, _Diagonals]]:
@@ -604,8 +606,7 @@ def _superoperator_terms(H, L_ops, n: int) -> list[tuple[_Diagonals, _Diagonals]
     sum_k L_k' L_k is H_eff kron I + I kron conj(H_eff) + sum_k L_k kron conj(L_k).
     """
     L_ops = [_as_diagonals(L, n, f"L_ops[{k}]") for k, L in enumerate(L_ops)]
-    zero = _Diagonals(np.zeros(0, dtype=int), np.zeros((0, n), dtype=complex))
-    K = sum((L.adjoint() @ L for L in L_ops), zero)
+    K = _stack([_zero(n), *(L.adjoint() @ L for L in L_ops)]).sum()
     H_eff = -1j * _as_diagonals(H, n, "H") - 0.5 * K
     eye = _identity(n)
     return [(H_eff, eye), (eye, H_eff), *((L, L) for L in L_ops)]
@@ -618,16 +619,19 @@ def _rows(terms: list, flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
 
     Row (i, j) of A kron conj(B) holds A[i, i + oa] conj(B[j, j + ob]) in
     column (i + oa) n + j + ob, so diagonals oa of A and ob of B make
-    diagonal oa n + ob.  The terms are summed in order, as a sum of
-    Kronecker products sums them.  An entry whose column leaves the space
-    is 0.
+    diagonal oa n + ob, as do oa - 1 and ob + n.  In a row at most one of
+    those two pairs is inside the space, and pairs are added one at a time,
+    as a fancy-indexed += would keep only one.  Terms are summed in order,
+    as a sum of Kronecker products sums them; outside the space is 0.
     """
     i, j = np.divmod(flat, n)
     keys = tuple((A.offsets[:, None] * n + B.offsets).tobytes() for A, B in terms)
     offsets, places = _union_plan(keys)
     data = np.zeros((offsets.size, flat.size), dtype=complex)
     for (A, B), place in zip(terms, places):
-        data[place] += (A.data[:, None, i] * B.data[None, :, j].conj()).reshape(place.size, -1)
+        products = (A.data[:, None, i] * B.data[None, :, j].conj()).reshape(place.size, -1)
+        for row, product in zip(place, products):
+            data[row] += product
     return offsets, data
 
 
@@ -643,10 +647,9 @@ def _closure(terms: list, seed: np.ndarray, n: int) -> np.ndarray:
     frontier = np.flatnonzero(seed)
     while frontier.size:
         offsets, data = _rows(terms, frontier, n)
-        reached = keep.copy()
-        reached[(frontier + offsets[:, None])[data != 0]] = True
-        frontier = np.flatnonzero(reached & ~keep)
-        keep = reached
+        reached = np.unique((frontier + offsets[:, None])[data != 0])
+        frontier = reached[~keep[reached]]
+        keep[frontier] = True
     return keep
 
 
@@ -679,14 +682,12 @@ def _kept_superoperator(
     for first in range(0, kept.size, SLAB_ROWS):
         rows = kept[first : first + SLAB_ROWS]
         offsets, values = _rows(terms, rows, n)
-        # row by row, columns ascending with the offsets
-        values = values.T
-        stored = values != 0
+        stored = values.T != 0  # row by row, columns ascending with the offsets
         start = indptr[first]
         indptr[first + 1 : first + rows.size + 1] = start + np.cumsum(stored.sum(axis=1))
         end = indptr[first + rows.size]
         indices[start:end] = where[(rows[:, None] + offsets)[stored]]
-        data[start:end] = values[stored]
+        data[start:end] = values.T[stored]
     nnz = indptr[-1]
     return sparse.csr_array((data[:nnz], indices[:nnz], indptr), shape=(kept.size, kept.size))
 
@@ -768,8 +769,7 @@ def lindblad_evolve(
     i, j, inside = observable._entries()
     support = j * n + i
     seed = np.zeros(n * n, dtype=bool)
-    seed[support] = True
-    seed[:: n + 1] = True
+    seed[support] = seed[:: n + 1] = True
     keep = _closure(terms, seed, n)
     blocks = _square_blocks(keep, n)
     if blocks is None:

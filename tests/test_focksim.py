@@ -633,11 +633,13 @@ def reference_superoperator(H, L_ops):
     """The full D^2 x D^2 superoperator of the master equation on row-major
     vec(rho), H_eff kron I + I kron conj(H_eff) + sum_k L_k kron conj(L_k)
     with H_eff = -i H - (1/2) sum_k L_k' L_k, formed by SciPy from the dense
-    operators, and summed term by term in that order."""
+    operators, and summed term by term in that order.  H and the L_k are
+    operators of ``qstab.focksim`` or dense matrices."""
+    dense = lambda op: op.toarray() if hasattr(op, "toarray") else op
     n = H.shape[0]
-    L_ops = [sparse.csr_array(L.toarray()) for L in L_ops]
+    L_ops = [sparse.csr_array(dense(L)) for L in L_ops]
     K = sum((L.conj().T @ L for L in L_ops), sparse.csr_array((n, n), dtype=complex))
-    H_eff = -1j * sparse.csr_array(H.toarray()) - 0.5 * K
+    H_eff = -1j * sparse.csr_array(dense(H)) - 0.5 * K
     eye = sparse.identity(n, dtype=complex, format="csr")
     total = None
     for A, B in [(H_eff, eye), (eye, H_eff), *((L, L) for L in L_ops)]:
@@ -753,6 +755,27 @@ class TestReducedPropagation:
         traj = lindblad_evolve(alg, H, L_ops, rho0, 0.5, 0.01)
         dense = lindblad_evolve(alg, H.toarray(), [L.toarray() for L in L_ops], rho0, 0.5, 0.01)
         assert np.array_equal(dense.msq, traj.msq)
+
+    def test_dense_random_operators_match_the_kronecker_reference(self, rng):
+        # A dense L has diagonals oa, oa - 1 and ob, ob + n, and both pairs
+        # make diagonal oa n + ob of L kron conj(L).  Entries of a few bits
+        # keep every sum exact, so the orders of summation need not agree.
+        n = 6
+        alg = build_algebra(1, n)
+        H, L = (rng.integers(-4, 5, (2, n, n)) + 1j * rng.integers(-4, 5, (2, n, n))) / 8
+        H = H + H.conj().T
+        terms = _superoperator_terms(H, [L], n)
+        sup = reference_superoperator(H, [L])
+        keep = _closure(terms, msq_seed(alg), n)
+        assert np.array_equal(keep, reference_closure(sup, msq_seed(alg)))
+        everything = np.arange(n * n)
+        block = _kept_superoperator(terms, everything, everything, n)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(block, name), getattr(sup, name)), name
+        rho0 = coherent_state(alg, [0.6])
+        traj = lindblad_evolve(alg, H, [L], rho0, 0.5, 1e-3)
+        reference = dense_rk4_msq(alg, H, [L], rho0, 0.5, 1e-3)
+        assert np.max(np.abs(traj.msq - reference)) <= 1e-12
 
     def test_opa_matches_dense_propagator(self):
         alg, H, L_ops = self.opa_problem(6)
