@@ -15,7 +15,8 @@ which share their offsets.  Linear and quadratic forms keep only the
 diagonals that hold an entry other than exactly 0, so products built from
 them never pair a zero diagonal: for a mode-diagonal P, as the OPA's
 usually is, V = x'Px is one diagonal of nine.  No function here returns a dense
-operator; ``toarray`` converts one.
+operator; ``toarray`` converts one.  The ladder operators of each (modes, dim)
+are built once in a process and shared, so their arrays are read-only.
 
 The same algebra drives a density-matrix integrator for the master equation
 
@@ -134,10 +135,9 @@ class _Diagonals:
     def __matmul__(self, other: _Diagonals) -> _Diagonals:
         # (AB)[r, r + oa + ob] = sum A[r, r + oa] B[r + oa, r + oa + ob] over
         # the pairs of diagonals; one real matrix product does the sum.
-        offsets, ia, starts, fold = _product_plan(
+        offsets, ia, reads, fold = _product_plan(
             self.offsets.tobytes(), other.offsets.tobytes(), self.dim
         )
-        reads = starts[:, None] + np.arange(self.dim)
         left = np.take(self.data, ia, axis=-2)
         right = np.take(_flat(other.data), reads, axis=-1, mode="clip")
         terms = np.multiply(left, right, order="C")
@@ -176,11 +176,11 @@ def _product_plan(oa_key: bytes, ob_key: bytes, d: int):
     """How to multiply operators with offsets oa and ob in a space of
     dimension d, for the pairs of diagonals whose offsets add up to one
     inside the space: the product's offsets; the left diagonal of each
-    pair; the position in the right operator's flat data that row 0 of the
-    pair reads, B[oa, oa + ob]; and the 0/1 matrix that sums each pair into
-    its offset.  Row r reads r positions further on.  Where r + oa leaves
-    the space that read lands on a neighbouring diagonal, or is clipped to
-    the ends, but A[r, r + oa] is zero there.
+    pair; the positions in the right operator's flat data that the pair's
+    rows read, B[r + oa, r + oa + ob] for row r; and the 0/1 matrix that
+    sums each pair into its offset.  Where r + oa leaves the space that read
+    lands on a neighbouring diagonal, or is clipped to the ends, but
+    A[r, r + oa] is zero there.
 
     A few offset patterns cover every product, so plans are kept, read-only,
     by the bytes of the offsets."""
@@ -191,10 +191,10 @@ def _product_plan(oa_key: bytes, ob_key: bytes, d: int):
     fold = np.zeros((offsets.size, pairs.size))
     fold[which, np.arange(pairs.size)] = 1.0
     ia, ib = np.divmod(pairs, ob.size)
-    starts = ib * d + oa[ia]
-    for array in (offsets, ia, starts, fold):
+    reads = (ib * d + oa[ia])[:, None] + np.arange(d)
+    for array in (offsets, ia, reads, fold):
         array.setflags(write=False)
-    return offsets, ia, starts, fold
+    return offsets, ia, reads, fold
 
 
 @functools.lru_cache(maxsize=256)
@@ -267,7 +267,8 @@ class TruncatedAlgebra:
     ``xx`` is the (2n, 2n) stack of the products x_a' x_b, from which every
     quadratic form is one contraction.  [a_i, a_j'] = delta_ij holds exactly
     on states whose mode-i excitation is at most dim - 2; the defect is
-    confined to the truncation edge.
+    confined to the truncation edge.  One algebra per (modes, dim) is shared
+    in a process, so every array it holds is read-only.
     """
 
     modes: int
@@ -286,10 +287,18 @@ class TruncatedAlgebra:
 
 
 def build_algebra(modes: int, dim: int) -> TruncatedAlgebra:
+    """The algebra of ``modes`` modes truncated at ``dim`` levels each, built
+    on the first call for that (modes, dim) and shared, read-only, after."""
     if modes < 1:
         raise StructureError(f"mode count must be positive, got {modes}")
     if dim < 3:
         raise TruncationError(f"need at least 3 Fock levels per mode, got {dim}")
+    return _algebra(modes, dim)
+
+
+# fock-verify uses 9 (modes, dim) pairs: two modes, dims 6-14, 0.09-0.5 MB each.
+@functools.lru_cache(maxsize=16)
+def _algebra(modes: int, dim: int) -> TruncatedAlgebra:
     levels = np.arange(dim)
     grids = np.meshgrid(*([levels] * modes), indexing="ij")
     exc = np.stack([g.ravel() for g in grids], axis=1)
@@ -301,10 +310,10 @@ def build_algebra(modes: int, dim: int) -> TruncatedAlgebra:
         e = exc[:, i]
         data[i, 2 * modes - 1 - i] = np.sqrt(e + 1.0) * (e < dim - 1)
         data[modes + i, i] = np.sqrt(e)
-    data.setflags(write=False)
     x = _Diagonals(offsets, data)
     xx = x.adjoint()[:, None] @ x[None, :]
-    xx.data.setflags(write=False)
+    for array in (exc, offsets, data, xx.data):
+        array.setflags(write=False)
     return TruncatedAlgebra(modes=modes, dim=dim, x=x, xx=xx, excitations=exc)
 
 
@@ -326,11 +335,15 @@ def safe_mask(alg: TruncatedAlgebra, degree: int) -> np.ndarray:
 def safe_residual(alg: TruncatedAlgebra, X: _Diagonals, degree: int) -> float:
     """Largest matrix-element magnitude of X, an operator or a stack of them,
     restricted to the safe subspace."""
-    mask = safe_mask(alg, degree)
-    d = alg.total_dim
+    return _masked_max(X, safe_mask(alg, degree))
+
+
+def _masked_max(X: _Diagonals, mask: np.ndarray) -> float:
+    """Largest magnitude of the entries of X whose row and column are in ``mask``."""
+    d = mask.size
     cols = np.arange(d) + X.offsets[:, None]
     inside = (cols >= 0) & (cols < d)
-    block = X.data[..., inside & mask & mask[np.clip(cols, 0, d - 1)]]
+    block = X.data[..., inside & mask & np.take(mask, cols, mode="clip")]
     return float(np.max(np.abs(block))) if block.size else 0.0
 
 
@@ -381,6 +394,14 @@ def operator_of_series(
         raise TruncationError(
             f"series degree {f.total_degree} exceeds truncation dim-1 = {alg.dim - 1}"
         )
+    return _series_operators(alg, sys, [f])[0]
+
+
+def _series_operators(
+    alg: TruncatedAlgebra, sys: LinearQuantumSystem, series: list[PerturbationSeries]
+) -> list[_Diagonals]:
+    """``operator_of_series`` of each series, unchecked, from one table of the
+    powers z_i^k and (z_j')^l."""
     # z_j' is the linear form Etilde^# Sigma in x
     forms = {"z": sys.Etilde, "zdag": sys.Etilde.conj() @ structure_matrices(sys.n).Sigma}
     powers: dict[tuple[str, int], list[_Diagonals]] = {}
@@ -395,16 +416,19 @@ def operator_of_series(
             chain.append(chain[-1] @ chain[0])
         return chain[exponent - 1]
 
-    terms = [_zero(alg.total_dim)]
-    for (i, j, k, l), c in f.coeffs.items():
-        if k and l:
-            term = power("z", i, k) @ power("zdag", j, l)
-        elif k or l:
-            term = power("z", i, k) if k else power("zdag", j, l)
-        else:
-            term = _identity(alg.total_dim)
-        terms.append(c * term)
-    return _stack(terms).sum()
+    operators = []
+    for f in series:
+        terms = [_zero(alg.total_dim)]
+        for (i, j, k, l), c in f.coeffs.items():
+            if k and l:
+                term = power("z", i, k) @ power("zdag", j, l)
+            elif k or l:
+                term = power("z", i, k) if k else power("zdag", j, l)
+            else:
+                term = _identity(alg.total_dim)
+            terms.append(c * term)
+        operators.append(_stack(terms).sum())
+    return operators
 
 
 def check_commutator_identities(
@@ -428,7 +452,8 @@ def check_commutator_identities(
     5. the four-term expansion of [V, f] through the formal partial
        derivatives of f.
 
-    A series whose channel count differs from the system's raises StructureError.
+    A series whose channel count differs from the system's raises
+    StructureError, and one whose degree exceeds dim - 1 TruncationError.
     """
     if f.p != sys.p:
         raise StructureError(f"the series has {f.p} channels, the system has {sys.p}")
@@ -446,7 +471,7 @@ def check_commutator_identities(
     if np.max(np.abs(P - sm.Sigma @ P.conj() @ sm.Sigma)) > 1e-10 * scale:
         raise StructureError("P must have the block structure Sigma P^# Sigma = P")
 
-    degree = max(2, f.total_degree)
+    safe = safe_mask(alg, max(2, f.total_degree))  # TruncationError beyond dim - 1
     V = quadratic_form(alg, P)
     eye = _identity(alg.total_dim)
     residuals: dict[str, float] = {}
@@ -465,9 +490,7 @@ def check_commutator_identities(
     # (1) [V, (1/2) x'Mx] = x'(PJM - MJP)x
     Hq = 0.5 * quadratic_form(alg, M)
     rhs1 = quadratic_form(alg, P @ sm.J @ M - M @ sm.J @ P)
-    residuals["quadratic_hamiltonian_commutator"] = safe_residual(
-        alg, _comm(V, Hq) - rhs1, degree
-    )
+    residuals["quadratic_hamiltonian_commutator"] = _masked_max(_comm(V, Hq) - rhs1, safe)
 
     # (2) (1/2) L'[V,L] + (1/2)[L',V]L = tr(P J N' proj N J) - (1/2) x'(N'JNJP + PJN'JN)x
     #     with [V, L] = -[L, V] exactly
@@ -478,31 +501,28 @@ def check_commutator_identities(
     trace_term = np.trace(P @ sm.J @ N.conj().T @ proj @ N @ sm.J)
     quad = N.conj().T @ Jm @ N @ sm.J @ P + P @ sm.J @ N.conj().T @ Jm @ N
     rhs2 = trace_term * eye - 0.5 * quadratic_form(alg, quad)
-    residuals["coupling_dissipation"] = safe_residual(alg, lhs2 - rhs2, degree)
+    residuals["coupling_dissipation"] = _masked_max(lhs2 - rhs2, safe)
 
     # (3) [x_a, x'Px] = (2JPx)_a componentwise
-    residuals["state_vector_commutator"] = safe_residual(
-        alg, xV - _linear_forms(alg, 2.0 * sm.J @ P), degree
+    residuals["state_vector_commutator"] = _masked_max(
+        xV - _linear_forms(alg, 2.0 * sm.J @ P), safe
     )
 
     # (4) [z_i, [z_i, V]] = mu_i * identity
     mu = mu_constants(P, sys.Etilde)
-    residuals["double_commutator_constants"] = safe_residual(
-        alg, _comm(z, zV) - mu * eye, degree
-    )
+    residuals["double_commutator_constants"] = _masked_max(_comm(z, zV) - mu * eye, safe)
 
     # (5) [V, f] = sum_i [V,z_i] df/dz_i - sum_i (df/dz_i)' [z_i',V]
     #              - (1/2) sum_i mu_i d2f/dz_i^2 + (1/2) sum_i mu_i* (d2f/dz_i^2)'
-    #     with the channels i as one stack
+    #     with the channels i as one stack, all from one table of powers of z and z'
     channels = range(1, sys.p + 1)
-    W = _stack([operator_of_series(alg, sys, partial_z(f, i)) for i in channels])
-    W2 = _stack([operator_of_series(alg, sys, second_partial_z(f, i)) for i in channels])
+    derivatives = [partial_z(f, i) for i in channels] + [second_partial_z(f, i) for i in channels]
+    F, *ops = _series_operators(alg, sys, [f, *derivatives])
+    W, W2 = _stack(ops[: sys.p]), _stack(ops[sys.p :])
     rhs5 = (
         -zV @ W - W.adjoint() @ zdV - 0.5 * mu * W2 + 0.5 * np.conj(mu) * W2.adjoint()
     ).sum()
-    residuals["perturbation_commutator"] = safe_residual(
-        alg, _comm(V, operator_of_series(alg, sys, f)) - rhs5, degree
-    )
+    residuals["perturbation_commutator"] = _masked_max(_comm(V, F) - rhs5, safe)
     return residuals
 
 

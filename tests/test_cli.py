@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qstab.model
-from qstab import cli, serialize
+from qstab import cli, focksim, serialize
 from qstab.certify import certify
 from qstab.cli import (
     EXIT_CHECK_FAILED,
@@ -417,6 +417,20 @@ class TestCheckIdentitiesCommand:
         doc = json.loads((tmp_path / "ids.identities.json").read_text())
         assert len(doc) == 5
         assert max(doc.values()) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "command, artifact", [("check-identities", ".identities.json"), ("simulate", ".trajectory.csv")]
+    )
+    def test_artifacts_do_not_depend_on_the_algebra_cache(self, tmp_path, command, artifact):
+        args = [command, *opa_flags(tmp_path / "run", gamma="8"), "--dim", "10", "--t-final", "0.1"]
+        focksim._algebra.cache_clear()
+        assert main(args) == EXIT_OK
+        cold = _artifacts(tmp_path, "run")
+        assert artifact in cold
+        assert focksim._algebra.cache_info().currsize == 1
+        assert main(args) == EXIT_OK
+        assert focksim._algebra.cache_info().hits >= 1
+        assert _artifacts(tmp_path, "run") == cold
 
     @pytest.mark.parametrize("command", ["check-identities", "simulate"])
     @pytest.mark.parametrize("p", [3, 1])

@@ -23,6 +23,7 @@ from qstab.focksim import (
     _identity,
     _kept_superoperator,
     _linear_forms,
+    _series_operators,
     _square_blocks,
     _superoperator_terms,
     _stack,
@@ -137,6 +138,21 @@ class TestAlgebra:
     def test_minimum_dimension(self):
         with pytest.raises(TruncationError):
             build_algebra(1, 2)
+
+    def test_one_shared_read_only_algebra_per_modes_and_dim(self):
+        alg = build_algebra(2, 8)
+        assert build_algebra(2, 8) is alg
+        assert build_algebra(2, 9) is not alg and build_algebra(1, 8) is not alg
+        for array in (alg.x.data, alg.xx.data, alg.excitations, alg.x.offsets):
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1
+        assert np.array_equal(alg.x.toarray()[0], dense_ladder(2, 8)[0])
+        # invalid sizes are refused on every call, not cached
+        for _ in range(2):
+            with pytest.raises(StructureError):
+                build_algebra(0, 6)
+            with pytest.raises(TruncationError):
+                build_algebra(2, 2)
 
     def test_safe_mask_counts(self):
         alg = build_algebra(2, 6)
@@ -397,6 +413,26 @@ class TestCommutatorIdentities:
         assert residuals["coupling_dissipation"] <= 1e-10
         assert max(residuals.values()) <= 1e-10, residuals
 
+    @pytest.mark.parametrize(
+        "dim, series, error",
+        [
+            (6, PerturbationSeries(p=1, coeffs={(1, 1, 1, 1): 1.0}), StructureError),
+            (3, build_opa(OpaParams(1.0, 1.0, 0.1))[1], TruncationError),  # degree 3 > dim - 1
+        ],
+        ids=["wrong-channel-count", "degree-beyond-truncation"],
+    )
+    def test_series_refused_before_any_operator_is_built(self, monkeypatch, dim, series, error):
+        sys, _ = build_opa(OpaParams(1.0, 1.0, 0.1))
+        alg = build_algebra(2, dim)
+
+        def built(*args):
+            raise AssertionError("an operator was built")
+
+        for name in ("_linear_forms", "quadratic_form", "_series_operators", "_identity"):
+            monkeypatch.setattr(qstab.focksim, name, built)
+        with pytest.raises(error):
+            check_commutator_identities(alg, sys, series, np.eye(4))
+
     def test_hermitian_but_not_block_P_rejected(self, rng):
         sys, series = build_opa(OpaParams(1.0, 1.0, 0.1))
         alg = build_algebra(2, 6)
@@ -462,6 +498,30 @@ class TestOracleSensitivity:
             residuals = check_commutator_identities(build_algebra(2, dim), sys, series, P)
             assert len(residuals) == 5
             assert max(residuals.values()) <= 1e-10, (dim, residuals)
+
+    @pytest.mark.parametrize("dim", [6, 14])
+    @pytest.mark.parametrize("system", ["opa", "generic"])
+    def test_shared_power_table_changes_no_bit(self, monkeypatch, system, dim):
+        # the check builds f and its derivatives from one table of powers;
+        # each operator equals a separate operator_of_series call bit for bit
+        sys, series, P = getattr(self, system)()
+        alg = build_algebra(2, dim)
+        calls = []
+
+        def recorded(alg, sys, series):
+            operators = _series_operators(alg, sys, series)
+            calls.append((series, operators))
+            return operators
+
+        monkeypatch.setattr(qstab.focksim, "_series_operators", recorded)
+        check_commutator_identities(alg, sys, series, P)
+        monkeypatch.undo()
+        [(built, operators)] = calls
+        assert len(built) == 1 + 2 * sys.p and built[0] is series
+        for f, op in zip(built, operators):
+            alone = operator_of_series(alg, sys, f)
+            assert np.array_equal(op.offsets, alone.offsets)
+            assert np.array_equal(op.data, alone.data)
 
     @pytest.mark.parametrize("dim", [6, 14])
     def test_wrong_mu_is_caught(self, monkeypatch, dim):
