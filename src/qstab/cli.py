@@ -5,7 +5,8 @@ check-identities.  A single JSON config document can supply everything;
 command-line flags override config fields.  Artifacts are written atomically
 under the --out prefix.  A sweep over gamma, delta1 or delta2 certifies
 all its points in one stacked call (``certify_sweep``); a sweep over
-kappa1, kappa2 or chi builds and certifies a system per point.
+kappa1 or kappa2 builds and certifies a system per point, and a sweep over
+chi, which changes only the series, certifies the run's one system.
 
 Exit codes: 0 success / certified / all checks pass; 1 drift matrix not
 Hurwitz; 2 small-gain condition failed; 3 a numerical check failed
@@ -404,11 +405,14 @@ def _cmd_sweep(config: RunConfig) -> int:
     elif name in ("kappa1", "kappa2", "chi"):
         if params is None:
             raise StructureError(f"a {name} sweep builds an OPA per point; give its parameters")
-        # a system per point, built as the sweep reaches it, so a bad value raises there
-        certs = [
-            run_certify(opa.build_opa(replace(params, **{name: v}))[0], bounds, eps=config.eps)
-            for v in values
-        ]
+        # every point's parameters are checked before any is certified
+        points = [replace(params, **{name: v}) for v in values]
+        if name == "chi":
+            # chi enters only the series, which the sweep does not certify
+            # with: every point has the run's system and its certificate
+            certs = [run_certify(system, bounds, eps=config.eps)] * len(points)
+        else:
+            certs = [run_certify(opa.build_opa(p)[0], bounds, eps=config.eps) for p in points]
     else:
         raise StructureError(f"unknown sweep parameter {name!r}")
     lines = [f"{name},verdict,hinf_reduced,c1,c2,c3"]

@@ -688,6 +688,8 @@ def _kept_superoperator(
     The rows come from ``_rows`` in slabs of ``SLAB_ROWS`` and their entries
     other than 0 go straight into CSR arrays sized for all terms' entries,
     so no D^2 x D^2 operator and no triplet list of the whole sum is formed.
+    An entry that several terms share is one entry but counts once per term
+    in that size, so the arrays are shrunk in place to the entries stored.
     """
     from scipy import sparse
 
@@ -708,8 +710,11 @@ def _kept_superoperator(
         end = indptr[first + rows.size]
         indices[start:end] = where[(rows[:, None] + offsets)[stored]]
         data[start:end] = values.T[stored]
-    nnz = indptr[-1]
-    return sparse.csr_array((data[:nnz], indices[:nnz], indptr), shape=(kept.size, kept.size))
+    # no view of the arrays is alive here, so they can be resized in place
+    nnz = int(indptr[-1])
+    indices.resize(nnz, refcheck=False)
+    data.resize(nnz, refcheck=False)
+    return sparse.csr_array((data, indices, indptr), shape=(kept.size, kept.size))
 
 
 def _square_blocks(keep: np.ndarray, n: int) -> list[np.ndarray] | None:

@@ -206,8 +206,10 @@ def invariant_ellipsoid(P: np.ndarray, region: OpaRegion) -> float:
     if not np.all(np.isfinite(P)):
         raise StructureError("P must be finite")
     p = np.diag(P).real
-    # |x' O x| <= ||O||_2 ||x||^2 = 2 ||O||_2 (u + v) for the off-diagonal part O
-    shift = 2.0 * float(np.linalg.norm(P - np.diag(np.diag(P)), 2))
+    # |x' O x| <= ||O||_2 ||x||^2 = 2 ||O||_2 (u + v) for the off-diagonal part O;
+    # ||0||_2 is exactly 0, so a mode-diagonal P needs no SVD
+    O = P - np.diag(np.diag(P))
+    shift = 2.0 * float(np.linalg.norm(O, 2)) if O.any() else 0.0
     s1, s2 = float(p[0] + p[2]) - shift, float(p[1] + p[3]) - shift
     if min(s1, s2) <= 0:
         raise StructureError(

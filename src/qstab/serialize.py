@@ -11,6 +11,7 @@ import json
 import math
 import numbers
 import os
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -44,16 +45,18 @@ __all__ = [
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file in the same directory and a
-    rename.  The temp file is created as ``open()`` creates a file (mode 0666
-    less the umask), so the artifact gets the same mode as any new file there."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f"{path.name}{os.urandom(8).hex()}.tmp"
+    """Write ``text``, encoded as UTF-8, to ``path`` through a temp file in the
+    same directory and a rename.  The temp file is created as ``open()``
+    creates a file (mode 0666 less the umask), so the artifact gets the same
+    mode as any new file there."""
+    parent, name = os.path.split(os.fspath(path))
+    if parent and not os.path.isdir(parent):
+        os.makedirs(parent, exist_ok=True)
+    tmp = os.path.join(parent, f"{name}{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with open(fd, "wb") as handle:
+            handle.write(text.encode())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -87,8 +90,10 @@ def pair_to_complex(pair) -> complex:
 
 
 def matrix_to_json(matrix: np.ndarray) -> list:
-    matrix = np.asarray(matrix, dtype=complex)
-    return [[complex_to_pair(entry) for entry in row] for row in matrix]
+    """Nested lists of [re, im] pairs, the same floats (and signed zeros) as
+    ``complex_to_pair`` gives entry by entry."""
+    matrix = np.ascontiguousarray(matrix, dtype=complex)
+    return matrix.view(float).reshape(matrix.shape + (2,)).tolist()
 
 
 def matrix_from_json(data) -> np.ndarray:
@@ -166,7 +171,7 @@ def certificate_to_json(cert: StabilityCertificate) -> dict:
         "hinf_reduced": _scalar(cert.hinf_reduced),
         "F": matrix_to_json(cert.F),
         "P": matrix_to_json(cert.P) if cert.P is not None else None,
-        "mu": [complex_to_pair(m) for m in cert.mu] if cert.mu is not None else None,
+        "mu": matrix_to_json(cert.mu) if cert.mu is not None else None,
         "lambda_tilde": cert.lambda_tilde,
         "lambda": cert.lam,
         "c": cert.c,
@@ -272,5 +277,48 @@ def trajectory_csv(traj: FockTrajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _indented(node, pad: str = "") -> str:
+    """``json.dumps(node, indent=2)`` with ``pad`` after every newline, as the
+    node reads nested at that depth.
+
+    json takes its pure-Python encoder whenever ``indent`` is given; this
+    renders strings, finite floats, None, lists, tuples and str-keyed dicts
+    directly, and a list of finite [re, im] pairs with one f-string per
+    pair.  Any other node is left to json: JSON text holds no raw newline,
+    so padding its newlines nests it exactly.
+    """
+    kind = type(node)
+    if kind is str:
+        return encode_basestring_ascii(node)
+    elif isinstance(node, float):
+        if math.isfinite(node):
+            return float.__repr__(node)
+    elif node is None:
+        return "null"
+    elif kind is list or kind is tuple:
+        if not node:
+            return "[]"
+        inner = pad + "  "
+        items = []
+        for item in node:
+            if type(item) is list and len(item) == 2:
+                re, im = item
+                if type(re) is type(im) is float and math.isfinite(re) and math.isfinite(im):
+                    items.append(f"[\n{inner}  {re!r},\n{inner}  {im!r}\n{inner}]")
+                    continue
+            items.append(_indented(item, inner))
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    elif kind is dict and all(type(key) is str for key in node):
+        if not node:
+            return "{}"
+        inner = pad + "  "
+        items = [
+            f"{encode_basestring_ascii(key)}: {_indented(value, inner)}"
+            for key, value in node.items()
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    return json.dumps(node, indent=2).replace("\n", "\n" + pad)
+
+
 def dump_json(doc: dict, path: str | Path) -> None:
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    atomic_write_text(path, _indented(doc) + "\n")

@@ -230,6 +230,29 @@ class TestValidateCommand:
         assert main(["certify", "--gamma", "4.5", "--system", str(path)]) == EXIT_CONFIG
 
 
+class TestJsonArtifacts:
+    def test_every_json_artifact_is_json_dumps_with_indent(self, tmp_path):
+        zero = [[[0.0, 0.0]] * 2] * 2
+        asymmetric = [[[0.0, 0.0], [1.0, -0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(
+            {"M1": zero, "M2": asymmetric, "N1": zero, "N2": zero, "E1": zero, "E2": zero}
+        ))
+        runs = [
+            (["certify", *opa_flags(tmp_path / "certified")], "certified.certificate.json"),
+            (["certify", *opa_flags(tmp_path / "failed", gamma="1.0")], "failed.certificate.json"),
+            (["certify", *opa_flags(tmp_path / "eps"), "--eps", "0.01"], "eps.certificate.json"),
+            (["check-identities", *opa_flags(tmp_path / "ids")], "ids.identities.json"),
+            (["opa-region", *opa_flags(tmp_path / "region"), "--grid", "20"], "region.region.json"),
+            (["validate", "--system", str(system), "--out", str(tmp_path / "bad")],
+             "bad.validation.json"),
+        ]
+        for args, name in runs:
+            main(args)
+            text = (tmp_path / name).read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n", name
+
+
 class TestRegionCommand:
     def test_region_artifacts(self, tmp_path):
         out = tmp_path / "region"
@@ -354,9 +377,9 @@ class TestSweepCommand:
 
 class TestSweepSharesTheNorm:
     """A gamma or delta sweep builds one system, computes its two norms once
-    and certifies every point in one stacked call; a kappa or chi sweep
-    builds a system, and two norms, per point and certifies each point on
-    its own."""
+    and certifies every point in one stacked call; a kappa sweep builds a
+    system, and two norms, per point and certifies each point on its own; a
+    chi sweep, whose points share the system, certifies it once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -378,7 +401,7 @@ class TestSweepSharesTheNorm:
             ("delta1", "0.0", "0.5", 4, 2),
             ("delta2", "0.0", "0.5", 4, 2),
             ("kappa1", "0.5", "2.0", 4, 8),
-            ("chi", "0.05", "0.2", 4, 8),
+            ("chi", "0.05", "0.2", 4, 2),
         ],
     )
     def test_norm_and_certify_calls(self, tmp_path, calls, parameter, start, stop, steps, norms):
@@ -389,9 +412,32 @@ class TestSweepSharesTheNorm:
         stacked = parameter in ("gamma", "delta1", "delta2")
         assert calls == {
             "hinf_norm": norms,
-            "run_certify": 0 if stacked else steps,
+            "run_certify": 0 if stacked else 1 if parameter == "chi" else steps,
             "certify_sweep": int(stacked),
         }
+
+    def test_chi_sweep_certifies_once_with_the_rows_of_one_call_per_point(self, tmp_path, calls):
+        args = ["sweep", *opa_flags(tmp_path / "s"), "--parameter", "chi",
+                "--start", "0.05", "--stop", "0.45", "--steps", "9"]
+        assert main(args) == EXIT_OK
+        assert calls == {"hinf_norm": 2, "run_certify": 1, "certify_sweep": 0}
+        # the rows a certify call per point, each on its own OPA, writes
+        lines = ["chi,verdict,hinf_reduced,c1,c2,c3"]
+        for chi in np.linspace(0.05, 0.45, 9).tolist():
+            cert = certify(build_opa(OpaParams(1.0, 2.0, chi))[0], SectorBounds(4.5, 0.1, 0.1))
+            consts = ",".join("" if c is None else repr(c) for c in (cert.c1, cert.c2, cert.c3))
+            hinf = "" if not np.isfinite(cert.hinf_reduced) else repr(cert.hinf_reduced)
+            lines.append(f"{chi!r},{cert.verdict.value},{hinf},{consts}")
+        expected = ("\n".join(lines) + "\n").encode()
+        assert (tmp_path / "s.sweep.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("start, stop", [("-0.1", "0.2"), ("0.2", "0.0")])
+    def test_bad_chi_point_writes_no_csv(self, tmp_path, calls, start, stop):
+        args = ["sweep", *opa_flags(tmp_path / "s"), "--parameter", "chi",
+                "--start", start, "--stop", stop, "--steps", "3"]
+        assert main(args) == EXIT_CONFIG
+        assert not (tmp_path / "s.sweep.csv").exists()
+        assert calls["run_certify"] == 0
 
     def test_region_and_validate_compute_no_norm(self, tmp_path, calls):
         sys, _ = build_opa(OpaParams(1.0, 2.0, 0.1))

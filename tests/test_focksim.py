@@ -808,6 +808,22 @@ class TestReducedPropagation:
             tracemalloc.stop()
         assert peak < 1.6 * (block.data.nbytes + block.indices.nbytes + block.indptr.nbytes)
 
+    def test_block_arrays_hold_exactly_its_entries(self, rng):
+        # H_eff kron I and I kron conj(H_eff) share the diagonal entry, so the
+        # per-term count is larger than the stored entries
+        alg, H, L_ops = self.opa_problem(
+            8, generic_quadratic(rng, 0.05), params=OpaParams(1.0, 1.0, 0.05)
+        )
+        n = alg.total_dim
+        everything = np.arange(n * n)
+        block = _kept_superoperator(_superoperator_terms(H, L_ops, n), everything, everything, n)
+        nnz = block.indptr[-1]
+        for name in ("data", "indices"):
+            array = getattr(block, name)
+            # scipy may keep a view of the array it was given; its owner is what stays alive
+            owner = array if array.base is None else array.base
+            assert array.size == nnz and owner.flags.owndata and owner.nbytes == array.nbytes, name
+
     @pytest.mark.parametrize("generic", [False, True], ids=["opa", "generic"])
     def test_dense_operators_give_the_same_run(self, rng, generic):
         alg, H, L_ops = self.opa_problem(8, generic_quadratic(rng, 0.05) if generic else None)

@@ -265,6 +265,24 @@ class TestInvariantEllipsoid:
             assert 0.0 < level <= grid_min
         assert levels >= 5
 
+    def test_mode_diagonal_P_needs_no_norm(self, monkeypatch):
+        region = OpaRegion(self.params, SectorBounds(gamma=4.0, delta1=0.1, delta2=0.04))
+        P = np.diag([0.7, 2.5, 0.7, 2.5]).astype(complex)
+        expected = invariant_ellipsoid(P, region)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no spectral norm for a zero off-diagonal part")
+
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        assert invariant_ellipsoid(P, region) == expected > 0
+
+    def test_one_off_diagonal_entry_keeps_its_level(self):
+        region = OpaRegion(self.params, SectorBounds(gamma=4.0, delta1=0.1, delta2=0.04))
+        P = np.diag([0.7, 2.5, 0.7, 2.5]).astype(complex)
+        P[0, 3] = 0.05 - 0.02j
+        # the level computed with the spectral norm of every off-diagonal part
+        assert invariant_ellipsoid(P, region) == 4.892296703857309
+
     def test_rejects_indefinite_P(self):
         region = OpaRegion(self.params, self.bounds)
         with pytest.raises(StructureError, match="positive definite"):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_system
 from qstab import serialize
@@ -89,6 +91,74 @@ class TestAtomicWrite:
         expected = stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
         assert expected == 0o666 & ~umask
         assert stat.S_IMODE((tmp_path / "artifact.txt").stat().st_mode) == expected
+
+
+    def test_writes_a_large_text_whole(self, tmp_path):
+        text = "".join(f"{k!r},{k / 7!r}\n" for k in range(200_000))
+        assert len(text) > 4_000_000
+        target = tmp_path / "big.csv"
+        serialize.atomic_write_text(target, text)
+        assert target.read_bytes() == text.encode()
+
+    def test_failed_rename_keeps_the_old_artifact(self, tmp_path, monkeypatch):
+        target = tmp_path / "run.certificate.json"
+        serialize.atomic_write_text(target, "old\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            serialize.atomic_write_text(target, "new\n" * 1000)
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
+# finite and special floats, with the edges of repr: signed zero, the smallest
+# subnormal and the first float that repr writes with an exponent
+json_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, float("nan"), float("inf"), float("-inf")]),
+)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(), json_floats,
+    json_floats.map(np.float64),
+)
+# complex matrices as the certificate writes them: lists of [re, im] pairs
+json_pairs = st.lists(st.lists(json_floats, min_size=2, max_size=2), max_size=4)
+json_values = st.recursive(
+    st.one_of(json_scalars, json_pairs),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonRendering:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_equals_json_dumps_with_indent(self, value):
+        assert serialize._indented(value) == json.dumps(value, indent=2)
+
+    def test_escapes_and_fallbacks(self):
+        value = {
+            'quote " and \\ and \n': ["caf\u00e9", "\u2603", "\ud83d\ude00", "\x00\x1f"],
+            "pairs": [[1.0, -0.0], [float("nan"), 1.0], [np.float64(2.5), 3.0], [1, 2.0]],
+            "non-str keys": {1: 2.0, 1.5: None, True: [], None: {}},
+            "empty": [[], {}, ()],
+        }
+        assert serialize._indented(value) == json.dumps(value, indent=2)
+
+    def test_matrix_pairs_keep_signed_zeros(self):
+        m = np.array([[0.0, -0.0 - 0.0j], [complex(-0.0, 1.0), 1e-300 + 2j]])
+        pairs = serialize.matrix_to_json(m)
+        assert json.dumps(pairs) == json.dumps(
+            [[serialize.complex_to_pair(z) for z in row] for row in m]
+        )
+        assert [type(x) for x in pairs[0][1]] == [float, float]
 
 
 def row_loop_scan_csv(grids, mask, margin1, margin2):
