@@ -14,9 +14,15 @@ O(D^3) of a dense product.  The same storage serves stacks of operators,
 which share their offsets.  Linear and quadratic forms keep only the
 diagonals that hold an entry other than exactly 0, so products built from
 them never pair a zero diagonal: for a mode-diagonal P, as the OPA's
-usually is, V = x'Px is one diagonal of nine.  No function here returns a dense
-operator; ``toarray`` converts one.  The ladder operators of each (modes, dim)
-are built once in a process and shared, so their arrays are read-only.
+usually is, V = x'Px is one diagonal of nine.  The index work of each step
+depends only on the offsets, so it is a plan kept, read-only, by their
+bytes: ``_product_plan`` for products, ``_adjoint_plan`` for adjoints,
+``_union_plan`` for sums, differences and stacks, and ``_mask_plan`` for
+the safe-subspace maximum.  A product with an operator that has no
+diagonals, such as the OPA's zero Hamiltonian, is empty without a plan.
+No function here returns a dense operator; ``toarray`` converts one.  The
+ladder operators of each (modes, dim) are built once in a process and
+shared, so their arrays are read-only.
 
 The same algebra drives a density-matrix integrator for the master equation
 
@@ -123,29 +129,42 @@ class _Diagonals:
     __rmul__ = __mul__
 
     def __add__(self, other: _Diagonals) -> _Diagonals:
-        if not isinstance(other, _Diagonals):
-            return NotImplemented
-        if np.array_equal(self.offsets, other.offsets):
-            return _Diagonals(self.offsets, self.data + other.data)
-        return _stack([self, other]).sum()
+        return self._combine(other, np.add)
 
     def __sub__(self, other: _Diagonals) -> _Diagonals:
-        return self + (-other)
+        return self._combine(other, np.subtract)
+
+    def _combine(self, other: _Diagonals, ufunc: np.ufunc) -> _Diagonals:
+        """self + other or self - other by ``ufunc``: one call on equal offsets,
+        else other added to or subtracted from self on the union of both."""
+        if not isinstance(other, _Diagonals):
+            return NotImplemented
+        keys = (self.offsets.tobytes(), other.offsets.tobytes())
+        if keys[0] == keys[1]:
+            return _Diagonals(self.offsets, ufunc(self.data, other.data))
+        offsets, (mine, theirs) = _union_plan(keys)
+        data = np.zeros(_stack_shape([self, other]) + (offsets.size, self.dim), dtype=complex)
+        data[..., mine, :] = self.data
+        data[..., theirs, :] = ufunc(data[..., theirs, :], other.data)
+        return _Diagonals(offsets, data)
 
     def __matmul__(self, other: _Diagonals) -> _Diagonals:
+        if not (self.offsets.size and other.offsets.size):  # a product with 0
+            shape = _stack_shape([self, other]) + (0, self.dim)
+            return _Diagonals(np.zeros(0, dtype=int), np.zeros(shape, dtype=complex))
         # (AB)[r, r + oa + ob] = sum A[r, r + oa] B[r + oa, r + oa + ob] over
         # the pairs of diagonals; one real matrix product does the sum.
         offsets, ia, reads, fold = _product_plan(
             self.offsets.tobytes(), other.offsets.tobytes(), self.dim
         )
-        left = np.take(self.data, ia, axis=-2)
-        right = np.take(_flat(other.data), reads, axis=-1, mode="clip")
+        left = self.data.take(ia, axis=-2)
+        right = _flat(other.data).take(reads, axis=-1, mode="clip")
         terms = np.multiply(left, right, order="C")
         return _Diagonals(offsets, np.matmul(fold, terms.view(float)).view(complex))
 
     def adjoint(self) -> _Diagonals:
         offsets, reads, inside = _adjoint_plan(self.offsets.tobytes(), self.dim)
-        return _Diagonals(offsets, np.take(_flat(self.data), reads, axis=-1).conj() * inside)
+        return _Diagonals(offsets, _flat(self.data).take(reads, axis=-1).conj() * inside)
 
     def sum(self) -> _Diagonals:
         """Sum of the stack along its first axis."""
@@ -229,17 +248,25 @@ def _stack(ops: list[_Diagonals]) -> _Diagonals:
     """Operators, or stacks that broadcast together, stacked along a new
     first axis on the union of their offsets."""
     offsets, places = _union_plan(tuple(op.offsets.tobytes() for op in ops))
-    shape = np.broadcast_shapes(*(op.data.shape[:-2] for op in ops))
-    data = np.zeros((len(ops),) + shape + (offsets.size, ops[0].dim), dtype=complex)
+    shape = (len(ops),) + _stack_shape(ops) + (offsets.size, ops[0].dim)
+    data = np.zeros(shape, dtype=complex)
     for layer, place, op in zip(data, places, ops):
         layer[..., place, :] = op.data
     return _Diagonals(offsets, data)
+
+
+def _stack_shape(ops: list[_Diagonals]) -> tuple[int, ...]:
+    """The shape that the operators' stack axes broadcast to."""
+    shapes = {op.data.shape[:-2] for op in ops}
+    return shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
 
 
 def _nonzero(offsets: np.ndarray, data: np.ndarray) -> _Diagonals:
     """The operator or stack with these diagonals, keeping only those with an
     entry other than exactly 0 in some layer."""
     keep = data.any(axis=tuple(range(data.ndim - 2)) + (-1,))
+    if keep.all():
+        return _Diagonals(offsets, data)
     return _Diagonals(offsets[keep], data[..., keep, :])
 
 
@@ -340,11 +367,21 @@ def safe_residual(alg: TruncatedAlgebra, X: _Diagonals, degree: int) -> float:
 
 def _masked_max(X: _Diagonals, mask: np.ndarray) -> float:
     """Largest magnitude of the entries of X whose row and column are in ``mask``."""
+    block = _flat(X.data).take(_mask_plan(X.offsets.tobytes(), mask.tobytes()), axis=-1)
+    return float(np.abs(block).max()) if block.size else 0.0
+
+
+@functools.lru_cache(maxsize=256)
+def _mask_plan(key: bytes, mask_key: bytes) -> np.ndarray:
+    """Positions in an operator's flat data of its entries inside the space
+    with row and column in the boolean mask, both given by their bytes."""
+    offsets, mask = np.frombuffer(key, dtype=int), np.frombuffer(mask_key, dtype=bool)
     d = mask.size
-    cols = np.arange(d) + X.offsets[:, None]
+    cols = np.arange(d) + offsets[:, None]
     inside = (cols >= 0) & (cols < d)
-    block = X.data[..., inside & mask & np.take(mask, cols, mode="clip")]
-    return float(np.max(np.abs(block))) if block.size else 0.0
+    reads = np.flatnonzero(inside & mask & np.take(mask, cols, mode="clip"))
+    reads.setflags(write=False)
+    return reads
 
 
 def _linear_forms(alg: TruncatedAlgebra, A: np.ndarray) -> _Diagonals:
@@ -364,6 +401,8 @@ def quadratic_form(alg: TruncatedAlgebra, A: np.ndarray) -> _Diagonals:
     size = len(alg.x)
     if A.shape != (size, size):
         raise StructureError(f"expected a {size}x{size} form, got {A.shape}")
+    if not A.any():
+        return _zero(alg.total_dim)
     xx = alg.xx.data
     flat = A.ravel() @ xx.reshape(size**2, -1)
     return _nonzero(alg.xx.offsets, flat.reshape(xx.shape[-2:]))

@@ -292,12 +292,15 @@ class LinearQuantumSystem:
         """kappa_k = |N1_kk|^2 when M1 = M2 = N2 = E1 = 0, E2 = I_n and N1 is diagonal
         n x n (the OPA's structure: F = -diag(kappa, kappa) / 2), else None.  The
         closed-form P of ``certify`` and ``opa.opa_region`` read this one test."""
-        diag = np.diag(self.N1)
-        zero = not (self.M1.any() or self.M2.any() or self.N2.any() or self.E1.any())
-        diagonal = np.array_equal(self.N1, np.diag(diag))
-        if zero and diagonal and np.array_equal(self.E2, np.eye(self.n)):
-            return np.abs(diag) ** 2
-        return None
+        n, N1, E2 = self.n, self.N1, self.E2
+        if N1.shape != (n, n) or E2.shape != (n, n):
+            return None
+        if any(map(np.count_nonzero, (self.M1, self.M2, self.N2, self.E1))):
+            return None
+        diag = N1.diagonal()
+        off_diagonal = np.count_nonzero(N1) - np.count_nonzero(diag)
+        identity = np.count_nonzero(E2) == np.count_nonzero(E2.diagonal() == 1) == n
+        return np.abs(diag) ** 2 if identity and not off_diagonal else None
 
     @property
     def n(self) -> int:

@@ -7,6 +7,7 @@ plus rename so consumers never observe a partial file.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -44,24 +45,50 @@ __all__ = [
 ]
 
 
+# Temp files are named from the pid at import and a counter.  O_EXCL refuses
+# a name that exists already, as one can after a fork, and the next is tried.
+_PID = os.getpid()
+_TEMP_NAMES = itertools.count()
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write ``text``, encoded as UTF-8, to ``path`` through a temp file in the
     same directory and a rename.  The temp file is created as ``open()``
     creates a file (mode 0666 less the umask), so the artifact gets the same
-    mode as any new file there."""
+    mode as any new file there.  A missing parent directory is created.
+    Writing a new artifact takes four system calls: open, write, close and
+    rename."""
     parent, name = os.path.split(os.fspath(path))
-    if parent and not os.path.isdir(parent):
-        os.makedirs(parent, exist_ok=True)
-    tmp = os.path.join(parent, f"{name}{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    tmp, fd = _create_temp(parent, name)
     try:
-        with open(fd, "wb") as handle:
-            handle.write(text.encode())
+        try:
+            unwritten = memoryview(text.encode())
+            while unwritten:
+                unwritten = unwritten[os.write(fd, unwritten) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _create_temp(parent: str, name: str) -> tuple[str, int]:
+    """A new temp file next to ``name`` in ``parent``, opened for writing,
+    and its path; ``parent`` is created if the first try finds it missing."""
+    made = False
+    while True:
+        tmp = os.path.join(parent, f"{name}.{_PID}.{next(_TEMP_NAMES)}.tmp")
+        try:
+            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+        except FileNotFoundError:
+            if made or not parent:
+                raise
+            os.makedirs(parent, exist_ok=True)
+            made = True
 
 
 def json_number(value, kind=float):

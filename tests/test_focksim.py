@@ -19,14 +19,21 @@ from qstab.focksim import (
     build_algebra,
     check_commutator_identities,
     check_ms_bound,
+    _Diagonals,
     _closure,
+    _flat,
     _identity,
     _kept_superoperator,
     _linear_forms,
+    _mask_plan,
+    _masked_max,
+    _product_plan,
     _series_operators,
     _square_blocks,
     _superoperator_terms,
     _stack,
+    _union_plan,
+    _zero,
     coherent_state,
     coupling_operators,
     default_dt,
@@ -297,6 +304,199 @@ class TestDiagonalStorage:
         assert np.count_nonzero(np.any(op.data != 0, axis=1)) == 1
 
 
+# The diagonal algebra's primitives by their definitions, without the fast
+# paths: a sum stacks both operators on the union of their offsets and sums
+# the stack, a difference adds the negation, every product goes through its
+# plan, and the safe-subspace maximum builds its mask on every call.
+
+
+def stacked_combine(self, other, ufunc):
+    if ufunc is np.subtract:
+        other = -other
+    if np.array_equal(self.offsets, other.offsets):
+        return _Diagonals(self.offsets, self.data + other.data)
+    return _stack([self, other]).sum()
+
+
+def planned_product(self, other):
+    offsets, ia, reads, fold = _product_plan(
+        self.offsets.tobytes(), other.offsets.tobytes(), self.dim
+    )
+    left = np.take(self.data, ia, axis=-2)
+    right = np.take(_flat(other.data), reads, axis=-1, mode="clip")
+    terms = np.multiply(left, right, order="C")
+    return _Diagonals(offsets, np.matmul(fold, terms.view(float)).view(complex))
+
+
+def broadcast_stack(ops):
+    offsets, places = _union_plan(tuple(op.offsets.tobytes() for op in ops))
+    shape = np.broadcast_shapes(*(op.data.shape[:-2] for op in ops))
+    data = np.zeros((len(ops),) + shape + (offsets.size, ops[0].dim), dtype=complex)
+    for layer, place, op in zip(data, places, ops):
+        layer[..., place, :] = op.data
+    return _Diagonals(offsets, data)
+
+
+def reindexed_nonzero(offsets, data):
+    keep = data.any(axis=tuple(range(data.ndim - 2)) + (-1,))
+    return _Diagonals(offsets[keep], data[..., keep, :])
+
+
+def per_call_masked_max(X, mask):
+    d = mask.size
+    cols = np.arange(d) + X.offsets[:, None]
+    inside = (cols >= 0) & (cols < d)
+    block = X.data[..., inside & mask & np.take(mask, cols, mode="clip")]
+    return float(np.max(np.abs(block))) if block.size else 0.0
+
+
+def contracted_quadratic_form(alg, A):
+    A = np.asarray(A, dtype=complex)
+    xx = alg.xx.data
+    flat = A.ravel() @ xx.reshape(len(alg.x) ** 2, -1)
+    return reindexed_nonzero(alg.xx.offsets, flat.reshape(xx.shape[-2:]))
+
+
+def patch_to_definitions(monkeypatch):
+    monkeypatch.setattr(_Diagonals, "_combine", stacked_combine)
+    monkeypatch.setattr(_Diagonals, "__matmul__", planned_product)
+    for name, definition in (
+        ("_stack", broadcast_stack),
+        ("_nonzero", reindexed_nonzero),
+        ("_masked_max", per_call_masked_max),
+        ("quadratic_form", contracted_quadratic_form),
+    ):
+        monkeypatch.setattr(qstab.focksim, name, definition)
+
+
+def same_bits(A, B) -> bool:
+    return (
+        A.offsets.tobytes() == B.offsets.tobytes()
+        and A.data.shape == B.data.shape
+        and A.data.tobytes() == B.data.tobytes()
+    )
+
+
+class TestFastPaths:
+    """Each fast path of the diagonal algebra against its definition."""
+
+    def operators(self, seed, modes=2, dim=4):
+        rng = np.random.default_rng(seed)
+        alg = build_algebra(modes, dim)
+        eye = _identity(alg.total_dim)
+        A, B = (evaluate(random_polynomial(rng, modes, 3), alg.x, eye) for _ in range(2))
+        return alg, A, B @ alg.x[seed % (2 * modes)]  # B's offsets shifted off A's
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_difference_is_the_sum_with_the_negation(self, seed):
+        alg, A, B = self.operators(seed)
+        stack = _stack([A, B, alg.x[0]])
+        pairs = [(A, B), (B, A), (A, A), (A, alg.x[0]), (stack, B), (A, stack), (stack, stack)]
+        pairs += [(stack[:, None], _stack([B, A])[None, :])]
+        for left, right in pairs:
+            assert same_bits(left - right, left + (-right))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sum_and_difference_match_dense(self, seed):
+        alg, A, B = self.operators(seed)
+        assert not np.array_equal(A.offsets, B.offsets)
+        for left, right in [
+            (A, B),
+            (alg.x[0], alg.x[3]),
+            (_stack([A, B])[:, None], _stack([B, alg.x[1], A])[None, :]),
+            (A, _stack([B, alg.x[2]])),
+            (_zero(alg.total_dim), A),
+        ]:
+            ld, rd = left.toarray(), right.toarray()
+            assert np.array_equal((left + right).toarray(), ld + rd)
+            assert np.array_equal((left - right).toarray(), ld - rd)
+            # and the stack-and-sum definition, as numbers: where only the left
+            # operand has a diagonal, the stack's + 0 turns a -0.0 into 0.0
+            for ufunc, result in ((np.add, left + right), (np.subtract, left - right)):
+                defined = stacked_combine(left, right, ufunc)
+                assert np.array_equal(result.offsets, defined.offsets)
+                assert result.data.shape == defined.data.shape
+                assert np.array_equal(result.data, defined.data)
+
+    def test_product_with_an_empty_operand(self, monkeypatch):
+        alg, A, _ = self.operators(0)
+        d = alg.total_dim
+        empty = _Diagonals(np.zeros(0, dtype=int), np.zeros((1, 3, 0, d), dtype=complex))
+        stack = _stack([A, A])[:, None]  # stack shape (2, 1)
+        monkeypatch.setattr(qstab.focksim, "_product_plan", None)  # no plan is made
+        for left, right, shape in [
+            (A, _zero(d), ()),
+            (_zero(d), A, ()),
+            (stack, empty, (2, 3)),
+            (empty, stack, (2, 3)),
+            (quadratic_form(alg, np.zeros((4, 4))), alg.x, (4,)),
+        ]:
+            product = left @ right
+            assert product.offsets.size == 0
+            assert product.shape == shape + (d, d)
+            assert not product.toarray().any()
+        monkeypatch.undo()
+        assert same_bits(stack @ empty, planned_product(stack, empty))
+
+    def test_zero_quadratic_form_has_no_diagonals(self):
+        alg = build_algebra(2, 5)
+        zero = quadratic_form(alg, np.zeros((4, 4)))
+        assert same_bits(zero, contracted_quadratic_form(alg, np.zeros((4, 4))))
+        assert zero.shape == (25, 25)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_masked_max_matches_dense(self, seed):
+        alg, A, B = self.operators(seed, dim=5)
+        rng = np.random.default_rng(seed)
+        for op in (A, A @ B, _stack([A, B]), _stack([A, B])[:, None] @ _stack([B, A])[None]):
+            dense = op.toarray()
+            for degree in range(4):
+                mask = safe_mask(alg, degree)
+                block = dense[..., mask, :][..., mask]
+                assert _masked_max(op, mask) == np.max(np.abs(block))
+                assert _masked_max(op, mask) == per_call_masked_max(op, mask)
+            mask = rng.random(alg.total_dim) < 0.5
+            expected = np.max(np.abs(dense[..., mask, :][..., mask]), initial=0.0)
+            assert _masked_max(op, mask) == expected
+
+    def test_masked_max_of_an_empty_block_is_zero(self):
+        alg = build_algebra(2, 4)
+        mask = np.zeros(alg.total_dim, dtype=bool)
+        mask[0] = True
+        assert _masked_max(_zero(alg.total_dim), safe_mask(alg, 1)) == 0.0
+        assert _masked_max(_stack([alg.x[0], alg.x[2]]), mask) == 0.0  # no diagonal at 0
+        assert _masked_max(alg.x, np.zeros(alg.total_dim, dtype=bool)) == 0.0
+
+    def test_plans_are_read_only_and_caches_bounded(self):
+        alg, A, B = self.operators(1)
+        reads = _mask_plan(A.offsets.tobytes(), safe_mask(alg, 1).tobytes())
+        offsets, places = _union_plan((A.offsets.tobytes(), B.offsets.tobytes()))
+        for array in (reads, offsets, *places):
+            assert not array.flags.writeable
+        caches = [
+            value
+            for value in vars(qstab.focksim).values()
+            if hasattr(value, "cache_info") and value.__module__ == "qstab.focksim"
+        ]
+        assert _mask_plan in caches and _union_plan in caches
+        assert all(cache.cache_info().maxsize is not None for cache in caches)
+
+    def test_nonzero_keeping_every_diagonal(self, rng):
+        alg = build_algebra(2, 5)
+        Q = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        full = quadratic_form(alg, Q)
+        assert np.array_equal(full.offsets, alg.xx.offsets)
+        assert same_bits(full, contracted_quadratic_form(alg, Q))
+        forms = _linear_forms(alg, Q)
+        x = alg.x.data
+        flat = (Q @ _flat(x)).reshape((4,) + x.shape[-2:])
+        assert same_bits(forms, reindexed_nonzero(alg.x.offsets, flat))
+        Q[:, :2] = 0.0  # only the a' half: half of the diagonals
+        flat = (Q @ _flat(x)).reshape((4,) + x.shape[-2:])
+        assert same_bits(_linear_forms(alg, Q), reindexed_nonzero(alg.x.offsets, flat))
+        assert _linear_forms(alg, Q).offsets.size == 2
+
+
 class TestOperatorOfSeries:
     def test_opa_interaction_matrix(self):
         chi = 0.1
@@ -522,6 +722,20 @@ class TestOracleSensitivity:
             alone = operator_of_series(alg, sys, f)
             assert np.array_equal(op.offsets, alone.offsets)
             assert np.array_equal(op.data, alone.data)
+
+    @pytest.mark.parametrize("dim", [6, 14])
+    @pytest.mark.parametrize("system", ["opa", "generic"])
+    def test_fast_paths_change_no_bit(self, monkeypatch, system, dim):
+        # the check with every primitive patched back to its definition gives
+        # the same five residuals, bit for bit
+        sys, series, P = getattr(self, system)()
+        alg = build_algebra(2, dim)
+        fast = check_commutator_identities(alg, sys, series, P)
+        patch_to_definitions(monkeypatch)
+        defined = check_commutator_identities(alg, sys, series, P)
+        monkeypatch.undo()
+        assert len(fast) == 5
+        assert {k: v.hex() for k, v in fast.items()} == {k: v.hex() for k, v in defined.items()}
 
     @pytest.mark.parametrize("dim", [6, 14])
     def test_wrong_mu_is_caught(self, monkeypatch, dim):

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qstab.model
@@ -202,3 +202,83 @@ class TestSmallGainNorm:
         assert norm_calls == []
         with pytest.raises(NotHurwitzError):
             sys.hinf
+
+
+def reference_opa_kappa(sys):
+    """The OPA structure test by its definition, against freshly built I_n and diag(N1)."""
+    diag = np.diag(sys.N1)
+    zero = not (sys.M1.any() or sys.M2.any() or sys.N2.any() or sys.E1.any())
+    diagonal = np.array_equal(sys.N1, np.diag(diag))
+    if zero and diagonal and np.array_equal(sys.E2, np.eye(sys.n)):
+        return np.abs(diag) ** 2
+    return None
+
+
+class TestOpaStructure:
+    def blocks(self):
+        sys, _ = build_opa(OpaParams(kappa1=1.3, kappa2=2.1, chi=0.1))
+        return {name: np.array(getattr(sys, name)) for name in ("M1", "M2", "N1", "N2", "E1", "E2")}
+
+    def near_misses(self):
+        cases = {}
+        for name in ("M1", "M2", "N2", "E1"):
+            blocks = self.blocks()
+            blocks[name][1, 0] = 1e-300
+            cases[f"nonzero-{name}"] = blocks
+        blocks = self.blocks()
+        blocks["N1"][0, 1] = 0.25
+        cases["off-diagonal-N1"] = blocks
+        blocks = self.blocks()
+        blocks["E2"] = np.diag([1.0, 1.0 + 2.0**-52])
+        cases["E2-not-identity"] = blocks
+        blocks = self.blocks()
+        blocks["E2"] = np.diag([1.0, 1j])
+        cases["E2-complex-unit"] = blocks
+        blocks = self.blocks()
+        blocks["E1"], blocks["E2"] = np.zeros((3, 2)), np.eye(3, 2)
+        cases["p-greater-than-n"] = blocks
+        blocks = self.blocks()
+        blocks["E1"], blocks["E2"] = np.zeros((1, 2)), np.eye(1, 2)
+        cases["p-less-than-n"] = blocks
+        blocks = self.blocks()
+        blocks["N1"], blocks["N2"] = np.eye(3, 2), np.zeros((3, 2))
+        cases["m-greater-than-n"] = blocks
+        return cases
+
+    def test_the_opa_and_its_near_misses(self):
+        sys = LinearQuantumSystem(**self.blocks())
+        assert np.array_equal(sys.opa_kappa, reference_opa_kappa(sys))
+        np.testing.assert_allclose(sys.opa_kappa, [1.3, 2.1], rtol=1e-15)
+        for case, blocks in self.near_misses().items():
+            sys = LinearQuantumSystem(**blocks)
+            assert sys.opa_kappa is None, case
+            assert reference_opa_kappa(sys) is None, case
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        m=st.integers(1, 4),
+        p=st.integers(1, 4),
+        zeros=st.lists(st.booleans(), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2, m=2, p=2, zeros=[True, True, False, True, True, False], seed=0)
+    @example(n=3, m=3, p=3, zeros=[True, True, False, True, True, False], seed=1)
+    def test_same_verdict_as_the_definition(self, n, m, p, zeros, seed):
+        # each block is zero, its OPA value or a random one with a sparse pattern
+        rng = np.random.default_rng(seed)
+        shapes = {"M1": (n, n), "M2": (n, n), "N1": (m, n), "N2": (m, n), "E1": (p, n), "E2": (p, n)}
+        opa = {"N1": np.diag(rng.uniform(0.5, 2.0, n)), "E2": np.eye(n)}
+        blocks = {}
+        for (name, shape), zero in zip(shapes.items(), zeros):
+            if name in opa and shape == (n, n) and not zero:
+                blocks[name] = opa[name]
+            else:
+                pattern = rng.random(shape) < 0.3
+                blocks[name] = np.where(pattern, rng.normal(size=shape), 0.0) if not zero else np.zeros(shape)
+        sys = LinearQuantumSystem(**blocks)
+        expected = reference_opa_kappa(sys)
+        if expected is None:
+            assert sys.opa_kappa is None
+        else:
+            assert np.array_equal(sys.opa_kappa, expected)

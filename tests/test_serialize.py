@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import stat
@@ -112,6 +113,52 @@ class TestAtomicWrite:
             serialize.atomic_write_text(target, "new\n" * 1000)
         assert target.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+    def test_skips_a_file_at_the_temp_name(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(serialize, "_TEMP_NAMES", itertools.count(7))
+        taken = [tmp_path / f"out.json.{os.getpid()}.{k}.tmp" for k in (7, 8)]
+        for path in taken:
+            path.write_text("someone else's\n")
+        serialize.atomic_write_text(tmp_path / "out.json", "{}\n")
+        assert (tmp_path / "out.json").read_text() == "{}\n"
+        assert all(path.read_text() == "someone else's\n" for path in taken)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["out.json"] + [path.name for path in taken]
+        )
+
+    def test_creates_missing_parents(self, tmp_path):
+        target = tmp_path / "a" / "b" / "c" / "file.txt"
+        serialize.atomic_write_text(target, "x\n")
+        assert target.read_text() == "x\n"
+        assert [p.name for p in target.parent.iterdir()] == ["file.txt"]
+
+    def test_a_file_in_place_of_the_parent_raises(self, tmp_path):
+        (tmp_path / "a").write_text("")
+        with pytest.raises(NotADirectoryError):
+            serialize.atomic_write_text(tmp_path / "a" / "file.txt", "x\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["a"]
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:5])))
+        text = "".join(f"{k}\u00e9\n" for k in range(100))
+        serialize.atomic_write_text(tmp_path / "short.txt", text)
+        assert (tmp_path / "short.txt").read_bytes() == text.encode()
+
+    def test_four_system_calls(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("open", "write", "close", "replace", "stat", "makedirs", "fstat", "getpid"):
+            original = getattr(os, name)
+
+            def recorded(*args, original=original, name=name, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(os, name, recorded)
+        serialize.atomic_write_text(tmp_path / "run.identities.json", "{}\n")
+        monkeypatch.undo()
+        assert calls == ["open", "write", "close", "replace"]
+        assert (tmp_path / "run.identities.json").read_text() == "{}\n"
 
 
 # finite and special floats, with the edges of repr: signed zero, the smallest
