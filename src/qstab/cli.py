@@ -10,9 +10,10 @@ chi, which changes only the series, certifies the run's one system.
 
 Exit codes: 0 success / certified / all checks pass; 1 drift matrix not
 Hurwitz; 2 small-gain condition failed; 3 a numerical check failed
-(validation report nonempty, identity residual too large, or the simulated
-mean-square bound violated); 64 config error, including a Fock truncation
-too small for the request; 66 unreadable input or unwritable output.
+(validation report nonempty, identity residual too large, the simulated
+mean-square bound violated, or the region's phase scan disagreeing with its
+closed form); 64 config error, including a Fock truncation too small for the
+request; 66 unreadable input or unwritable output.
 """
 
 from __future__ import annotations
@@ -340,26 +341,32 @@ def _cmd_opa_region(config: RunConfig) -> int:
     lb, ceiling = region.lambda_bar, region.ceiling
     rows = opa.region_curve(region, config.grid)
     _write_text(config, ".region.csv", serialize.region_csv(rows))
-    if _out_path(config, "") is not None:
-        # phase-sampled admissibility mask on the same extent as the curve
-        n_cells = min(config.grid, 100)
-        grids = [
-            np.linspace(0.0, lb.root * 1.05, n_cells),
-            np.linspace(0.0, max(ceiling, 1e-12) * 1.2, n_cells),
-        ]
-        mask, m1, m2 = scan_sector_region(series, bounds, grids)
-        _write_text(config, ".scan.csv", serialize.scan_csv(grids, mask, m1, m2))
+    # phase-sampled admissibility mask on the same extent as the curve: a check
+    n_cells = min(config.grid, 100)
+    grids = [
+        np.linspace(0.0, lb.root * 1.05, n_cells),
+        np.linspace(0.0, max(ceiling, 1e-12) * 1.2, n_cells),
+    ]
+    mask, m1, m2 = scan_sector_region(series, bounds, grids)
+    _write_text(config, ".scan.csv", serialize.scan_csv(grids, mask))
+    disagreements, worst = opa.scan_disagreements(region, grids, mask, m1, m2)
     report = {
         "lambda_bar_caption": lb.caption,
         "lambda_bar_root": lb.root,
         "caption_discrepancy": lb.discrepancy,
         "z2_ceiling": ceiling,
+        "scan_disagreements": disagreements,
+        "scan_worst_margin": worst,
     }
     _write_json(config, ".region.json", report)
     print(
         f"right endpoint |z1|^2 = {lb.root!r} (caption formula {lb.caption!r}, "
         f"discrepancy {lb.discrepancy!r}); |z2|^2 ceiling {ceiling!r}"
     )
+    if disagreements:
+        msg = f"the phase scan disagrees with the closed-form region on {disagreements} of"
+        print(f"{msg} {mask.size} cells", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "build_opa",
     "closed_form_hinf",
     "region_curve",
+    "scan_disagreements",
     "invariant_ellipsoid",
 ]
 
@@ -174,6 +175,21 @@ def region_curve(region: OpaRegion, n_samples: int) -> list[tuple[float, float, 
         cap = region.cap(float(z1sq))
         rows.append((float(z1sq), cap, "d3" if cap >= region.ceiling else "d2"))
     return rows
+
+
+def scan_disagreements(region: OpaRegion, grids, mask, margin1, margin2):
+    """Check a ``scan_sector_region`` mask on grids of u = |z1|^2 and v = |z2|^2
+    (two points or more) against the closed form v <= cap(u).  Returns the
+    count of cells that disagree more than one v step from min(cap(u), last v),
+    and the least min(margin1, margin2) over the cells beyond that band that
+    the closed form admits (None if there are none)."""
+    g1, g2 = (np.asarray(g, dtype=float) for g in grids)
+    caps = np.array([region.cap(u) for u in g1.tolist()])[:, None]
+    outside = np.abs(g2 - np.minimum(caps, g2[-1])) > (g2[1] - g2[0]) * (1.0 + 1e-9)
+    expected = g2 <= caps
+    worst = np.minimum(margin1, margin2)[expected & outside]
+    count = int(np.count_nonzero((mask != expected) & outside))
+    return count, float(worst.min()) if worst.size else None
 
 
 def invariant_ellipsoid(P: np.ndarray, region: OpaRegion) -> float:

@@ -247,51 +247,25 @@ def region_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _float_reprs(values: np.ndarray) -> list[str]:
-    """``repr(float(v))`` of each entry in C order, one repr per distinct value.
-
-    Values are told apart by bit pattern, so -0.0, 0.0 and NaN keep their own
-    repr.  One sort of the bit patterns finds the distinct values; when every
-    value is distinct, each is formatted directly with no lookup.
-    """
-    flat = values.ravel()
-    bits = flat.view(np.int64)
-    ordered = np.sort(bits)
-    first = np.ones(bits.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    if first.all():
-        return list(map(repr, flat.tolist()))
-    distinct = ordered[first]
-    texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
-    return texts[np.searchsorted(distinct, bits)].tolist()
-
-
-def scan_csv(grids, mask, margin1, margin2) -> str:
-    """Admissibility mask and margins over a two-channel magnitude grid.
-
-    One line per cell, row-major over (|z1|^2, |z2|^2), every float written as
-    its repr.  Each margin column calls repr once per distinct value.
-    """
+def scan_csv(grids, mask) -> str:
+    """Admissibility mask over a two-channel magnitude grid: one line per
+    cell, row-major over (|z1|^2, |z2|^2), each grid value written as its
+    repr.  A grid row is one join of its "|z1|^2," with the "|z2|^2,flag" tails."""
     if len(grids) != 2:
         raise StructureError("scan CSV is defined for two channels")
     g1, g2 = (np.asarray(g, dtype=float) for g in grids)
-    flags = np.asarray(mask, dtype=int)
-    margins = [np.ascontiguousarray(m, dtype=float) for m in (margin1, margin2)]
-    shapes = [g1.shape, g2.shape, flags.shape, *(m.shape for m in margins)]
-    if g1.ndim != 1 or g2.ndim != 1 or any(s != g1.shape + g2.shape for s in shapes[2:]):
+    flags = np.asarray(mask, dtype=bool)
+    if g1.ndim != 1 or g2.ndim != 1 or flags.shape != g1.shape + g2.shape:
         raise StructureError(
-            "scan CSV needs 1-D grids and (len(grid1), len(grid2)) arrays; got grids "
-            "{} and {}, mask {}, margin1 {}, margin2 {}".format(*shapes)
+            "scan CSV needs 1-D grids and a (len(grid1), len(grid2)) mask; got grids "
+            f"{g1.shape} and {g2.shape}, mask {flags.shape}"
         )
-    t1, t2 = (list(map(repr, g.tolist())) for g in (g1, g2))
-    # zip stops at the end of t2 and so takes one grid row from each margin
-    x1, x2 = (iter(_float_reprs(m)) for m in margins)
-    blocks = ["|z1|^2,|z2|^2,admissible,margin1,margin2\n"]
-    # one text block per grid row: holding all 10 000 line strings until one join
-    # raises the peak by ~0.6 MB
-    for a, row in zip(t1, flags.tolist()):
-        cells = zip(t2, row, x1, x2)
-        blocks.append("".join([f"{a},{b},{flag},{x},{y}\n" for b, flag, x, y in cells]))
+    t2 = list(map(repr, g2.tolist()))
+    zeros, ones = (np.array([f"{b},{flag}\n" for b in t2], dtype=object) for flag in (0, 1))
+    blocks = ["|z1|^2,|z2|^2,admissible\n"]
+    for a, row in zip(g1.tolist(), flags):
+        lead = f"{a!r},"
+        blocks.append(lead.join(["", *np.where(row, ones, zeros).tolist()]))
     return "".join(blocks)
 
 

@@ -272,12 +272,67 @@ class TestRegionCommand:
         assert float(first[1]) == pytest.approx(1.0)  # 0.04 / (4 * 0.01)
         assert first[2] == "d3"
         report = json.loads((tmp_path / "region.region.json").read_text())
+        assert list(report) == [
+            "lambda_bar_caption", "lambda_bar_root", "caption_discrepancy", "z2_ceiling",
+            "scan_disagreements", "scan_worst_margin",
+        ]
         assert report["lambda_bar_root"] == pytest.approx(6.25, abs=1e-12)
         assert report["lambda_bar_caption"] == pytest.approx(6.25, abs=1e-12)
+        # delta1 = 0 leaves margin1 exactly 0 at the origin
+        assert report["scan_disagreements"] == 0 and report["scan_worst_margin"] == 0.0
         scan_lines = (tmp_path / "region.scan.csv").read_text().splitlines()
-        assert scan_lines[0] == "|z1|^2,|z2|^2,admissible,margin1,margin2"
-        origin = scan_lines[1].split(",")
-        assert origin[2] == "1"  # the origin is always admissible
+        assert scan_lines[0] == "|z1|^2,|z2|^2,admissible"
+        assert len(scan_lines) == 1 + 100 * 100
+        assert scan_lines[1] == "0.0,0.0,1"  # the origin is always admissible
+
+
+_REGION_ARGS = ["opa-region", "--kappa1", "1", "--kappa2", "1", "--chi", "0.1",
+                "--gamma", "4.0", "--delta1", "0.0", "--delta2", "0.04", "--grid", "20"]
+
+
+class TestRegionCheck:
+    """opa-region checks its phase-sampled scan against the closed form."""
+
+    @staticmethod
+    def flip(monkeypatch, pick):
+        """Make the scan flip the cell ``pick(mask)`` chooses."""
+        real = cli.scan_sector_region
+
+        def scan(series, bounds, grids):
+            mask, margin1, margin2 = real(series, bounds, grids)
+            cell = pick(mask)
+            mask[cell] = not mask[cell]
+            return mask, margin1, margin2
+
+        monkeypatch.setattr(cli, "scan_sector_region", scan)
+
+    def test_a_cell_flipped_inside_the_region_fails(self, tmp_path, monkeypatch, capsys):
+        # cap(0) = 1.0 and cells are 1.2 / 19 apart: the origin is ~16 cells inside
+        self.flip(monkeypatch, lambda mask: (0, 0))
+        out = tmp_path / "region"
+        assert main([*_REGION_ARGS, "--out", str(out)]) == EXIT_CHECK_FAILED
+        assert "disagrees with the closed-form region on 1 of 400 cells" in capsys.readouterr().err
+        report = json.loads((tmp_path / "region.region.json").read_text())
+        assert report["scan_disagreements"] == 1
+        assert report["scan_worst_margin"] == 0.0
+        assert (tmp_path / "region.region.csv").exists()
+        scan_lines = (tmp_path / "region.scan.csv").read_text().splitlines()
+        assert scan_lines[1] == "0.0,0.0,0"
+
+    def test_a_cell_flipped_on_the_boundary_passes(self, tmp_path, monkeypatch):
+        # the top admissible cell of the first column, within one cell of cap(0)
+        self.flip(monkeypatch, lambda mask: (0, np.nonzero(mask[0])[0][-1]))
+        out = tmp_path / "region"
+        assert main([*_REGION_ARGS, "--out", str(out)]) == EXIT_OK
+        report = json.loads((tmp_path / "region.region.json").read_text())
+        assert report["scan_disagreements"] == 0
+
+    def test_the_check_runs_without_out(self, tmp_path, monkeypatch, capsys):
+        self.flip(monkeypatch, lambda mask: (0, 0))
+        monkeypatch.chdir(tmp_path)
+        assert main(_REGION_ARGS) == EXIT_CHECK_FAILED
+        assert "on 1 of 400 cells" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulateCommand:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qstab.certify import certify
@@ -12,6 +12,7 @@ from qstab.opa import (
     closed_form_hinf,
     invariant_ellipsoid,
     region_curve,
+    scan_disagreements,
 )
 from qstab.perturbation import (
     SectorBounds,
@@ -189,6 +190,75 @@ class TestRegionCurve:
                 m1, m2 = sector_margins(series, self.bounds, z)
                 assert m1 >= -1e-10
                 assert m2 >= -1e-10
+
+
+def _region_scan(params, bounds, n_cells):
+    """The region and its phase-sampled scan on opa-region's extent."""
+    region = OpaRegion(params, bounds)
+    grids = [
+        np.linspace(0.0, region.lambda_bar.root * 1.05, n_cells),
+        np.linspace(0.0, max(region.ceiling, 1e-12) * 1.2, n_cells),
+    ]
+    return region, grids, *scan_sector_region(build_opa(params)[1], bounds, grids)
+
+
+class TestScanDisagreements:
+    params = OpaParams(1.0, 1.0, 0.1)
+    bounds = SectorBounds(gamma=4.0, delta1=0.0, delta2=0.04)
+
+    def test_agreeing_scan(self):
+        region, grids, mask, m1, m2 = _region_scan(self.params, self.bounds, 20)
+        # delta1 = 0 leaves margin1 exactly 0 at the origin
+        assert scan_disagreements(region, grids, mask, m1, m2) == (0, 0.0)
+
+    def test_a_cell_flipped_inside_the_region_disagrees(self):
+        region, grids, mask, m1, m2 = _region_scan(self.params, self.bounds, 20)
+        cell = grids[1][1] - grids[1][0]
+        # the origin lies ~16 cells below the ceiling
+        assert region.cap(0.0) - grids[1][0] > 2 * cell and mask[0, 0]
+        mask[0, 0] = False
+        assert scan_disagreements(region, grids, mask, m1, m2) == (1, 0.0)
+
+    def test_a_cell_flipped_outside_the_region_disagrees(self):
+        region, grids, mask, m1, m2 = _region_scan(self.params, self.bounds, 20)
+        assert not mask[0, -1] and grids[1][-1] > region.cap(0.0) + 2 * (grids[1][1] - grids[1][0])
+        mask[0, -1] = True
+        assert scan_disagreements(region, grids, mask, m1, m2)[0] == 1
+
+    def test_a_cell_flipped_on_the_boundary_agrees(self):
+        region, grids, mask, m1, m2 = _region_scan(self.params, self.bounds, 20)
+        top = np.nonzero(mask[0])[0][-1]
+        assert abs(grids[1][top] - region.cap(0.0)) <= grids[1][1] - grids[1][0]
+        mask[0, top] = False
+        assert scan_disagreements(region, grids, mask, m1, m2)[0] == 0
+        mask[0, top + 1] = True
+        assert scan_disagreements(region, grids, mask, m1, m2)[0] == 0
+
+    def test_no_admitted_cell_outside_the_band(self):
+        # two cells a side: every cell lies within one cell of the boundary
+        region, grids, mask, m1, m2 = _region_scan(self.params, self.bounds, 2)
+        assert scan_disagreements(region, grids, mask, m1, m2) == (0, None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kappa=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+        chi=st.floats(0.02, 0.3),
+        factor=st.floats(0.9, 4.0),
+        delta1=st.sampled_from([0.0, 0.01, 0.1, 1.0]),
+        delta2=st.sampled_from([0.0, 0.04, 0.1, 1.0]),
+        n_cells=st.sampled_from([7, 20, 100]),
+    )
+    @example(kappa=(1.0, 1.0), chi=0.1, factor=2.0, delta1=0.0, delta2=0.0, n_cells=100)
+    @example(kappa=(0.2, 5.0), chi=0.3, factor=0.9, delta1=0.0, delta2=1.0, n_cells=7)
+    def test_the_scan_agrees_with_the_closed_form(self, kappa, chi, factor, delta1, delta2, n_cells):
+        params = OpaParams(*kappa, chi)
+        gamma = factor * 2.0 * closed_form_hinf(params)
+        region, grids, mask, m1, m2 = _region_scan(
+            params, SectorBounds(gamma, delta1, delta2), n_cells
+        )
+        count, worst = scan_disagreements(region, grids, mask, m1, m2)
+        assert count == 0
+        assert worst is None or worst >= 0.0
 
 
 def _certified_P(params, bounds):
