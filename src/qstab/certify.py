@@ -16,8 +16,9 @@ stabilizing solution of a regularized Riccati equation.  Given an OPA's
 perturbation series, it also records the invariant level.
 
 ``certify_sweep`` runs the pipeline for one system over a sequence of
-sector bounds in one pass: what the points share once, the rest as array
-operations on a stack of P.  ``certify`` is its batch of one.
+sector bounds: what the points share once, the closed form's p* and
+constants on one stack of P, and the Riccati path point by point, so each
+point's certificate is its own.  ``certify`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import QmiInfeasibleError, QstabError, StructureError
+from .errors import QmiInfeasibleError, StructureError
 from .model import (
     LinearQuantumSystem, _realizations, _require_hurwitz, _stable, structure_matrices
 )
@@ -236,19 +237,18 @@ class CertificateConstants:
 def _stacked_constants(
     sys: LinearQuantumSystem, gamma: np.ndarray, delta1: np.ndarray, delta2: np.ndarray,
     P: np.ndarray,
-) -> list[CertificateConstants | StructureError]:
+) -> list[CertificateConstants]:
     """``certificate_constants`` for a (k, 2n, 2n) stack of P and k bounds.
 
-    Each point gets its constants, or the StructureError of a P that is not
-    positive definite; the stacked ``eigh`` and ``eigvalsh`` run LAPACK on
-    each matrix as an unstacked call would, so the constants do not depend
-    on the stack.
+    Raises the StructureError of the first P that is not positive definite.
+    Only the closed form stacks more than one P, and its points get the
+    constants of a batch of one, bit for bit; on a general stack the einsum
+    of ``mu_constants`` may sum in another order.
     """
     eigs, V = np.linalg.eigh(P)
-    definite = ~(eigs[:, 0] <= 0)
-    # a P that is not positive definite gets its error, so its constants may
-    # come from any positive spectrum
-    safe = np.where(definite[:, None], eigs, 1.0)
+    indefinite = np.flatnonzero(eigs[:, 0] <= 0)
+    if indefinite.size:
+        raise StructureError(f"P must be positive definite, min eig {eigs[indefinite[0], 0]:.3e}")
     N, Et = sys.N, sys.Etilde
     sm = structure_matrices(sys.n)
     proj = np.zeros((2 * sys.m, 2 * sys.m))
@@ -257,18 +257,16 @@ def _stacked_constants(
     mu = mu_constants(P, Et)
     lam = lambda_tilde + delta1 + (np.abs(mu) ** 2).sum(axis=1) / 4.0 + delta2
     lhs = _inequality_lhs(sys.F, sys.realizations[0], gamma[:, None, None], P)
-    W = V / np.sqrt(safe)[:, None, :]
+    W = V / np.sqrt(eigs)[:, None, :]
     c = np.linalg.eigvalsh(np.swapaxes(W.conj(), 1, 2) @ -lhs @ W).min(axis=1)
-    c1 = safe[:, -1] / safe[:, 0]
+    c1 = eigs[:, -1] / eigs[:, 0]
     # no decay margin for a P with c <= 0: the offset bound degenerates
-    c3 = np.divide(lam, c * safe[:, 0], out=np.full_like(c, np.inf), where=c > 0)
+    c3 = np.divide(lam, c * eigs[:, 0], out=np.full_like(c, np.inf), where=c > 0)
     c3[lam == 0.0] = 0.0
-    columns = (definite, eigs[:, 0], lambda_tilde, lam, c, c1, c3)
-    rows = zip(*(a.tolist() for a in columns), mu)
+    columns = (lambda_tilde, lam, c, c1, c3)
     return [
-        CertificateConstants(lt, la, ci, c1i, ci, c3i, mui) if ok
-        else StructureError(f"P must be positive definite, min eig {e0:.3e}")
-        for ok, e0, lt, la, ci, c1i, c3i, mui in rows
+        CertificateConstants(lt, la, ci, c1i, ci, c3i, mui)
+        for lt, la, ci, c1i, c3i, mui in zip(*(a.tolist() for a in columns), mu)
     ]
 
 
@@ -284,14 +282,12 @@ def certificate_constants(
     eigenvalue of W' (-LHS) W with P = V diag(eigs) V' and W = V / sqrt(eigs)
     (for P = p I, min eig(-LHS) / p).  Then c1 = lmax(P)/lmin(P), c2 = c,
     c3 = lam / (c lmin(P)).  The mu constants behind lam are returned with them.
+    A P that is not positive definite raises StructureError.
     """
-    (constants,) = _stacked_constants(
+    return _stacked_constants(
         sys, *(np.array([x]) for x in (bounds.gamma, bounds.delta1, bounds.delta2)),
         np.asarray(P, dtype=complex)[None],
-    )
-    if isinstance(constants, StructureError):
-        raise constants
-    return constants
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -320,20 +316,39 @@ class StabilityCertificate:
         return self.verdict is Verdict.CERTIFIED
 
 
+def _riccati_certificate(
+    sys: LinearQuantumSystem, bounds: SectorBounds, eps: float | None, found: dict
+) -> StabilityCertificate:
+    """The certificate at P = ``solve_qmi`` of a point that passes small-gain."""
+    gamma = bounds.gamma
+    if eps is None:
+        eps = default_regularization(sys.Etilde, gamma)
+    try:
+        P = solve_qmi(sys, gamma, eps)
+    except QmiInfeasibleError as exc:
+        # Regularization shifts the feasible boundary by O(eps).  A gain margin
+        # inside that band is a boundary case, not an anomaly: the certificate
+        # cannot be produced, so the verdict is a (slightly conservative)
+        # small-gain failure.  Beyond the band the failure is unexpected and raises.
+        if gamma / 2.0 - sys.hinf.hinf_reduced > 1e3 * eps * (1.0 + gamma):
+            raise QmiInfeasibleError(f"solve_qmi: {exc}") from exc
+        return StabilityCertificate(Verdict.FAILED_SMALL_GAIN, gamma, eps=eps, **found)
+    constants = vars(certificate_constants(sys, bounds, P))
+    return StabilityCertificate(Verdict.CERTIFIED, gamma, P=P, eps=eps, **found, **constants)
+
+
 def certify_sweep(
     sys: LinearQuantumSystem, bounds: Sequence[SectorBounds], eps: float | None = None
 ) -> list[StabilityCertificate]:
     """The certificate of one system at each of a sequence of sector bounds.
 
-    One pass for all points.  Once per call: the Hurwitz verdict, both norms
-    (``sys.hinf``), the OPA structure test and the small-gain realization.
-    Per point, as array operations: the strict small-gain verdicts
-    ||transfer|| < gamma / 2, p* on the closed-form path, the constants on a
-    (k, 2n, 2n) stack of P (``certificate_constants``) and the closed form's
-    strictness check.  The Riccati path (given ``eps``, or a system without
-    the OPA's structure) solves each point on its own.  Each certificate is
-    the one ``certify`` returns for its point alone, bit for bit, and when
-    points raise, the call raises the error of the first of them.
+    Once per call: the Hurwitz verdict, both norms (``sys.hinf``) and the OPA
+    structure test.  The points that pass the strict small-gain test
+    ||transfer|| < gamma / 2 get P = p* I on the closed-form path, with p* and
+    the constants on one (k, 2n, 2n) stack, or else (given ``eps``, or a
+    system without the OPA's structure) the Riccati path, one point at a time.
+    Each certificate is the one ``certify`` returns for its point alone, bit
+    for bit, and the first point that raises stops the call.
     """
     bounds = list(bounds)
     found = {"F": sys.F, "abscissa": sys.abscissa}
@@ -341,69 +356,35 @@ def certify_sweep(
         return [StabilityCertificate(Verdict.FAILED_HURWITZ, b.gamma, **found) for b in bounds]
     hinf = sys.hinf
     found.update(hinf_primary=hinf.hinf_primary, hinf_reduced=hinf.hinf_reduced)
-    gamma, delta1, delta2 = np.array(
-        [(b.gamma, b.delta1, b.delta2) for b in bounds], dtype=float
-    ).reshape(-1, 3).T
-    passed = np.flatnonzero(hinf.hinf_reduced < gamma / 2.0)
-    if not passed.size:
-        return [StabilityCertificate(Verdict.FAILED_SMALL_GAIN, b.gamma, **found) for b in bounds]
-    gamma, delta1, delta2 = gamma[passed], delta1[passed], delta2[passed]
-    kappa = None if eps is not None else sys.opa_kappa
-    # by position in ``passed``: the error that stops a point, or None for a
-    # Riccati boundary-band failure; a stopped point's row of P is a placeholder
-    stopped: dict[int, QstabError | None] = {}
-    point_eps: dict[int, float] = {}
-    if kappa is not None:
-        p = _closed_form_p(kappa, gamma, delta1 + delta2)
-        positive = p > 0
-        for j in np.flatnonzero(~positive).tolist():
-            stopped[j] = QmiInfeasibleError(
-                f"closed-form P is not a strict solution: min eig(P) = {p[j]:.3e}"
-            )
-        P = np.where(positive, p, 1.0)[:, None, None] * np.eye(2 * sys.n, dtype=complex)
+    passes = [hinf.hinf_reduced < b.gamma / 2.0 for b in bounds]
+    passed = [b for b, ok in zip(bounds, passes) if ok]
+    if not passed or eps is not None or sys.opa_kappa is None:
+        certs = (_riccati_certificate(sys, b, eps, found) for b in passed)
     else:
-        P = np.empty((passed.size, 2 * sys.n, 2 * sys.n), dtype=complex)
-        for j, g in enumerate(gamma.tolist()):
-            point_eps[j] = e = eps if eps is not None else default_regularization(sys.Etilde, g)
-            try:
-                P[j] = solve_qmi(sys, g, e)
-            except QmiInfeasibleError as exc:
-                P[j] = np.eye(2 * sys.n)
-                stopped[j] = None
-                # Regularization shifts the feasible boundary by O(eps).  A gain
-                # margin inside that band is a boundary case, not an anomaly: the
-                # certificate cannot be produced, so the verdict is a (slightly
-                # conservative) small-gain failure.  Beyond the band the failure
-                # is unexpected and raises.
-                if g / 2.0 - hinf.hinf_reduced > 1e3 * e * (1.0 + g):
-                    stopped[j] = QmiInfeasibleError(f"solve_qmi: {exc}")
-                    stopped[j].__cause__ = exc
-    constants = _stacked_constants(sys, gamma, delta1, delta2, P)
-    for j, const in enumerate(constants):
-        if j in stopped:
-            continue
-        if isinstance(const, StructureError):
-            stopped[j] = const
-        elif kappa is not None and not const.c > 0:
-            stopped[j] = QmiInfeasibleError(
-                "closed-form P is not a strict solution: "
-                f"min eig(P) = {p[j]:.3e}, max eig(inequality) = {-const.c * p[j]:.3e}"
+        gamma, delta1, delta2 = np.array([(b.gamma, b.delta1, b.delta2) for b in passed], float).T
+        p = _closed_form_p(sys.opa_kappa, gamma, delta1 + delta2)
+        # the stack ends before the first p* <= 0, whose P is not definite
+        k = next((j for j, pj in enumerate(p.tolist()) if not pj > 0), p.size)
+        P = p[:k, None, None] * np.eye(2 * sys.n, dtype=complex)
+        constants = _stacked_constants(sys, gamma[:k], delta1[:k], delta2[:k], P)
+        for pj, const in zip(p.tolist(), constants):
+            if not const.c > 0:
+                raise QmiInfeasibleError(
+                    "closed-form P is not a strict solution: "
+                    f"min eig(P) = {pj:.3e}, max eig(inequality) = {-const.c * pj:.3e}"
+                )
+        if k < p.size:
+            raise QmiInfeasibleError(
+                f"closed-form P is not a strict solution: min eig(P) = {p[k]:.3e}"
             )
-    errors = [j for j, error in stopped.items() if error is not None]
-    if errors:
-        raise stopped[min(errors)]
-    position = dict(zip(passed.tolist(), range(passed.size)))
-    certs = []
-    for i, b in enumerate(bounds):
-        j = position.get(i)
-        point = dict(found, eps=point_eps.get(j))
-        if j is None or j in stopped:
-            certs.append(StabilityCertificate(Verdict.FAILED_SMALL_GAIN, b.gamma, **point))
-        else:
-            certs.append(StabilityCertificate(
-                Verdict.CERTIFIED, b.gamma, P=P[j], **point, **vars(constants[j])
-            ))
-    return certs
+        certs = (
+            StabilityCertificate(Verdict.CERTIFIED, b.gamma, P=Pj, **found, **vars(const))
+            for b, Pj, const in zip(passed, P, constants)
+        )
+    return [
+        next(certs) if ok else StabilityCertificate(Verdict.FAILED_SMALL_GAIN, b.gamma, **found)
+        for b, ok in zip(bounds, passes)
+    ]
 
 
 def certify(

@@ -194,11 +194,12 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
 
     sim_doc = _section(doc, "sim")
     alphas = sim_doc.get("alpha")
-    if args.alpha1 is not None or args.alpha2 is not None:
-        alphas = [args.alpha1 if args.alpha1 is not None else 0.5,
-                  args.alpha2 if args.alpha2 is not None else 0.5]
-    if alphas is None:
-        alphas = [0.5, 0.5]
+    alphas = [0.5, 0.5] if alphas is None else list(alphas)
+    # a flag replaces its own entry; the other comes from the config, or is 0.5
+    for i, flag in enumerate((args.alpha1, args.alpha2)):
+        if flag is not None:
+            alphas += [0.5] * (2 - len(alphas))
+            alphas[i] = flag
     parsed_alphas = tuple(
         serialize.pair_to_complex(a) if isinstance(a, (list, tuple)) else json_number(a, complex)
         for a in alphas

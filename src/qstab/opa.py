@@ -119,8 +119,9 @@ class OpaRegion:
         root = half + math.sqrt(half**2 + self.bounds.delta1 / self.params.chi**2)
         return LambdaBar(caption=caption, root=root)
 
-    def cap(self, z1sq: float) -> float:
-        """Largest admissible |z2|^2 at the given |z1|^2.
+    def cap(self, z1sq):
+        """Largest admissible |z2|^2 at the given |z1|^2, elementwise over an
+        array (a float for a scalar).
 
         Below the knee |z1|^2 = 1/(4 gamma^2 chi^2) the gradient bound holds
         for every |z2|^2 and only the ceiling delta2/(4 chi^2) is active.
@@ -132,16 +133,22 @@ class OpaRegion:
         combined with the ceiling and clamped at zero, the cap beyond
         lambda_bar.  A negative or NaN |z1|^2 raises StructureError.
         """
-        if not z1sq >= 0:
-            raise StructureError(f"|z1|^2 must be a nonnegative number, got {z1sq}")
+        u = np.asarray(z1sq, dtype=float)
+        if not (u >= 0).all():
+            bad = u[~(u >= 0)][0] if u.ndim else z1sq
+            raise StructureError(f"|z1|^2 must be a nonnegative number, got {bad}")
         chi2 = self.params.chi**2
         b = 1.0 / (self.bounds.gamma**2 * chi2)
-        if z1sq <= b / 4.0:
-            return self.ceiling
-        if z1sq > self.lambda_bar.root:
-            return 0.0
-        numer = self.bounds.delta1 / chi2 + z1sq * b - z1sq**2
-        return max(0.0, min(numer / (4.0 * z1sq - b), self.ceiling))
+        ceiling = self.ceiling
+        # the branch is read only on (b/4, lambda_bar], so an infinite u may make NaN
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            numer = self.bounds.delta1 / chi2 + u * b - np.float_power(u, 2)
+            ratio = numer / (4.0 * u - b)
+        # max(0.0, min(ratio, ceiling)) as Python evaluates it, NaN and -0.0 included
+        branch = np.where(ceiling < ratio, ceiling, ratio)
+        branch = np.where(branch > 0.0, branch, 0.0)
+        cap = np.where(u <= b / 4.0, ceiling, np.where(u > self.lambda_bar.root, 0.0, branch))
+        return cap if cap.ndim else float(cap)
 
     def contains(self, z1sq: float, z2sq: float, slack: float = 0.0) -> bool:
         """Membership widened by ``slack``; a NaN or negative coordinate is outside."""
@@ -170,11 +177,9 @@ def region_curve(region: OpaRegion, n_samples: int) -> list[tuple[float, float, 
     active "d3" where the ceiling binds and "d2" where the gradient bound does."""
     if n_samples < 2:
         raise StructureError(f"need at least 2 samples, got {n_samples}")
-    rows = []
-    for z1sq in np.linspace(0.0, region.lambda_bar.root, n_samples):
-        cap = region.cap(float(z1sq))
-        rows.append((float(z1sq), cap, "d3" if cap >= region.ceiling else "d2"))
-    return rows
+    z1sq = np.linspace(0.0, region.lambda_bar.root, n_samples)
+    caps = region.cap(z1sq).tolist()
+    return [(u, c, "d3" if c >= region.ceiling else "d2") for u, c in zip(z1sq.tolist(), caps)]
 
 
 def scan_disagreements(region: OpaRegion, grids, mask, margin1, margin2):
@@ -184,7 +189,7 @@ def scan_disagreements(region: OpaRegion, grids, mask, margin1, margin2):
     and the least min(margin1, margin2) over the cells beyond that band that
     the closed form admits (None if there are none)."""
     g1, g2 = (np.asarray(g, dtype=float) for g in grids)
-    caps = np.array([region.cap(u) for u in g1.tolist()])[:, None]
+    caps = region.cap(g1)[:, None]
     outside = np.abs(g2 - np.minimum(caps, g2[-1])) > (g2[1] - g2[0]) * (1.0 + 1e-9)
     expected = g2 <= caps
     worst = np.minimum(margin1, margin2)[expected & outside]
@@ -240,4 +245,5 @@ def invariant_ellipsoid(P: np.ndarray, region: OpaRegion) -> float:
     if slope > 0:
         w = math.sqrt(s2 * (a + 3.0 * b**2 / 16.0) / slope)
         candidates.append((w + b) / 4.0)
-    return min(s1 * u + s2 * region.cap(u) for u in candidates)
+    u = np.array(candidates)
+    return float(np.min(s1 * u + s2 * region.cap(u)))

@@ -754,6 +754,27 @@ class TestCertifySweep:
         gammas = [float(np.nextafter(threshold, 0.0)), *(f * threshold for f in factors), threshold]
         assert_sweep_matches_points(sys, [SectorBounds(g, 0.1, 0.1) for g in gammas])
 
+    @pytest.mark.parametrize("seed", [11, 30, 34])
+    def test_one_mode_sweep_equals_one_call_per_point(self, seed):
+        # n = p = 1 draws whose Riccati constants, once stacked, moved mu by an ULP
+        rng = np.random.default_rng(seed)
+        sys = random_system(rng, n=int(rng.integers(1, 4)), p=int(rng.integers(1, 4)))
+        assert (sys.n, sys.p) == (1, 1)
+        threshold = sys.hinf.threshold
+        points = [SectorBounds(f * threshold, 0.1, 0.1) for f in (1.05, 3.0)]
+        assert assert_sweep_matches_points(sys, points)[-1].certified
+
+    def test_riccati_sweep_raises_at_its_first_raising_point(self):
+        # in the band at 4.0001, a P that is not definite at 6, beyond the band at 12
+        sys = opa_system(1.0, 2.0, chi=0.1)
+        points = [SectorBounds(g, 0.1, 0.1) for g in (4.0001, 6.0, 12.0)]
+        infeasible = QmiInfeasibleError("no stabilizing solution")
+        outcomes = [infeasible, -np.eye(4, dtype=complex), infeasible]
+        with mock.patch("qstab.certify.solve_qmi", side_effect=outcomes) as solve:
+            with pytest.raises(StructureError, match="P must be positive definite, min eig -1.000e"):
+                certify_sweep(sys, points, eps=1e-5)
+        assert solve.call_count == 2
+
     def test_unstable_system_fails_every_point(self):
         sys = single_mode(np.array([[0.9]]))
         certs = certify_sweep(sys, [SectorBounds(g) for g in (1.0, 2.0)])

@@ -842,6 +842,34 @@ class TestConfigHandling:
         assert main(["certify", "--config", str(path)]) == EXIT_SMALL_GAIN
         assert main(["certify", "--config", str(path), "--gamma", "5.0"]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "config_alpha, flags, alphas",
+        [
+            ([0.1, 0.9], ["--alpha1", "0.3"], ["0.3", "0.9"]),
+            ([0.1, 0.9], ["--alpha2", "0.3"], ["0.1", "0.3"]),
+            ([0.1], ["--alpha1", "0.3"], ["0.3", "0.5"]),
+            (None, ["--alpha2", "0.3"], ["0.5", "0.3"]),
+        ],
+        ids=["alpha1-keeps-config-alpha2", "alpha2-keeps-config-alpha1",
+             "alpha1-pads-with-default", "alpha2-without-config"],
+    )
+    def test_alpha_flag_replaces_only_its_own_entry(self, tmp_path, config_alpha, flags, alphas):
+        sim = {"dim": 4, "t_final": 0.05}
+        if config_alpha is not None:
+            sim["alpha"] = config_alpha
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "system": {"opa": {"kappa1": 1.0, "kappa2": 2.0, "chi": 0.05}},
+            "bounds": {"gamma": 8.0, "delta1": 0.1, "delta2": 0.1}, "sim": sim,
+        }))
+        assert main(["simulate", "--config", str(config), *flags,
+                     "--out", str(tmp_path / "mixed")]) == EXIT_OK
+        assert main(["simulate", "--config", str(config), "--alpha1", alphas[0],
+                     "--alpha2", alphas[1], "--out", str(tmp_path / "flags")]) == EXIT_OK
+        trajectory = "{}.trajectory.csv".format
+        mixed = (tmp_path / trajectory("mixed")).read_bytes()
+        assert mixed == (tmp_path / trajectory("flags")).read_bytes()
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["certify", "--config", str(tmp_path / "nope.json")]) == EXIT_IO
 

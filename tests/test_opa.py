@@ -96,6 +96,58 @@ class TestRegionInputs:
         with pytest.raises(StructureError, match="finite"):
             invariant_ellipsoid(P, self.region)
 
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_array_cap_rejects_nan_and_negative(self, bad):
+        with pytest.raises(StructureError, match=f"nonnegative number, got {bad}"):
+            self.region.cap(np.array([0.0, 1.0, bad]))
+        with pytest.raises(StructureError, match=f"nonnegative number, got {bad}"):
+            self.region.cap(bad)
+
+
+def scalar_cap(region, z1sq):
+    """``OpaRegion.cap`` as it was written for one float, the reference the
+    array form must match bit for bit."""
+    chi2 = region.params.chi**2
+    b = 1.0 / (region.bounds.gamma**2 * chi2)
+    if z1sq <= b / 4.0:
+        return region.ceiling
+    if z1sq > region.lambda_bar.root:
+        return 0.0
+    numer = region.bounds.delta1 / chi2 + z1sq * b - z1sq**2
+    return max(0.0, min(numer / (4.0 * z1sq - b), region.ceiling))
+
+
+class TestArrayCap:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kappa1=st.floats(0.2, 5.0),
+        kappa2=st.floats(0.2, 5.0),
+        chi=st.floats(0.02, 0.3),
+        factor=st.floats(0.9, 4.0),
+        delta1=st.sampled_from([0.0, 0.01, 0.04, 0.1, 1.0]) | st.floats(0.0, 2.0),
+        delta2=st.sampled_from([0.0, 0.01, 0.04, 0.1, 1.0]) | st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_array_cap_is_the_scalar_cap_bit_for_bit(
+        self, kappa1, kappa2, chi, factor, delta1, delta2, seed
+    ):
+        params = OpaParams(kappa1, kappa2, chi)
+        gamma = factor * 2.0 * closed_form_hinf(params)
+        region = OpaRegion(params, SectorBounds(gamma, delta1, delta2))
+        knee = 1.0 / (gamma**2 * chi**2) / 4.0
+        root = region.lambda_bar.root
+        fixed = [0.0, knee, root, 2.0 * root, np.inf]
+        fixed += [np.nextafter(x, d) for x in (knee, root) for d in (0.0, np.inf)]
+        samples = np.random.default_rng(seed).uniform(0.0, 1.2 * root, size=200)
+        z1sq = np.concatenate([fixed, samples])
+        reference = np.array([scalar_cap(region, u) for u in z1sq.tolist()])
+        caps = region.cap(z1sq)
+        assert caps.view(np.int64).tolist() == reference.view(np.int64).tolist()
+        scalars = [region.cap(float(u)) for u in fixed]
+        assert all(type(cap) is float for cap in scalars)
+        bits = reference[: len(fixed)].view(np.int64).tolist()
+        assert np.array(scalars).view(np.int64).tolist() == bits
+
 
 class TestLambdaBar:
     def test_delta1_zero_agreement(self):
@@ -269,7 +321,7 @@ def _certified_P(params, bounds):
 
 def _boundary_values(P, region, z1sq):
     """x'Px at the boundary points (|z1|^2, cap(|z1|^2)), straight from P."""
-    z2sq = np.array([region.cap(float(u)) for u in z1sq])
+    z2sq = region.cap(z1sq)
     z = np.stack([np.sqrt(z1sq), np.sqrt(z2sq)], axis=1).astype(complex)
     x = np.concatenate([z, z.conj()], axis=1)
     return np.real(np.einsum("ki,ij,kj->k", x.conj(), P, x))
@@ -318,7 +370,7 @@ class TestInvariantEllipsoid:
 
         region = OpaRegion(self.params, self.bounds)
         u = np.linspace(0.0, region.lambda_bar.root, 201)
-        z = np.stack([np.sqrt(u), np.sqrt([region.cap(float(t)) for t in u])], axis=1)
+        z = np.stack([np.sqrt(u), np.sqrt(region.cap(u))], axis=1)
         phases = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False))
         zz = z[:, None, None, :] * np.stack(np.meshgrid(phases, phases, indexing="ij"), axis=-1)
         x = np.concatenate([zz, zz.conj()], axis=-1).reshape(-1, 4)
