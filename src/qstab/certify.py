@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import QmiInfeasibleError, StructureError
 from .model import (
-    LinearQuantumSystem, _realizations, _require_hurwitz, _stable, structure_matrices
+    LinearQuantumSystem, _realizations, _require_hurwitz, _stable, structure_matrices,
+    validate_system,
 )
 from .opa import invariant_ellipsoid, opa_region
 from .perturbation import PerturbationSeries, SectorBounds
@@ -88,8 +89,9 @@ def _stabilizing_riccati(
 
     The stable invariant subspace of H = [[F, G], [-(Q + eps I), -F']] is
     spanned by [I; P].  An ordered Schur form puts the left-half-plane
-    eigenvalues first, so P = Z21 Z11^-1 from its leading columns.  SciPy is
-    imported here, so that only the Riccati path loads ``scipy.linalg``.
+    eigenvalues first, so P = Z21 Z11^-1 from its leading columns, symmetrized
+    against roundoff and not checked for strictness.  SciPy is imported here,
+    so that only the Riccati path loads ``scipy.linalg``.
     """
     import scipy.linalg as sla
 
@@ -102,26 +104,36 @@ def _stabilizing_riccati(
             "eigenvalues in the open left half-plane"
         )
     try:
-        return np.linalg.solve(Z[:dim, :dim].T, Z[dim:, :dim].T).T
+        P = np.linalg.solve(Z[:dim, :dim].T, Z[dim:, :dim].T).T
     except np.linalg.LinAlgError as exc:
         raise QmiInfeasibleError(
             f"no stabilizing solution: the stable invariant subspace is not a graph ({exc})"
         ) from exc
+    # the exact solution already has the block structure
+    Sigma = structure_matrices(dim // 2).Sigma
+    P = 0.5 * (P + Sigma @ P.conj() @ Sigma)
+    return 0.5 * (P + P.conj().T)
 
 
-def _riccati_data(realizations, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+def _riccati_data(
+    realizations, gamma: float, eps: float | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Terms G = 4 (Bp Bp' + Br Br') and Q = (Cp' Cp + Cr' Cr) / gamma^2 of the
-    paired Riccati equation; the inequality's quadratic inputs are 2 Bp, 2 Br."""
+    paired Riccati equation and its eps, by default 1e-6 (1 + ||Q||_2), which
+    must be positive and finite; the inequality's quadratic inputs are 2 Bp, 2 Br."""
     (Bp, Cp), (Br, Cr) = realizations
     G = 4.0 * (Bp @ Bp.conj().T + Br @ Br.conj().T)
     Q = (Cp.conj().T @ Cp + Cr.conj().T @ Cr) / gamma**2
-    return G, Q
+    if eps is None:
+        eps = 1e-6 * (1.0 + float(np.linalg.norm(Q, 2)))
+    if not 0 < eps < np.inf:
+        raise StructureError(f"eps must be positive and finite, got {eps}")
+    return G, Q, eps
 
 
 def default_regularization(Etilde: np.ndarray, gamma: float) -> float:
     """Default eps turning the strict inequality into an equation with margin."""
-    _, Q = _riccati_data(_realizations(Etilde), gamma)
-    return 1e-6 * (1.0 + float(np.linalg.norm(Q, 2)))
+    return _riccati_data(_realizations(Etilde), gamma)[2]
 
 
 def solve_qmi(
@@ -149,36 +161,17 @@ def solve_qmi(
     passes (see ROADMAP item 3 for the measured failure rates).
 
     The stabilizing solution comes from one ordered Schur decomposition of
-    the equation's Hamiltonian matrix.  Raises QmiInfeasibleError with
-    diagnostics when no stabilizing solution exists or the result is not a
-    valid strict solution, and StructureError for an eps that is not
-    positive and finite.
+    the equation's Hamiltonian matrix, and passes the strictness check that
+    every certified P passes (min eig P > 0 and c > 0).  Returns a strict P
+    or raises QmiInfeasibleError: no stabilizing solution exists, or the
+    solution is not strict (the error names both margins).  An eps that is
+    not positive and finite raises StructureError.
     """
-    F, Et = sys.F, sys.Etilde
     _require_hurwitz(sys.abscissa)
     if gamma <= 0:
         raise StructureError(f"gamma must be positive, got {gamma}")
-    sm = structure_matrices(sys.n)
-    G, Q = _riccati_data(sys.realizations, gamma)
-    if eps is None:
-        eps = default_regularization(Et, gamma)
-    if not 0 < eps < np.inf:
-        raise StructureError(f"eps must be positive and finite, got {eps}")
-    P = _stabilizing_riccati(F, G, Q, eps)
-    # Clean up roundoff; the exact solution already has the block structure.
-    P = 0.5 * (P + sm.Sigma @ P.conj() @ sm.Sigma)
-    P = 0.5 * (P + P.conj().T)
-    min_eig = float(np.min(np.linalg.eigvalsh(P)))
-    lhs = _inequality_lhs(F, sys.realizations[0], gamma, P)
-    lhs_max = float(np.max(np.linalg.eigvalsh(lhs)))
-    if min_eig <= 0 or lhs_max >= 0:
-        R = F.conj().T @ P + P @ F + P @ G @ P + Q + eps * np.eye(F.shape[0])
-        residual = float(np.linalg.norm(R, "fro"))
-        raise QmiInfeasibleError(
-            "Riccati solve did not produce a strict solution: "
-            f"min eig(P) = {min_eig:.3e}, max eig(inequality) = {lhs_max:.3e}, "
-            f"Riccati residual {residual:.3e}"
-        )
+    P = _stabilizing_riccati(sys.F, *_riccati_data(sys.realizations, gamma, eps))
+    _strict_constants(sys, *np.array([[gamma], [0.0], [0.0]]), P[None])
     return P
 
 
@@ -234,21 +227,27 @@ class CertificateConstants:
     mu: np.ndarray
 
 
+def _columns(bounds: Sequence[SectorBounds]) -> np.ndarray:
+    """The gammas, delta1s and delta2s of a sequence of bounds, as three rows."""
+    return np.array([(b.gamma, b.delta1, b.delta2) for b in bounds], float).T
+
+
 def _stacked_constants(
     sys: LinearQuantumSystem, gamma: np.ndarray, delta1: np.ndarray, delta2: np.ndarray,
     P: np.ndarray,
-) -> list[CertificateConstants]:
+) -> tuple[np.ndarray, list[CertificateConstants]]:
     """``certificate_constants`` for a (k, 2n, 2n) stack of P and k bounds.
 
-    Raises the StructureError of the first P that is not positive definite.
-    Only the closed form stacks more than one P, and its points get the
-    constants of a batch of one, bit for bit; on a general stack the einsum
-    of ``mu_constants`` may sum in another order.
+    Returns the least eigenvalue of each P and the constants of the P before
+    the first one that is not positive definite.  Only the closed form
+    stacks more than one P, and its points get the constants of a batch of
+    one, bit for bit; on a general stack the einsum of ``mu_constants`` may
+    sum in another order.
     """
     eigs, V = np.linalg.eigh(P)
-    indefinite = np.flatnonzero(eigs[:, 0] <= 0)
-    if indefinite.size:
-        raise StructureError(f"P must be positive definite, min eig {eigs[indefinite[0], 0]:.3e}")
+    min_eigs = eigs[:, 0]
+    k = next((j for j, e in enumerate(min_eigs.tolist()) if not e > 0), len(P))
+    eigs, V, P, gamma, delta1, delta2 = (a[:k] for a in (eigs, V, P, gamma, delta1, delta2))
     N, Et = sys.N, sys.Etilde
     sm = structure_matrices(sys.n)
     proj = np.zeros((2 * sys.m, 2 * sys.m))
@@ -264,10 +263,34 @@ def _stacked_constants(
     c3 = np.divide(lam, c * eigs[:, 0], out=np.full_like(c, np.inf), where=c > 0)
     c3[lam == 0.0] = 0.0
     columns = (lambda_tilde, lam, c, c1, c3)
-    return [
+    return min_eigs, [
         CertificateConstants(lt, la, ci, c1i, ci, c3i, mui)
         for lt, la, ci, c1i, c3i, mui in zip(*(a.tolist() for a in columns), mu)
     ]
+
+
+def _strict_constants(
+    sys: LinearQuantumSystem, gamma: np.ndarray, delta1: np.ndarray, delta2: np.ndarray,
+    P: np.ndarray,
+) -> list[CertificateConstants]:
+    """``_stacked_constants`` of a stack of P that all strictly satisfy the
+    inequality: the one strictness check, for both paths.  LHS < 0 exactly
+    when c > 0 (c is the least eigenvalue of W' (-LHS) W), so one ``eigh`` of
+    P and one formed LHS give the check and the constants.  The first P, in
+    order, with min eig P <= 0 or c <= 0 (NaN included) raises
+    QmiInfeasibleError with both margins; max eig(LHS) is formed for it alone.
+    """
+    try:
+        min_eigs, constants = _stacked_constants(sys, gamma, delta1, delta2, P)
+        j = next((j for j, const in enumerate(constants) if not const.c > 0), len(constants))
+        if j == len(P):
+            return constants
+        lhs = _inequality_lhs(sys.F, sys.realizations[0], gamma[j], P[j])
+        lhs_max = np.linalg.eigvalsh(lhs)[-1]
+        margins = f"min eig(P) = {min_eigs[j]:.3e}, max eig(inequality) = {lhs_max:.3e}"
+    except np.linalg.LinAlgError as exc:  # a P or a LHS with non-finite entries
+        margins = str(exc)
+    raise QmiInfeasibleError(f"P is not a strict solution: {margins}")
 
 
 def certificate_constants(
@@ -284,10 +307,10 @@ def certificate_constants(
     c3 = lam / (c lmin(P)).  The mu constants behind lam are returned with them.
     A P that is not positive definite raises StructureError.
     """
-    return _stacked_constants(
-        sys, *(np.array([x]) for x in (bounds.gamma, bounds.delta1, bounds.delta2)),
-        np.asarray(P, dtype=complex)[None],
-    )[0]
+    min_eigs, constants = _stacked_constants(sys, *_columns([bounds]), np.asarray(P, complex)[None])
+    if not constants:
+        raise StructureError(f"P must be positive definite, min eig {min_eigs[0]:.3e}")
+    return constants[0]
 
 
 @dataclass(frozen=True)
@@ -319,12 +342,13 @@ class StabilityCertificate:
 def _riccati_certificate(
     sys: LinearQuantumSystem, bounds: SectorBounds, eps: float | None, found: dict
 ) -> StabilityCertificate:
-    """The certificate at P = ``solve_qmi`` of a point that passes small-gain."""
+    """The certificate of a point that passes small-gain, at the stabilizing
+    Riccati solution with the equation data built once from ``sys.realizations``."""
     gamma = bounds.gamma
-    if eps is None:
-        eps = default_regularization(sys.Etilde, gamma)
+    G, Q, eps = _riccati_data(sys.realizations, gamma, eps)
     try:
-        P = solve_qmi(sys, gamma, eps)
+        P = _stabilizing_riccati(sys.F, G, Q, eps)
+        (constants,) = _strict_constants(sys, *_columns([bounds]), P[None])
     except QmiInfeasibleError as exc:
         # Regularization shifts the feasible boundary by O(eps).  A gain margin
         # inside that band is a boundary case, not an anomaly: the certificate
@@ -333,8 +357,7 @@ def _riccati_certificate(
         if gamma / 2.0 - sys.hinf.hinf_reduced > 1e3 * eps * (1.0 + gamma):
             raise QmiInfeasibleError(f"solve_qmi: {exc}") from exc
         return StabilityCertificate(Verdict.FAILED_SMALL_GAIN, gamma, eps=eps, **found)
-    constants = vars(certificate_constants(sys, bounds, P))
-    return StabilityCertificate(Verdict.CERTIFIED, gamma, P=P, eps=eps, **found, **constants)
+    return StabilityCertificate(Verdict.CERTIFIED, gamma, P=P, eps=eps, **found, **vars(constants))
 
 
 def certify_sweep(
@@ -342,14 +365,20 @@ def certify_sweep(
 ) -> list[StabilityCertificate]:
     """The certificate of one system at each of a sequence of sector bounds.
 
-    Once per call: the Hurwitz verdict, both norms (``sys.hinf``) and the OPA
-    structure test.  The points that pass the strict small-gain test
-    ||transfer|| < gamma / 2 get P = p* I on the closed-form path, with p* and
-    the constants on one (k, 2n, 2n) stack, or else (given ``eps``, or a
-    system without the OPA's structure) the Riccati path, one point at a time.
-    Each certificate is the one ``certify`` returns for its point alone, bit
-    for bit, and the first point that raises stops the call.
+    A system that fails ``validate_system`` is not physical and raises
+    StructureError.  Once per call: the Hurwitz verdict, both norms
+    (``sys.hinf``) and the OPA structure test; FailedHurwitz and
+    FailedSmallGain carry the data computed so far.  The points that pass the
+    strict small-gain test ||transfer|| < gamma / 2 get P = p* I on the
+    closed-form path, with p* and the constants on one (k, 2n, 2n) stack, or
+    else (given ``eps``, or a system without the OPA's structure) the Riccati
+    path, one point at a time.  Both check P with ``_strict_constants``;
+    inside its boundary band the Riccati path reads a refusal as a small-gain
+    failure.  Each certificate is the one ``certify`` returns for its point
+    alone, bit for bit, and the first point that raises stops the call.
     """
+    if violations := validate_system(sys):
+        raise StructureError(f"not a physical system: {'; '.join(map(str, violations))}")
     bounds = list(bounds)
     found = {"F": sys.F, "abscissa": sys.abscissa}
     if not _stable(sys.abscissa):
@@ -361,22 +390,10 @@ def certify_sweep(
     if not passed or eps is not None or sys.opa_kappa is None:
         certs = (_riccati_certificate(sys, b, eps, found) for b in passed)
     else:
-        gamma, delta1, delta2 = np.array([(b.gamma, b.delta1, b.delta2) for b in passed], float).T
+        gamma, delta1, delta2 = _columns(passed)
         p = _closed_form_p(sys.opa_kappa, gamma, delta1 + delta2)
-        # the stack ends before the first p* <= 0, whose P is not definite
-        k = next((j for j, pj in enumerate(p.tolist()) if not pj > 0), p.size)
-        P = p[:k, None, None] * np.eye(2 * sys.n, dtype=complex)
-        constants = _stacked_constants(sys, gamma[:k], delta1[:k], delta2[:k], P)
-        for pj, const in zip(p.tolist(), constants):
-            if not const.c > 0:
-                raise QmiInfeasibleError(
-                    "closed-form P is not a strict solution: "
-                    f"min eig(P) = {pj:.3e}, max eig(inequality) = {-const.c * pj:.3e}"
-                )
-        if k < p.size:
-            raise QmiInfeasibleError(
-                f"closed-form P is not a strict solution: min eig(P) = {p[k]:.3e}"
-            )
+        P = p[:, None, None] * np.eye(2 * sys.n, dtype=complex)
+        constants = _strict_constants(sys, gamma, delta1, delta2, P)
         certs = (
             StabilityCertificate(Verdict.CERTIFIED, b.gamma, P=Pj, **found, **vars(const))
             for b, Pj, const in zip(passed, P, constants)
@@ -393,18 +410,13 @@ def certify(
 ) -> StabilityCertificate:
     """Run the full pipeline and return a certificate (or a failure verdict).
 
-    The batch of one of ``certify_sweep``, which holds the pipeline.
-    FailedHurwitz and FailedSmallGain short-circuit with the data computed so
-    far.  Without ``eps``, a system with the OPA's structure gets P = p* I in
-    closed form (``_closed_form_p``) and records ``eps`` as None; every other
-    system, and any call with ``eps``, gets P from ``solve_qmi``.  The closed
-    form's strictness is read from the constants, which form the inequality's
-    left-hand side once: for P = p I with p > 0, LHS < 0 exactly when c > 0,
-    and max eig(LHS) = -c p.  A P that is not strict raises
-    QmiInfeasibleError with both margins.  Errors raised by later stages
-    propagate, tagged with the stage.  A certified result records
-    ``invariant_level`` on the region ``opa_region`` finds for the system and
-    its perturbation ``series``; without one it stays None.
+    The batch of one of ``certify_sweep``, which holds the pipeline and its
+    strictness check.  Without ``eps``, a system with the OPA's structure gets
+    P = p* I in closed form (``_closed_form_p``) and records ``eps`` as None;
+    every other system, and any call with ``eps``, gets the Riccati solve of
+    ``solve_qmi``.  A certified result records ``invariant_level`` on the
+    region ``opa_region`` finds for the system and its perturbation
+    ``series``; without one it stays None.
     """
     (cert,) = certify_sweep(sys, [bounds], eps)
     region = opa_region(sys, series, bounds) if cert.certified else None

@@ -129,18 +129,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config_file(path: str) -> dict:
+def _load_json(path: str, what: str):
     try:
-        text = Path(path).read_text()
+        return json.loads(Path(path).read_text())
     except OSError as exc:
-        raise FileNotFoundError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StructureError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise StructureError("config document must be a JSON object")
-    return doc
+        raise FileNotFoundError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
+        raise StructureError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def _pick(flag, doc: dict, key: str, default=None):
@@ -168,7 +163,9 @@ def _section(doc: dict, key: str) -> dict:
 
 
 def _assemble_config(args: argparse.Namespace) -> RunConfig:
-    doc = _load_config_file(args.config) if args.config else {}
+    doc = _load_json(args.config, "config") if args.config else {}
+    if not isinstance(doc, dict):
+        raise StructureError("config document must be a JSON object")
     system_doc = _section(doc, "system")
     opa_doc = _section(system_doc, "opa")
     kappa1 = _pick(args.kappa1, opa_doc, "kappa1")
@@ -236,15 +233,6 @@ def _assemble_config(args: argparse.Namespace) -> RunConfig:
         grid=json_number(_pick(args.grid, doc, "grid", 200), int),
         eps=_optional(_pick(args.eps, doc, "eps")),
     )
-
-
-def _load_json(path: str, what: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise FileNotFoundError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise StructureError(f"{what} file is not valid JSON: {exc}") from exc
 
 
 def _load_system(config: RunConfig) -> tuple[LinearQuantumSystem, PerturbationSeries | None]:

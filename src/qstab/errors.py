@@ -21,8 +21,8 @@ class ConsistencyError(QstabError):
 
 
 class QmiInfeasibleError(QstabError):
-    """No strict solution of the matrix inequality: the Riccati solve failed, or
-    its result or the closed-form P failed the strictness check."""
+    """No strict solution of the matrix inequality: the Riccati equation has no
+    stabilizing solution, or a P fails the strictness check min eig P, c > 0."""
 
 
 class TruncationError(QstabError):

@@ -330,16 +330,15 @@ def validate_system(sys: LinearQuantumSystem) -> list[SymmetryViolation]:
 
     Returns an empty list iff M1 is Hermitian and M2 is symmetric within
     tolerance.  Dimension mismatches raise at construction time, not here.
+    ``certify`` refuses a system with a nonempty report.
     """
     report = []
-    scale = 1.0 + max(
-        (float(np.max(np.abs(b))) if b.size else 0.0) for b in (sys.M1, sys.M2)
-    )
-    tol = SYMMETRY_RTOL * scale
-    r_herm = float(np.max(np.abs(sys.M1 - sys.M1.conj().T))) if sys.M1.size else 0.0
+    M1, M2 = sys.M1, sys.M2
+    tol = SYMMETRY_RTOL * (1.0 + max(np.abs(M1).max(initial=0.0), np.abs(M2).max(initial=0.0)))
+    r_herm = float(np.abs(M1 - M1.conj().T).max(initial=0.0))
     if r_herm > tol:
         report.append(SymmetryViolation("M1", "not Hermitian", r_herm))
-    r_sym = float(np.max(np.abs(sys.M2 - sys.M2.T))) if sys.M2.size else 0.0
+    r_sym = float(np.abs(M2 - M2.T).max(initial=0.0))
     if r_sym > tol:
         report.append(SymmetryViolation("M2", "asymmetric", r_sym))
     return report

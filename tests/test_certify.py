@@ -1,4 +1,6 @@
+import contextlib
 import math
+import pkgutil
 from unittest import mock
 
 import numpy as np
@@ -11,6 +13,8 @@ from scipy.optimize import minimize_scalar
 from conftest import random_system
 from qstab.certify import (
     Verdict,
+    _riccati_data,
+    _stabilizing_riccati,
     certificate_constants,
     certify,
     certify_sweep,
@@ -21,7 +25,9 @@ from qstab.certify import (
 )
 from qstab.errors import NotHurwitzError, QmiInfeasibleError, QstabError, StructureError
 from qstab.focksim import build_algebra, quadratic_form
-from qstab.model import LinearQuantumSystem, _realizations, hinf_norm, structure_matrices
+from qstab.model import (
+    LinearQuantumSystem, _realizations, hinf_norm, structure_matrices, validate_system
+)
 from qstab.opa import OpaParams, OpaRegion, build_opa, invariant_ellipsoid, opa_region
 from qstab.perturbation import PerturbationSeries, SectorBounds
 
@@ -765,13 +771,17 @@ class TestCertifySweep:
         assert assert_sweep_matches_points(sys, points)[-1].certified
 
     def test_riccati_sweep_raises_at_its_first_raising_point(self):
-        # in the band at 4.0001, a P that is not definite at 6, beyond the band at 12
+        # in the band at 4.0001, a P that is not definite at 6, beyond the band at 12:
+        # the strictness check refuses the P at 6 and the band rule raises it
         sys = opa_system(1.0, 2.0, chi=0.1)
         points = [SectorBounds(g, 0.1, 0.1) for g in (4.0001, 6.0, 12.0)]
         infeasible = QmiInfeasibleError("no stabilizing solution")
         outcomes = [infeasible, -np.eye(4, dtype=complex), infeasible]
-        with mock.patch("qstab.certify.solve_qmi", side_effect=outcomes) as solve:
-            with pytest.raises(StructureError, match="P must be positive definite, min eig -1.000e"):
+        with mock.patch("qstab.certify._stabilizing_riccati", side_effect=outcomes) as solve:
+            with pytest.raises(
+                QmiInfeasibleError,
+                match=r"^solve_qmi: P is not a strict solution: min eig\(P\) = -1.000e\+00",
+            ):
                 certify_sweep(sys, points, eps=1e-5)
         assert solve.call_count == 2
 
@@ -790,6 +800,86 @@ class TestCertifySweep:
                 certify_sweep(sys, points)
         p = scalar_optimum((1.0, 2.0), 4.5, 0.2)
         assert f"min eig(P) = {p:.3e}" in str(raised.value)
+
+
+def non_physical_system():
+    """M1 = [[0, 1], [0, 0]] is not Hermitian: F is Hurwitz, but no Hamiltonian has it."""
+    zero = np.zeros((2, 2))
+    return LinearQuantumSystem(
+        M1=[[0.0, 1.0], [0.0, 0.0]], M2=zero, N1=np.eye(2), N2=zero, E1=zero, E2=np.eye(2)
+    )
+
+
+class TestStrictnessCheck:
+    @staticmethod
+    def count_calls(sys, bounds, eps=None):
+        """Calls per name made by one ``certify`` on a system whose norms (and
+        so its realizations) are computed already."""
+        sys.hinf
+        names = {
+            "_riccati_data": "qstab.certify._riccati_data",
+            "_inequality_lhs": "qstab.certify._inequality_lhs",
+            "eigh": "numpy.linalg.eigh",
+            "eigvalsh": "numpy.linalg.eigvalsh",
+            "_realizations": "qstab.certify._realizations",
+            "model._realizations": "qstab.model._realizations",
+        }
+        with contextlib.ExitStack() as stack:
+            mocks = {
+                name: stack.enter_context(mock.patch(target, wraps=pkgutil.resolve_name(target)))
+                for name, target in names.items()
+            }
+            cert = certify(sys, bounds, eps=eps)
+        assert cert.certified
+        return {name: m.call_count for name, m in mocks.items()}
+
+    def test_one_riccati_point_builds_its_data_once(self):
+        sys = random_system(np.random.default_rng(3), n=2, p=1)
+        counts = self.count_calls(sys, SectorBounds(3.0 * sys.hinf.threshold, 0.1, 0.1))
+        assert counts == {"_riccati_data": 1, "_inequality_lhs": 1, "eigh": 1, "eigvalsh": 1,
+                          "_realizations": 0, "model._realizations": 0}
+
+    def test_one_closed_form_point_forms_one_lhs(self):
+        counts = self.count_calls(opa_system(1.0, 2.0), SectorBounds(4.5, 0.1, 0.1))
+        assert counts == {"_riccati_data": 0, "_inequality_lhs": 1, "eigh": 1, "eigvalsh": 1,
+                          "_realizations": 0, "model._realizations": 0}
+
+    def test_riccati_P_that_fails_the_inequality_raises_with_both_margins(self):
+        # a left-hand side of 2 I makes c < 0 for the solved P, which is positive definite
+        sys = opa_system(1.0, 2.0)
+        bounds = SectorBounds(gamma=4.5, delta1=0.1, delta2=0.1)
+        P = _stabilizing_riccati(sys.F, *_riccati_data(sys.realizations, 4.5, 1e-6))
+        margins = (f"P is not a strict solution: min eig(P) = {np.linalg.eigvalsh(P)[0]:.3e}, "
+                   "max eig(inequality) = 2.000e+00")
+        with mock.patch("qstab.certify._inequality_lhs", return_value=2.0 * np.eye(4)):
+            with pytest.raises(QmiInfeasibleError) as raised:
+                certify(sys, bounds, eps=1e-6)
+            assert str(raised.value) == f"solve_qmi: {margins}"
+            with pytest.raises(QmiInfeasibleError) as raised:
+                solve_qmi(sys, 4.5, eps=1e-6)
+            assert str(raised.value) == margins
+            # eps = 1e-3 puts the gain margin 0.25 inside the boundary band
+            cert = certify(sys, bounds, eps=1e-3)
+        assert cert.verdict is Verdict.FAILED_SMALL_GAIN and cert.eps == 1e-3
+
+    def test_closed_form_p_that_is_not_finite_raises(self):
+        # gamma^2 overflows and delta = 0, so p* = 0/0: eigh has no NaN P to factor
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(QmiInfeasibleError, match="^P is not a strict solution: "):
+                certify(opa_system(1.0, 2.0), SectorBounds(1e200))
+
+    def test_non_physical_system_is_refused_before_the_hurwitz_verdict(self):
+        sys = non_physical_system()
+        assert sys.abscissa < 0 and [v.matrix for v in validate_system(sys)] == ["M1"]
+        for run in (lambda: certify(sys, SectorBounds(20.0, 0.1, 0.1)),
+                    lambda: certify_sweep(sys, [SectorBounds(20.0), SectorBounds(30.0)])):
+            with pytest.raises(StructureError, match="not a physical system: M1 not Hermitian"):
+                run()
+        # M1 = i gives F = diag(1, 1): unstable, and refused rather than FailedHurwitz
+        unstable = single_mode(np.array([[1j]]))
+        assert unstable.abscissa > 0
+        with pytest.raises(StructureError, match="not a physical system: M1 not Hermitian"):
+            certify(unstable, SectorBounds(1.0))
 
 
 def certify_exit(sys, bounds, eps=None):

@@ -878,6 +878,19 @@ class TestConfigHandling:
         path.write_text("{not json")
         assert main(["certify", "--config", str(path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "flag, content",
+        [("--system", b"{not json"), ("--series", b"{not json"), ("--config", b"\xff\xfe{}"),
+         ("--system", b"\xff\xfe{}"), ("--series", b"\xff\xfe{}")],
+    )
+    def test_unparseable_input_file_is_config_error(self, tmp_path, capsys, flag, content):
+        # one reader for every JSON input: bytes that are not UTF-8 are malformed too
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        system = [] if flag == "--system" else _OPA_FLAGS
+        assert main(["certify", *system, "--gamma", "4.5", flag, str(path)]) == EXIT_CONFIG
+        assert f"{flag[2:]} {path} is not valid JSON" in capsys.readouterr().err
+
     def test_missing_required_inputs(self):
         assert main(["certify", "--gamma", "4.0"]) == EXIT_CONFIG
 
@@ -1075,3 +1088,43 @@ def run_script(cwd, script, args):
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_module_entry_point_certifies_the_readme_example(tmp_path):
+    # the README's certify example, run as ``python -m qstab.cli``
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [executable, "-m", "qstab.cli", "certify", *opa_flags("run")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == "verdict: Certified\n"
+    assert json.loads((tmp_path / "run.certificate.json").read_text())["verdict"] == "Certified"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["certify", "--gamma", "20", "--delta1", "0.1", "--delta2", "0.1"],
+        ["sweep", "--gamma", "20", "--parameter", "gamma", "--start", "10", "--stop", "20",
+         "--steps", "3"],
+        ["simulate", "--gamma", "20", "--dim", "6", "--t-final", "0.05"],
+        ["check-identities", "--gamma", "20", "--dim", "6"],
+    ],
+    ids=["certify", "sweep", "simulate", "check-identities"],
+)
+def test_non_physical_system_is_a_config_error(tmp_path, capsys, args):
+    # M1 = [[0, 1], [0, 0]] is not Hermitian; its drift matrix is Hurwitz
+    zero = np.zeros((2, 2))
+    system = LinearQuantumSystem(
+        M1=[[0.0, 1.0], [0.0, 0.0]], M2=zero, N1=np.eye(2), N2=zero, E1=zero, E2=np.eye(2)
+    )
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(serialize.system_to_json(system)))
+    series_doc = serialize.series_to_json(build_opa(OpaParams(1.0, 2.0, 0.1))[1])
+    files = ["--system", str(path), "--series", str(_opa_series_file(tmp_path, series_doc))]
+    assert main(["validate", *files]) == EXIT_CHECK_FAILED
+    assert "M1 not Hermitian" in capsys.readouterr().err
+    assert main([*args, *files, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    assert "not a physical system: M1 not Hermitian" in capsys.readouterr().err
+    assert not list(tmp_path.glob("r.*"))
